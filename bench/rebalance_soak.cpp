@@ -27,7 +27,7 @@
 #include "bench/bench_json.h"
 #include "cluster/fault.h"
 #include "clusterfile/fs.h"
-#include "clusterfile/rebalance.h"
+#include "clusterfile/mover.h"
 #include "layout/partitions2d.h"
 #include "util/buffer.h"
 #include "util/timer.h"

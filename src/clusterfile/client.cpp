@@ -315,17 +315,17 @@ void ClusterfileClient::seal(Message& msg, std::uint64_t req_id) {
   if (net_.checksums_enabled()) stamp_checksum(msg);
 }
 
-std::chrono::nanoseconds ClusterfileClient::timeout_for(int attempt) const {
-  double ms = static_cast<double>(policy_.base_timeout.count()) *
-              std::pow(policy_.backoff, attempt - 1);
-  ms = std::min(ms, static_cast<double>(policy_.max_timeout.count()));
+std::chrono::nanoseconds RetryPolicy::timeout(int attempt) const {
+  double ms = static_cast<double>(base_timeout.count()) *
+              std::pow(backoff, attempt - 1);
+  ms = std::min(ms, static_cast<double>(max_timeout.count()));
   return std::chrono::nanoseconds(
       static_cast<std::int64_t>(std::max(0.1, ms) * 1e6));
 }
 
-std::chrono::nanoseconds ClusterfileClient::group_budget() const {
+std::chrono::nanoseconds RetryPolicy::budget() const {
   std::chrono::nanoseconds total{0};
-  for (int a = 1; a <= policy_.max_attempts; ++a) total += timeout_for(a);
+  for (int a = 1; a <= max_attempts; ++a) total += timeout(a);
   return total;
 }
 
@@ -344,7 +344,7 @@ void ClusterfileClient::transact(
   // `hard_deadline` (the summed backoff schedule), so a target's replica
   // chain burns one schedule total, never chain-length × schedule.
   const Clock::time_point start = Clock::now();
-  const Clock::time_point hard_deadline = start + group_budget();
+  const Clock::time_point hard_deadline = start + policy_.budget();
 
   /// Per-group (per-target) outcome accumulator: a group succeeds while at
   /// least one of its requests completes, degrades when a replica is lost
@@ -387,7 +387,7 @@ void ClusterfileClient::transact(
   pend.reserve(n);
 
   const auto entry_deadline = [&](int attempt) {
-    return std::min(Clock::now() + timeout_for(attempt), hard_deadline);
+    return std::min(Clock::now() + policy_.timeout(attempt), hard_deadline);
   };
   const auto make_request = [&](const Pend& p) {
     Message m;
@@ -757,7 +757,7 @@ void ClusterfileClient::straggler_handle_timeouts(Clock::time_point now) {
     ++s.attempts;
     ++rel_.retries;
     Message copy = s.msg;  // sealed: same req_id, checksum already stamped
-    s.deadline = std::min(now + timeout_for(s.attempts), s.hard_deadline);
+    s.deadline = std::min(now + policy_.timeout(s.attempts), s.hard_deadline);
     // A closed destination inbox means the node crashed mid-straggler: no
     // ack can ever arrive, so hand the subfile to scrub instead of looping.
     if (!net_.send(node_id_, std::move(copy))) straggler_abandon(id);
@@ -777,7 +777,7 @@ bool ClusterfileClient::straggler_handle_reply(Message&& msg) {
       ++rel_.retries;
       Message copy = s.msg;
       s.deadline =
-          std::min(Clock::now() + timeout_for(s.attempts), s.hard_deadline);
+          std::min(Clock::now() + policy_.timeout(s.attempts), s.hard_deadline);
       if (!net_.send(node_id_, std::move(copy))) straggler_abandon(msg.req_id);
       return true;
     }
@@ -805,7 +805,7 @@ bool ClusterfileClient::straggler_handle_corrupt_reply(std::uint64_t req_id) {
   ++rel_.retries;
   Message copy = s.msg;
   s.deadline =
-      std::min(Clock::now() + timeout_for(s.attempts), s.hard_deadline);
+      std::min(Clock::now() + policy_.timeout(s.attempts), s.hard_deadline);
   if (!net_.send(node_id_, std::move(copy))) straggler_abandon(req_id);
   return true;
 }

@@ -92,13 +92,20 @@ class TimeoutError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Client-side retransmission policy: per-request timeout with bounded
-/// exponential backoff, and a cap on total delivery attempts.
+/// Retransmission policy: per-attempt timeout with bounded exponential
+/// backoff, and a cap on total delivery attempts. Client accesses and the
+/// background copies (repair, migration, restart re-sync, mount reconcile)
+/// both spend it as one delivery budget.
 struct RetryPolicy {
   std::chrono::milliseconds base_timeout{250};
   std::chrono::milliseconds max_timeout{2000};
   double backoff = 2.0;
   int max_attempts = 5;
+
+  /// Backoff timeout of the given 1-based attempt.
+  std::chrono::nanoseconds timeout(int attempt) const;
+  /// The whole delivery budget: timeout() summed over every attempt.
+  std::chrono::nanoseconds budget() const;
 };
 
 /// Outcome of one subfile's part of an access.
@@ -360,8 +367,8 @@ class ClusterfileClient {
   /// kUnknownView via `reinstall(i)` (a fresh kSetView for request i's
   /// target, or nullopt when not applicable), and fails over along a
   /// request's backup chain when its current node is given up on. One
-  /// delivery budget — group_budget(), the summed backoff schedule — spans
-  /// a request's whole replica chain: attempts never reset on failover and
+  /// delivery budget — RetryPolicy::budget(), the summed backoff schedule —
+  /// spans a request's whole replica chain: attempts never reset on failover and
   /// every deadline is clipped to the budget's end. With `quorum` > 0, a
   /// group whose ok count reaches min(quorum, fan-out) demotes its
   /// remaining requests to stragglers_ instead of waiting them out. Fills
@@ -375,11 +382,6 @@ class ClusterfileClient {
                 const std::function<Message(std::size_t)>& rebuild,
                 const std::function<std::optional<Message>(std::size_t)>& reinstall,
                 AccessTimings& t, std::vector<Message>* replies);
-
-  /// RetryPolicy's backoff timeout for the given 1-based attempt.
-  std::chrono::nanoseconds timeout_for(int attempt) const;
-  /// The whole delivery budget: timeout_for summed over every attempt.
-  std::chrono::nanoseconds group_budget() const;
 
   /// Earliest straggler retransmit deadline (time_point::max() when none).
   Clock::time_point straggler_next_deadline() const;

@@ -44,12 +44,6 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
     throw std::invalid_argument(
         "Clusterfile: self_heal needs replication > 1 (a lone copy has no "
         "surviving source to repair from)");
-  if (config_.max_concurrent_repairs < 1)
-    throw std::invalid_argument(
-        "Clusterfile: max_concurrent_repairs must be >= 1");
-  if (config_.max_concurrent_migrations < 1)
-    throw std::invalid_argument(
-        "Clusterfile: max_concurrent_migrations must be >= 1");
   // Elastic-membership knobs: environment defaults resolved once so every
   // later decision sees one consistent value.
   if (config_.max_io_nodes == 0) config_.max_io_nodes = config_.io_nodes;
@@ -284,10 +278,8 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
       for (const int node : row.lagging) {
         bool ok = false;
         try {
-          const IoServer::SyncOutcome out = server_at_node(node).sync_subfile(
-              row.subfile, row.authority, /*attempts=*/5,
-              std::chrono::milliseconds(400));
-          ok = out.ok;
+          ok = copy_replica(row.subfile, server_at_node(node), {row.authority})
+                   .ok;
         } catch (const std::exception&) {
         }
         if (ok)
@@ -311,21 +303,15 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
         static_cast<std::int64_t>(mount_timer.elapsed_us());
   }
 
-  if (config_.ring_placement)
-    rebalancer_ = std::make_unique<Rebalancer>(
-        [this](const MigrationEntry& e, Rebalancer::ExecStats* stats) {
-          return execute_migration(e, stats);
-        },
-        config_.max_concurrent_migrations);
+  // Queue before detector: the detector's on_dead callback enqueues into
+  // the queue, so it must already exist when probing starts.
+  if (config_.self_heal || config_.ring_placement)
+    mover_ = std::make_unique<MoveQueue>(
+        [this](const MoveTask& t, MoveStats* stats) {
+          return move_copy(t, stats);
+        });
 
   if (config_.self_heal) {
-    // Scheduler before detector: the detector's on_dead callback enqueues
-    // into the scheduler, so it must already exist when probing starts.
-    repairer_ = std::make_unique<RepairScheduler>(
-        [this](const RepairPlanEntry& e, std::int64_t* bytes) {
-          return execute_repair(e, bytes);
-        },
-        config_.max_concurrent_repairs);
     std::vector<int> monitored;
     for (int i = 0; i < config_.io_nodes; ++i)
       monitored.push_back(config_.compute_nodes + i);
@@ -350,8 +336,6 @@ void Clusterfile::start_clients() {
 void Clusterfile::start_servers(const std::vector<Buffer>* initial,
                                 bool preserve) {
   const std::size_t subfiles = meta_.io_nodes.size();
-  const StorageFaultPlan* faults =
-      config_.storage_faults ? &*config_.storage_faults : nullptr;
   std::vector<IoNodeState> states;
   {
     MutexLock lock(member_mu_);
@@ -368,17 +352,9 @@ void Clusterfile::start_servers(const std::vector<Buffer>* initial,
     for (std::size_t i = 0; i < subfiles; ++i) {
       for (std::size_t r = 0; r < meta_.replicas[i].size(); ++r) {
         if (meta_.replicas[i][r] != config_.compute_nodes + node) continue;
-        // Faults live directly over the backend; integrity sits above them
-        // so injected torn writes and bit rot are what the CRC layer sees.
-        // Files are named by the absolute node id so a cold mount (and
-        // pfm_fsck) can map every copy back to its placement row.
-        auto storage = make_storage(config_.storage_dir, static_cast<int>(i),
-                                    static_cast<int>(r), faults,
-                                    /*node=*/config_.compute_nodes + node,
-                                    preserve);
-        if (integrity_block_ > 0)
-          storage = std::make_unique<IntegrityStorage>(std::move(storage),
-                                                       integrity_block_);
+        auto storage =
+            replica_stack(static_cast<int>(i), static_cast<int>(r),
+                          config_.compute_nodes + node, preserve);
         if (initial != nullptr && !(*initial)[i].empty())
           storage->write(0, (*initial)[i]);
         storages.emplace_back(static_cast<int>(i), std::move(storage));
@@ -390,16 +366,32 @@ void Clusterfile::start_servers(const std::vector<Buffer>* initial,
   }
 }
 
+std::unique_ptr<SubfileStorage> Clusterfile::replica_stack(int subfile,
+                                                           int slot, int node,
+                                                           bool preserve) const {
+  // Faults live directly over the backend; integrity sits above them so
+  // injected torn writes and bit rot are what the CRC layer sees. Files are
+  // named by the absolute node id so a cold mount (and pfm_fsck) can map
+  // every copy back to its placement row.
+  auto storage = make_storage(
+      config_.storage_dir, subfile, slot,
+      config_.storage_faults ? &*config_.storage_faults : nullptr, node,
+      preserve);
+  if (integrity_block_ > 0)
+    storage = std::make_unique<IntegrityStorage>(std::move(storage),
+                                                 integrity_block_);
+  return storage;
+}
+
 Clusterfile::~Clusterfile() {
   // Shutdown order matters. The detector first (no new dead declarations),
-  // then the repair workers (nothing else touches the servers), then a
+  // then the copy workers (nothing else touches the servers), then a
   // bounded straggler drain — closing the network with quorum stragglers
   // still pending used to drop them silently, leaving replicas divergent
   // with no accounting. The drain is bounded by each straggler's remaining
   // RetryPolicy schedule, and whatever it abandons is surfaced.
   if (detector_) detector_->stop();
-  if (repairer_) repairer_->stop();
-  if (rebalancer_) rebalancer_->stop();
+  if (mover_) mover_->stop();
   for (auto& c : clients_) c->drain_stragglers();
   const std::int64_t abandoned = stragglers_abandoned();
   if (abandoned > 0)
@@ -521,8 +513,7 @@ ResyncStats Clusterfile::restart_server(std::size_t io_index) {
     throw std::out_of_range("Clusterfile::restart_server: bad I/O node");
   // A repair or migration worker may hold a reference to the IoServer
   // object this replaces — wait them out before destroying anything.
-  if (repairer_) repairer_->await_idle();
-  if (rebalancer_) rebalancer_->await_idle();
+  if (mover_) mover_->await_idle();
   const int node = config_.compute_nodes + static_cast<int>(io_index);
   IoServer::SubfileStorages storages = servers_[io_index]->take_storages();
   servers_[io_index] = std::make_unique<IoServer>(
@@ -534,38 +525,26 @@ ResyncStats Clusterfile::restart_server(std::size_t io_index) {
   }
 
   // Re-sync: each hosted subfile pulls the writes the dead period missed
-  // from the first live peer replica that answers. Every live replica saw
-  // the same fan-out writes, so any one of them is authoritative. A subfile
-  // the repair planner moved off this node while it was down is skipped —
-  // the node still stores the stale copy, but the published placement no
-  // longer aims anyone at it.
+  // from its live peers, highest write epoch first. With W-of-N quorum
+  // writes a live peer may have missed writes too, so the first peer in
+  // placement order is not necessarily current. A subfile the repair
+  // planner moved off this node while it was down is skipped — the node
+  // still stores the stale copy, but the published placement no longer
+  // aims anyone at it.
   ResyncStats rs;
   Timer t;
-  if (config_.replication > 1) {
-    for (const int subfile : servers_[io_index]->subfile_ids()) {
-      const std::vector<int> peers =
-          placement_->replicas_of(static_cast<std::size_t>(subfile));
-      if (std::find(peers.begin(), peers.end(), node) == peers.end())
-        continue;
-      bool synced = false;
-      bool had_peer = false;
-      for (const int peer : peers) {
-        if (peer == node) continue;
-        if (is_crashed(static_cast<std::size_t>(peer - config_.compute_nodes)))
-          continue;
-        had_peer = true;
-        const IoServer::SyncOutcome out = servers_[io_index]->sync_subfile(
-            subfile, peer, /*attempts=*/5, std::chrono::milliseconds(400));
-        if (out.ok) {
-          ++rs.subfiles;
-          rs.ranges += out.ranges;
-          rs.bytes += out.bytes;
-          if (out.full) ++rs.full_transfers;
-          synced = true;
-          break;
-        }
-      }
-      if (had_peer && !synced) ++rs.failures;
+  for (const int subfile : servers_[io_index]->subfile_ids()) {
+    const std::vector<int> peers =
+        placement_->replicas_of(static_cast<std::size_t>(subfile));
+    if (std::find(peers.begin(), peers.end(), node) == peers.end()) continue;
+    const CopyOutcome out = copy_replica(subfile, *servers_[io_index], peers);
+    if (out.ok) {
+      ++rs.subfiles;
+      rs.ranges += out.ranges;
+      rs.bytes += out.bytes;
+      if (out.full) ++rs.full_transfers;
+    } else if (out.had_source) {
+      ++rs.failures;
     }
   }
   rs.elapsed_us = static_cast<std::int64_t>(t.elapsed_us());
@@ -574,16 +553,17 @@ ResyncStats Clusterfile::restart_server(std::size_t io_index) {
   // replacement (planner: "they stay under-replicated until a node
   // returns"). Re-plan every other still-dead node; subfiles already
   // repaired produce no entries, so this is idempotent.
-  if (repairer_ && detector_)
+  if (detector_)
     for (const int dead : detector_->dead_nodes())
       if (dead != node) on_node_dead(dead);
   return rs;
 }
 
 ScrubReport Clusterfile::scrub() {
-  // Scrub walks replica storage directly; let in-flight repairs (which own
-  // the replacement copies they are filling) finish first.
-  if (repairer_) repairer_->await_idle();
+  // Scrub walks replica storage directly; let queued and in-flight repairs
+  // and migrations (which own the new copies they are filling and catching
+  // up) finish first.
+  if (mover_) mover_->await_idle();
   ScrubReport rep;
   const std::int64_t block =
       integrity_block_ > 0 ? integrity_block_ : IntegrityStorage::kDefaultBlock;
@@ -704,35 +684,47 @@ ReliabilityCounters Clusterfile::server_reliability() const {
 }
 
 ReliabilityCounters Clusterfile::repair_reliability() const {
-  return repairer_ ? repairer_->counters() : ReliabilityCounters{};
+  ReliabilityCounters r;
+  if (!mover_) return r;
+  const MoveCounters c = mover_->counters(MoveKind::kRepair);
+  r.repairs_started = c.started;
+  r.repairs_completed = c.completed;
+  r.repairs_failed = c.failed;
+  r.bytes_re_replicated = c.bytes.bulk_bytes + c.bytes.catchup_bytes;
+  return r;
 }
 
-void Clusterfile::await_repairs() {
-  if (!repairer_) return;
-  repairer_->await_idle();
-  if (!detector_) return;
-  // Converge: a node that rejoined may have unblocked repairs that were
-  // skipped earlier for lack of a usable replacement, and a repair that
-  // lost its source mid-copy is terminal in the scheduler but re-plannable
-  // from current placement. Bounded rounds so persistently failing
-  // repairs cannot spin this into a livelock.
+void Clusterfile::converge(
+    const std::function<std::vector<MoveTask>()>& replan) {
+  if (!mover_) return;
+  mover_->await_idle();
+  // Bounded rounds so persistently failing copies cannot livelock.
   for (int round = 0; round < 4; ++round) {
-    bool planned = false;
-    for (const int dead : detector_->dead_nodes()) {
-      std::vector<RepairPlanEntry> plan = plan_repairs(
-          placement_->snapshot(), dead, config_.compute_nodes,
-          config_.max_io_nodes, [this](int n) { return node_unplaceable(n); });
-      if (plan.empty()) continue;
-      planned = true;
-      repairer_->enqueue(std::move(plan));
-    }
-    if (!planned) return;
-    repairer_->await_idle();
+    std::vector<MoveTask> tasks = replan();
+    if (tasks.empty()) return;
+    mover_->enqueue(std::move(tasks));
+    mover_->await_idle();
   }
 }
 
+void Clusterfile::await_repairs() {
+  // A node that rejoined may also have unblocked repairs that were skipped
+  // earlier for lack of a usable replacement.
+  converge([this] {
+    std::vector<MoveTask> tasks;
+    if (!detector_) return tasks;
+    for (const int dead : detector_->dead_nodes())
+      for (MoveTask& t : plan_repairs(
+               placement_->snapshot(), dead, config_.compute_nodes,
+               config_.max_io_nodes,
+               [this](int n) { return node_unplaceable(n); }))
+        tasks.push_back(std::move(t));
+    return tasks;
+  });
+}
+
 bool Clusterfile::repairs_active() const {
-  return repairer_ && repairer_->pending() > 0;
+  return mover_ && mover_->pending() > 0;
 }
 
 std::vector<int> Clusterfile::under_replicated_subfiles() const {
@@ -748,125 +740,143 @@ std::vector<int> Clusterfile::under_replicated_subfiles() const {
 }
 
 void Clusterfile::on_node_dead(int node) {
-  if (!repairer_) return;
-  std::vector<RepairPlanEntry> plan = plan_repairs(
+  std::vector<MoveTask> plan = plan_repairs(
       placement_->snapshot(), node, config_.compute_nodes,
       config_.max_io_nodes, [this](int n) { return node_unplaceable(n); });
   PFM_INFO("clusterfile: node ", node, " declared dead; ", plan.size(),
            " subfile repair(s) planned");
-  if (!plan.empty()) repairer_->enqueue(std::move(plan));
+  if (!plan.empty()) mover_->enqueue(std::move(plan));
 }
 
-bool Clusterfile::execute_repair(const RepairPlanEntry& entry,
-                                 std::int64_t* bytes) {
-  const int dst = entry.replacement_node;
-  const std::size_t dst_idx =
-      static_cast<std::size_t>(dst - config_.compute_nodes);
-  if (is_crashed(dst_idx)) {
-    PFM_WARN("repair: replacement node ", dst, " crashed before subfile ",
-             entry.subfile, " could be re-replicated");
-    return false;
-  }
-  // Safe to hold across the copy: servers_ entries are only replaced by
-  // restart_server/relayout, and both await_idle() on the scheduler first.
-  IoServer& dstsrv = *servers_[dst_idx];
-
-  if (!dstsrv.has_subfile(entry.subfile)) {
-    // A fresh replica at epoch 0: the first sync below is forcibly a full
-    // transfer — the degenerate whole-subfile PROJ of the repair plan. The
-    // storage slot comes from a global counter past the configured replica
-    // indices, so on disk the new copy never collides with the dead node's
-    // surviving file.
-    const int slot =
-        config_.replication + repair_slot_.fetch_add(1, std::memory_order_relaxed);
-    const StorageFaultPlan* faults =
-        config_.storage_faults ? &*config_.storage_faults : nullptr;
-    auto storage = make_storage(config_.storage_dir, entry.subfile, slot,
-                                faults, /*node=*/dst);
-    if (integrity_block_ > 0)
-      storage = std::make_unique<IntegrityStorage>(std::move(storage),
-                                                   integrity_block_);
-    dstsrv.adopt_subfile(entry.subfile, std::move(storage));
-  }
-
-  // Copy sources: the surviving replicas, preferred by write epoch (same
-  // authority rule as scrub), rotated on failure.
+Clusterfile::CopyOutcome Clusterfile::copy_replica(
+    int subfile, IoServer& dst, const std::vector<int>& candidates) {
+  // Sources by write epoch, highest first, ties in placement order — the
+  // authority rule scrub uses.
   struct Source {
     int node = 0;
     std::int64_t epoch = 0;
   };
   std::vector<Source> sources;
-  for (const int src : entry.new_replicas) {
-    if (src == dst || node_unusable(src)) continue;
-    sources.push_back({src, server_at_node(src).subfile_epoch(entry.subfile)});
-  }
-  if (sources.empty()) {
-    PFM_WARN("repair: no live source for subfile ", entry.subfile);
-    return false;
+  for (const int node : candidates) {
+    if (node == dst.node_id() || node_unusable(node)) continue;
+    sources.push_back({node, server_at_node(node).subfile_epoch(subfile)});
   }
   std::stable_sort(sources.begin(), sources.end(),
                    [](const Source& a, const Source& b) {
                      return a.epoch > b.epoch;
                    });
+  CopyOutcome out;
+  out.had_source = !sources.empty();
+  if (sources.empty()) return out;
 
-  // One shared delivery budget for the whole repair (the PR-6 discipline):
-  // per-attempt timeouts follow the backoff schedule and their sum is the
-  // hard deadline across every source tried.
+  // One delivery budget across every source tried (the client discipline):
+  // attempt k's pulls wait at most the policy's k-th timeout, clipped to
+  // the budget's end, and each failed attempt rotates to the next source.
   const RetryPolicy& rp = config_.repair_retry;
-  std::chrono::milliseconds per = rp.base_timeout;
-  std::chrono::milliseconds budget{0};
-  {
-    std::chrono::milliseconds t = rp.base_timeout;
-    for (int a = 0; a < rp.max_attempts; ++a) {
-      budget += t;
-      t = std::min(std::chrono::milliseconds(static_cast<std::int64_t>(
-                       static_cast<double>(t.count()) * rp.backoff)),
-                   rp.max_timeout);
+  const auto deadline = std::chrono::steady_clock::now() + rp.budget();
+  for (int attempt = 1; attempt <= rp.max_attempts; ++attempt) {
+    const int src =
+        sources[static_cast<std::size_t>(attempt - 1) % sources.size()].node;
+    // Chunked stream: each pull is bounded by rebalance_chunk, so
+    // foreground requests interleave at the source between chunks. A
+    // chunked delta adopts the partial epoch per pull (resume = pull
+    // again); a chunked full transfer resumes by offset with the epoch
+    // pinned to the stream start via adopt_epoch_cap (see sync_subfile).
+    // A rotated source restarts the stream at offset 0.
+    std::int64_t off = 0;
+    std::int64_t cap = -1;
+    while (true) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= deadline) return out;
+      const auto timeout = std::min(
+          rp.timeout(attempt),
+          std::chrono::duration_cast<std::chrono::nanoseconds>(deadline - now));
+      const IoServer::SyncOutcome pull = dst.sync_subfile(
+          subfile, src, timeout, config_.rebalance_chunk, off, cap);
+      if (!pull.ok) break;
+      out.bytes += pull.bytes;
+      out.ranges += pull.ranges;
+      out.full = out.full || pull.full;
+      if (!pull.more) {
+        out.ok = true;
+        out.source = src;
+        return out;
+      }
+      if (pull.full) {
+        if (cap < 0) cap = pull.peer_epoch;
+        off = pull.next_offset;
+      }
     }
   }
-  const auto deadline = std::chrono::steady_clock::now() + budget;
-  std::int64_t copied = 0;
-  for (int attempt = 0; attempt < rp.max_attempts; ++attempt) {
-    const Source& src = sources[static_cast<std::size_t>(attempt) % sources.size()];
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) break;
-    const auto slice = std::min(
-        per, std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now));
-    const IoServer::SyncOutcome out =
-        dstsrv.sync_subfile(entry.subfile, src.node, /*attempts=*/1, slice);
-    per = std::min(std::chrono::milliseconds(static_cast<std::int64_t>(
-                       static_cast<double>(per.count()) * rp.backoff)),
-                   rp.max_timeout);
-    if (!out.ok) continue;
-    copied += out.bytes;
-    // Publish first, then close the gap: foreground writes that landed on
-    // the survivors while the bulk copy ran are pulled over by catch-up
-    // syncs until one moves nothing. After the publish every *new* write
-    // fans out to the replacement too, so the gap only shrinks.
-    placement_->update(static_cast<std::size_t>(entry.subfile),
-                       entry.new_replicas);
-    for (int c = 0; c < 3; ++c) {
-      const IoServer::SyncOutcome catchup =
-          dstsrv.sync_subfile(entry.subfile, src.node, /*attempts=*/1, slice);
-      if (!catchup.ok) break;
-      copied += catchup.bytes;
-      if (catchup.bytes == 0) break;
-    }
-    if (bytes != nullptr) *bytes = copied;
-    // Journal the published placement. A crash point firing on this worker
-    // thread must not kill the scheduler — the frozen layer already
-    // guarantees nothing later persists, which *is* the simulated kill.
-    try {
-      persist_meta();
-    } catch (const SimulatedCrash&) {
-    }
-    PFM_INFO("repair: subfile ", entry.subfile, " re-replicated to node ",
-             dst, " from node ", src.node, " (", copied, " bytes)");
+  return out;
+}
+
+bool Clusterfile::move_copy(const MoveTask& task, MoveStats* stats) {
+  const char* what = log_prefix(task.kind);
+  const std::size_t sub = static_cast<std::size_t>(task.subfile);
+  const int dst = task.target_node;
+  const std::vector<int> holders = placement_->replicas_of(sub);
+  // Idempotent no-op: crash-resume re-plans from current placement, and a
+  // duplicate task whose publish already landed must not copy again (that
+  // is what keeps re-planning convergent, the kSync discipline).
+  if (std::find(holders.begin(), holders.end(), dst) != holders.end())
     return true;
+  const std::size_t dst_idx =
+      static_cast<std::size_t>(dst - config_.compute_nodes);
+  if (dst_idx >= servers_.size() || !servers_[dst_idx] || node_unusable(dst)) {
+    PFM_WARN(what, ": target node ", dst, " unusable for subfile ",
+             task.subfile);
+    return false;
   }
-  PFM_WARN("repair: delivery budget exhausted for subfile ", entry.subfile,
-           " -> node ", dst);
-  return false;
+  // Safe to hold across the copy: servers_ entries are only replaced by
+  // restart_server/relayout/add_io_node, and the first two await_idle() on
+  // the queue first while the last only touches spare (null) slots.
+  IoServer& dstsrv = *servers_[dst_idx];
+
+  if (!dstsrv.has_subfile(task.subfile)) {
+    // A fresh copy at epoch 0: the first pull is forcibly a full transfer —
+    // the degenerate whole-subfile PROJ. The storage slot comes from a
+    // global counter past the configured replica indices, so on disk the
+    // new copy never collides with a previous holder's surviving file.
+    const int slot = config_.replication +
+                     repair_slot_.fetch_add(1, std::memory_order_relaxed);
+    dstsrv.adopt_subfile(task.subfile, replica_stack(task.subfile, slot, dst));
+  }
+
+  // Copy from the current holders — a draining holder is explicitly usable
+  // here, reading its copies off it is what the drain is.
+  const CopyOutcome bulk = copy_replica(task.subfile, dstsrv, holders);
+  stats->bulk_bytes = bulk.bytes;
+  if (!bulk.ok) {
+    PFM_WARN(what, ": ",
+             bulk.had_source ? "delivery budget exhausted" : "no live source",
+             " for subfile ", task.subfile, " -> node ", dst);
+    return false;
+  }
+  // Publish first, then close the gap: after the epoch bump every new write
+  // fans out to the target too, so catch-up pulls only shrink the writes
+  // that landed on the holders while the bulk copy ran. A replaced node's
+  // stale copy is left inert — the published placement no longer aims
+  // anyone at it.
+  placement_->update(sub, task.new_replicas);
+  for (int round = 0; round < kCatchUpRounds; ++round) {
+    const CopyOutcome catchup =
+        copy_replica(task.subfile, dstsrv, {bulk.source});
+    if (!catchup.ok) break;
+    stats->catchup_bytes += catchup.bytes;
+    if (catchup.bytes == 0) break;
+  }
+  // Journal the published placement. A crash point firing on this worker
+  // thread must not kill the queue — the frozen layer already guarantees
+  // nothing later persists, which *is* the simulated kill.
+  try {
+    persist_meta();
+  } catch (const SimulatedCrash&) {
+  }
+  PFM_INFO(what, ": subfile ", task.subfile, " copied to node ", dst,
+           " from node ", bulk.source, " (", stats->bulk_bytes, " bulk + ",
+           stats->catchup_bytes, " catch-up bytes)");
+  return true;
 }
 
 int Clusterfile::add_io_node(int weight) {
@@ -939,7 +949,7 @@ void Clusterfile::decommission_node(std::size_t io_index) {
     // only what is still missing. Rounds are time-bounded by the migration
     // delivery budgets, not by sleeps.
     enqueue_rebalance();
-    rebalancer_->await_idle();
+    mover_->await_idle();
     bool remaining = false;
     for (const std::vector<int>& reps : placement_->snapshot())
       if (std::find(reps.begin(), reps.end(), node) != reps.end()) {
@@ -1002,34 +1012,35 @@ void Clusterfile::remove_node(std::size_t io_index) {
 }
 
 void Clusterfile::await_rebalance() {
-  if (!rebalancer_) return;
-  rebalancer_->await_idle();
-  // Converge: a migration that lost its source, destination, or
-  // coordinator mid-copy is terminal in the scheduler but re-plannable
-  // from current placement — re-planning against the recorded target
-  // emits only what is still missing (completed moves diff to nothing).
-  // Bounded rounds so persistently failing migrations cannot livelock.
-  for (int round = 0; round < 4; ++round) {
+  // Re-planning against the recorded target emits only what is still
+  // missing (completed moves diff to nothing).
+  converge([this] {
     std::vector<std::vector<int>> target;
     {
       MutexLock lock(member_mu_);
       target = rebalance_target_;
     }
-    if (target.empty()) return;
+    if (target.empty()) return std::vector<MoveTask>{};
     RebalancePlan plan = plan_rebalance(placement_->snapshot(), target,
                                         *meta_.physical, file_size_estimate());
     if (plan.entries.empty()) {
       MutexLock lock(member_mu_);
       if (rebalance_target_ == target) rebalance_target_.clear();
-      return;
     }
-    rebalancer_->enqueue(std::move(plan.entries));
-    rebalancer_->await_idle();
-  }
+    return std::move(plan.entries);
+  });
 }
 
 RebalanceCounters Clusterfile::rebalance_counters() const {
-  return rebalancer_ ? rebalancer_->counters() : RebalanceCounters{};
+  RebalanceCounters r;
+  if (!mover_) return r;
+  const MoveCounters c = mover_->counters(MoveKind::kMigration);
+  r.migrations_started = c.started;
+  r.migrations_completed = c.completed;
+  r.migrations_failed = c.failed;
+  r.bytes_migrated = c.bytes.bulk_bytes;
+  r.bytes_caught_up = c.bytes.catchup_bytes;
+  return r;
 }
 
 std::vector<int> Clusterfile::serving_io_indices() const {
@@ -1084,150 +1095,7 @@ void Clusterfile::enqueue_rebalance() {
                                       *meta_.physical, file_size_estimate());
   PFM_INFO("clusterfile: rebalance planned — ", plan.entries.size(),
            " migration(s), ", plan.min_bytes_total, " minimal byte(s)");
-  if (!plan.entries.empty()) rebalancer_->enqueue(std::move(plan.entries));
-}
-
-bool Clusterfile::execute_migration(const MigrationEntry& entry,
-                                    Rebalancer::ExecStats* stats) {
-  const std::size_t sub = static_cast<std::size_t>(entry.subfile);
-  {
-    // Idempotent no-op: crash-resume re-plans from current placement, and
-    // a duplicate entry whose publish already landed must not copy again
-    // (that is what keeps re-planning convergent, the kSync discipline).
-    const std::vector<int> current = placement_->replicas_of(sub);
-    if (std::find(current.begin(), current.end(), entry.target_node) !=
-        current.end())
-      return true;
-  }
-  const int dst = entry.target_node;
-  const std::size_t dst_idx =
-      static_cast<std::size_t>(dst - config_.compute_nodes);
-  if (dst_idx >= servers_.size() || !servers_[dst_idx] ||
-      node_unusable(dst)) {
-    PFM_WARN("rebalance: target node ", dst, " unusable for subfile ",
-             entry.subfile);
-    return false;
-  }
-  // Safe to hold across the copy: servers_ entries are only replaced by
-  // restart_server/relayout/add_io_node, and the first two await_idle() on
-  // the rebalancer first while the last only touches spare (null) slots.
-  IoServer& dstsrv = *servers_[dst_idx];
-
-  if (!dstsrv.has_subfile(entry.subfile)) {
-    // Fresh replica at epoch 0: the first pull below is forcibly a full
-    // transfer. Same distinct-slot rule as repair, so the new copy never
-    // collides on disk with the retiring node's surviving file.
-    const int slot = config_.replication +
-                     repair_slot_.fetch_add(1, std::memory_order_relaxed);
-    const StorageFaultPlan* faults =
-        config_.storage_faults ? &*config_.storage_faults : nullptr;
-    auto storage = make_storage(config_.storage_dir, entry.subfile, slot,
-                                faults, /*node=*/dst);
-    if (integrity_block_ > 0)
-      storage = std::make_unique<IntegrityStorage>(std::move(storage),
-                                                   integrity_block_);
-    dstsrv.adopt_subfile(entry.subfile, std::move(storage));
-  }
-
-  // Copy sources: the *current* placement's replicas — a draining holder is
-  // explicitly usable here, reading its copies off it is what the drain is.
-  // Preferred by write epoch (the scrub authority rule), rotated on failure.
-  struct Source {
-    int node = 0;
-    std::int64_t epoch = 0;
-  };
-  std::vector<Source> sources;
-  for (const int src : placement_->replicas_of(sub)) {
-    if (src == dst || node_unusable(src)) continue;
-    sources.push_back({src, server_at_node(src).subfile_epoch(entry.subfile)});
-  }
-  if (sources.empty()) {
-    PFM_WARN("rebalance: no live source for subfile ", entry.subfile);
-    return false;
-  }
-  std::stable_sort(sources.begin(), sources.end(),
-                   [](const Source& a, const Source& b) {
-                     return a.epoch > b.epoch;
-                   });
-
-  // One shared delivery budget across every source tried (the repair/PR-6
-  // discipline): per-attempt timeouts follow the backoff schedule and their
-  // sum is the migration's hard deadline.
-  const RetryPolicy& rp = config_.repair_retry;
-  std::chrono::milliseconds per = rp.base_timeout;
-  std::chrono::milliseconds budget{0};
-  {
-    std::chrono::milliseconds t = rp.base_timeout;
-    for (int a = 0; a < rp.max_attempts; ++a) {
-      budget += t;
-      t = std::min(std::chrono::milliseconds(static_cast<std::int64_t>(
-                       static_cast<double>(t.count()) * rp.backoff)),
-                   rp.max_timeout);
-    }
-  }
-  const auto deadline = std::chrono::steady_clock::now() + budget;
-  for (int attempt = 0; attempt < rp.max_attempts; ++attempt) {
-    const Source& src =
-        sources[static_cast<std::size_t>(attempt) % sources.size()];
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) break;
-    const auto slice = std::min(
-        per,
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now));
-    // Chunked bulk stream: each pull is bounded by rebalance_chunk, so
-    // foreground requests interleave at the source between chunks. A
-    // chunked delta adopts the partial epoch per pull (resume = pull
-    // again); a chunked full transfer resumes by offset with the epoch
-    // pinned to the stream start via adopt_epoch_cap (see sync_subfile).
-    std::int64_t off = 0;
-    std::int64_t cap = -1;
-    bool streamed = false;
-    while (true) {
-      const IoServer::SyncOutcome out =
-          dstsrv.sync_subfile(entry.subfile, src.node, /*attempts=*/1, slice,
-                              config_.rebalance_chunk, off, cap);
-      if (!out.ok) break;
-      stats->bulk_bytes += out.bytes;
-      if (!out.more) {
-        streamed = true;
-        break;
-      }
-      if (out.full) {
-        if (cap < 0) cap = out.peer_epoch;
-        off = out.next_offset;
-      }
-      if (std::chrono::steady_clock::now() >= deadline) break;
-    }
-    per = std::min(std::chrono::milliseconds(static_cast<std::int64_t>(
-                       static_cast<double>(per.count()) * rp.backoff)),
-                   rp.max_timeout);
-    if (!streamed) continue;  // rotate source; offset/cap reset with it
-    // Publish first, then close the gap: after the epoch bump every new
-    // write fans out to the target too, so catch-up syncs only shrink it.
-    // The retiring node's stale copy is left inert — the published
-    // placement no longer aims anyone at it (same as post-repair).
-    placement_->update(sub, entry.new_replicas);
-    for (int c = 0; c < 5; ++c) {
-      const IoServer::SyncOutcome catchup = dstsrv.sync_subfile(
-          entry.subfile, src.node, /*attempts=*/1, slice);
-      if (!catchup.ok) break;
-      stats->catchup_bytes += catchup.bytes;
-      if (catchup.bytes == 0) break;
-    }
-    // Journal the published placement (same worker-thread crash discipline
-    // as execute_repair: freezing is the kill, the scheduler survives).
-    try {
-      persist_meta();
-    } catch (const SimulatedCrash&) {
-    }
-    PFM_INFO("rebalance: subfile ", entry.subfile, " migrated to node ", dst,
-             " from node ", src.node, " (", stats->bulk_bytes, " bulk + ",
-             stats->catchup_bytes, " catch-up bytes)");
-    return true;
-  }
-  PFM_WARN("rebalance: delivery budget exhausted for subfile ", entry.subfile,
-           " -> node ", dst);
-  return false;
+  mover_->enqueue(std::move(plan.entries));
 }
 
 double Clusterfile::mean_server_scatter_us() const {
@@ -1265,11 +1133,10 @@ RedistStats Clusterfile::relayout(PartitioningPattern new_physical,
   // Let in-flight repairs and migrations land, then adopt the published
   // placement as the new baseline: the relayouted copies go wherever
   // repair/rebalance moved them. The PlacementDirectory itself is never
-  // replaced (the detector callback and repair workers read the pointer
+  // replaced (the detector callback and copy workers read the pointer
   // concurrently); its table already says exactly what meta_ is being
   // synced to.
-  if (repairer_) repairer_->await_idle();
-  if (rebalancer_) rebalancer_->await_idle();
+  if (mover_) mover_->await_idle();
   {
     const std::vector<std::vector<int>> snap = placement_->snapshot();
     for (std::size_t i = 0; i < snap.size(); ++i) {
@@ -1354,7 +1221,7 @@ void Clusterfile::persist_meta() {
   const std::int64_t ring = ring_epoch();
   // Deferred retirement: a kRetired node the placement still references
   // (remove_node racing its repairs) is not recorded retired yet — the
-  // repair worker's own persist_meta gets it once the last copy moved off.
+  // repair's own persist_meta gets it once the last copy moved off.
   std::vector<int> retired;
   {
     MutexLock mlock(member_mu_);

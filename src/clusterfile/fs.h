@@ -17,9 +17,8 @@
 #include "clusterfile/client.h"
 #include "clusterfile/io_server.h"
 #include "clusterfile/metadata.h"
+#include "clusterfile/mover.h"
 #include "clusterfile/placement.h"
-#include "clusterfile/rebalance.h"
-#include "clusterfile/repair.h"
 #include "clusterfile/storage_fault.h"
 #include "redist/execute.h"
 #include "ring/ring.h"
@@ -62,18 +61,17 @@ struct ClusterConfig {
   /// Self-healing (DESIGN.md "Self-healing"): run a heartbeat failure
   /// detector over the I/O nodes and, when one is declared dead,
   /// re-replicate every subfile it hosted onto a surviving node via the
-  /// repair scheduler, then republish the placement so clients re-aim.
+  /// background copy queue, then republish the placement so clients re-aim.
   /// Requires replication > 1.
   bool self_heal = false;
   /// Heartbeat thresholds; the PFM_HEARTBEAT_{INTERVAL_MS,TIMEOUT_MS,
   /// SUSPECT_N} environment knobs override these defaults.
   FailureDetector::Options heartbeat{};
-  /// Worker bound on concurrent subfile re-replications.
-  int max_concurrent_repairs = 2;
-  /// Delivery budget of one subfile repair: per-attempt sync timeouts
-  /// follow this backoff schedule, and the summed schedule is the repair's
-  /// hard deadline across every source it tries (the shared per-access
-  /// budget discipline of client accesses).
+  /// Delivery budget of one background subfile copy (repair, migration,
+  /// restart re-sync, mount reconcile): per-attempt pull timeouts follow
+  /// this backoff schedule, and the summed schedule is the copy's hard
+  /// deadline across every source it tries (the shared per-access budget
+  /// discipline of client accesses).
   RetryPolicy repair_retry{};
   /// Elastic membership (DESIGN.md "Elastic membership & rebalancing"):
   /// place subfile replicas with the weighted consistent-hash ring instead
@@ -93,16 +91,15 @@ struct ClusterConfig {
   /// in-process Network is fixed-size at construction, as a rack is).
   /// 0 = io_nodes (no headroom). Must be >= io_nodes.
   int max_io_nodes = 0;
-  /// Byte limit per bulk-migration sync pull. 0 = the PFM_REBALANCE_CHUNK
-  /// environment knob, or 256 KiB. Chunking bounds how long one migration
-  /// pull occupies the source's loop thread, keeping foreground latency
-  /// flat while a rebalance runs, and makes migrations resumable.
+  /// Byte limit per background copy pull (repair, migration, restart
+  /// re-sync, mount reconcile). 0 = the PFM_REBALANCE_CHUNK environment
+  /// knob, or 256 KiB. Chunking bounds how long one pull occupies the
+  /// source's loop thread, keeping foreground latency flat while a copy
+  /// runs, and makes copies resumable.
   std::int64_t rebalance_chunk = 0;
   /// Deadline for decommission_node's drain, in milliseconds. 0 = the
   /// PFM_DRAIN_TIMEOUT_MS environment knob, or 30000.
   int drain_timeout_ms = 0;
-  /// Worker bound on concurrent subfile migrations.
-  int max_concurrent_migrations = 2;
   /// Crash-consistent metadata (DESIGN.md "Durability & recovery"): a
   /// directory holding the checkpoint manifest plus the mutation journal.
   /// Non-empty = durable mount: construction replays checkpoint+journal,
@@ -214,8 +211,9 @@ class Clusterfile {
   /// it. The new server has no projections and an empty dedup cache;
   /// clients transparently re-install views on the first kUnknownView.
   /// With replication, each hosted subfile then pulls the writes it missed
-  /// from a live peer replica (kSyncRequest/kSyncReply) before returning;
-  /// callers must not race writes to the same file against the restart.
+  /// from its live peer replicas, highest write epoch first
+  /// (kSyncRequest/kSyncReply), before returning; callers must not race
+  /// writes to the same file against the restart.
   ResyncStats restart_server(std::size_t io_index);
 
   /// Verifies replica agreement block by block (per-block compare through
@@ -235,18 +233,20 @@ class Clusterfile {
   /// suppressed, corruptions caught, errors sent).
   ReliabilityCounters client_reliability() const;
   ReliabilityCounters server_reliability() const;
-  /// Repair-scheduler counters (repairs_started/completed/failed,
-  /// bytes_re_replicated; the other fields stay zero). Empty when
-  /// self-healing is off.
+  /// Repair counters of the background copy queue (repairs_started/
+  /// completed/failed, bytes_re_replicated; the other fields stay zero).
+  /// Empty when self-healing is off.
   ReliabilityCounters repair_reliability() const;
 
   /// The heartbeat failure detector, or nullptr when self_heal is off.
   /// mark_dead/mark_alive on it drive the repair hooks directly (tests).
   FailureDetector* detector() { return detector_.get(); }
-  /// Blocks until no repair is queued or executing. Each repair's execution
-  /// is bounded by its delivery budget, so this terminates.
+  /// Blocks until no background copy (repair or migration) is queued or
+  /// executing, re-planning repairs for still-dead nodes. Each copy is
+  /// bounded by its delivery budget, so this terminates.
   void await_repairs();
-  /// True while a repair is queued or executing.
+  /// True while a background copy (repair or migration) is queued or
+  /// executing.
   bool repairs_active() const;
   /// Current placement version (0 until the first repair publishes).
   std::int64_t placement_epoch() const { return placement_->epoch(); }
@@ -284,7 +284,7 @@ class Clusterfile {
   /// Blocks until the queued migrations finish, then re-plans against the
   /// recorded target placement for a bounded number of rounds: a migration
   /// that lost its source, destination, or coordinator mid-copy is
-  /// terminal in the scheduler but re-plannable from current placement, so
+  /// terminal in the queue but re-plannable from current placement, so
   /// this is also the crash-resume entry point.
   void await_rebalance();
 
@@ -352,17 +352,35 @@ class Clusterfile {
   /// Detector on_dead hook: plans repairs for the lost node's subfiles and
   /// enqueues them. Runs on the detector (or overriding) thread.
   void on_node_dead(int node);
-  /// RepairScheduler execute hook: adopts fresh storage on the replacement
-  /// node, copies from the best surviving replica under the repair delivery
-  /// budget, publishes the new placement, then closes the foreground-write
-  /// gap with catch-up syncs. Runs on a repair worker thread.
-  bool execute_repair(const RepairPlanEntry& entry, std::int64_t* bytes);
-  /// Rebalancer execute hook: same discipline as execute_repair, but the
-  /// bulk copy is chunked (rebalance_chunk per pull) so foreground traffic
-  /// interleaves, and the entry is an idempotent no-op when the published
-  /// placement already includes the target (crash-resume re-plans).
-  bool execute_migration(const MigrationEntry& entry,
-                         Rebalancer::ExecStats* stats);
+  /// The storage stack of one subfile copy: make_storage, plus the
+  /// integrity layer when it is on.
+  std::unique_ptr<SubfileStorage> replica_stack(int subfile, int slot,
+                                                int node,
+                                                bool preserve = false) const;
+  /// Outcome of one copy_replica call.
+  struct CopyOutcome {
+    bool ok = false;
+    bool had_source = false;  ///< some candidate was usable
+    int source = -1;          ///< node the copy completed from
+    std::int64_t bytes = 0;   ///< payload bytes applied, over every pull
+    std::int64_t ranges = 0;  ///< distinct ranges applied
+    bool full = false;        ///< a peer fell back to a full transfer
+  };
+  /// The one data-copy routine (the only caller of IoServer::sync_subfile):
+  /// brings `dst`'s copy of `subfile` up to date from `candidates`. Drops
+  /// unusable candidates, orders the rest by write epoch (highest first,
+  /// ties in the given order), and streams rebalance_chunk-bounded pulls,
+  /// rotating sources on failure, under one repair_retry delivery budget.
+  CopyOutcome copy_replica(int subfile, IoServer& dst,
+                           const std::vector<int>& candidates);
+  /// Catch-up pulls after a move publishes; each stops at a zero-byte pull.
+  static constexpr int kCatchUpRounds = 5;
+  /// MoveQueue execute hook, one routine for repairs and migrations: no-op
+  /// when the target is already published; otherwise adopts fresh storage
+  /// on the target at a never-reused slot, copies from the current holders,
+  /// publishes task.new_replicas, runs the catch-up pulls, and journals
+  /// the placement. Runs on a queue worker thread.
+  bool move_copy(const MoveTask& task, MoveStats* stats);
   bool is_crashed(std::size_t io_index) const PFM_EXCLUDES(crash_mu_);
   /// Node is unusable as a data source or fan-out target: crashed,
   /// declared dead by the detector, or not serving (spare/retired). A
@@ -381,8 +399,13 @@ class Clusterfile {
   /// Records the current ring placement as the rebalance target and
   /// enqueues the minimal transfer plan toward it.
   void enqueue_rebalance() PFM_EXCLUDES(member_mu_);
-  /// sync_metadata body; requires meta_mu_ because repair/migration
-  /// workers and the main thread converge concurrently.
+  /// await_repairs / await_rebalance body: waits the queue out, then
+  /// re-plans and re-runs until `replan` comes back empty. A task that lost
+  /// its source, destination or coordinator mid-copy is terminal in the
+  /// queue but re-plannable from current placement.
+  void converge(const std::function<std::vector<MoveTask>()>& replan);
+  /// sync_metadata body; requires meta_mu_ because the copy workers and
+  /// the main thread converge concurrently.
   void persist_meta() PFM_EXCLUDES(meta_mu_);
   /// Write epochs feed both replica re-sync (replication) and the durable
   /// mount's authority decision, so durable clusters track them even when
@@ -402,15 +425,16 @@ class Clusterfile {
   /// could hold a reference.
   std::vector<std::unique_ptr<IoServer>> servers_;
   mutable Mutex crash_mu_{"Clusterfile::crash_mu"};
-  /// Per provisioned I/O node; read by repair workers, written by
+  /// Per provisioned I/O node; read by copy workers, written by
   /// crash/restart.
   std::vector<char> crashed_ PFM_GUARDED_BY(crash_mu_);
   std::vector<std::unique_ptr<ClusterfileClient>> clients_;
   /// Distinct storage slot per repaired or migrated copy, so a new copy's
   /// file never collides with a prior node's surviving one.
   std::atomic<int> repair_slot_{0};
-  std::unique_ptr<RepairScheduler> repairer_;  ///< before detector_: the
-                                               ///< detector enqueues into it
+  /// Repairs and migrations (only with self_heal or ring_placement);
+  /// before detector_: the detector enqueues into it.
+  std::unique_ptr<MoveQueue> mover_;
   /// Membership state. Leaf lock: nothing else is acquired under it.
   mutable Mutex member_mu_{"Clusterfile::member_mu"};
   std::vector<IoNodeState> node_state_ PFM_GUARDED_BY(member_mu_);
@@ -419,11 +443,10 @@ class Clusterfile {
   /// rebalance is pending (await_rebalance re-plans against it).
   std::vector<std::vector<int>> rebalance_target_ PFM_GUARDED_BY(member_mu_);
   std::atomic<std::int64_t> ring_epoch_{0};
-  std::unique_ptr<Rebalancer> rebalancer_;  ///< only with ring_placement
   std::unique_ptr<FailureDetector> detector_;
   /// Durable metadata store (journal attached iff metadata_dir is set).
-  /// meta_mu_ serialises the persisting callers (repair/migration workers
-  /// vs the main thread); it is a leaf lock below member_mu_.
+  /// meta_mu_ serialises the persisting callers (copy workers vs the main
+  /// thread); it is a leaf lock below member_mu_.
   mutable Mutex meta_mu_{"Clusterfile::meta_mu"};
   MetadataManager meta_store_ PFM_GUARDED_BY(meta_mu_);
   MountReport mount_report_;

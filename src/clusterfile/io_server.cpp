@@ -231,7 +231,13 @@ void IoServer::handle(Message&& msg) {
                  to_string(msg.kind));
     }
   } catch (const ProtocolError& e) {
-    PFM_ERROR("IoServer ", node_id_, ": ", e.what());
+    // kUnknownView is routine: the client re-installs its view and counts
+    // it as a view_reinstall. Every other protocol error is a real fault.
+    if (e.code() == ErrCode::kUnknownView) {
+      PFM_DEBUG("IoServer ", node_id_, ": ", e.what());
+    } else {
+      PFM_ERROR("IoServer ", node_id_, ": ", e.what());
+    }
     reply_error(msg, e.code(), e.what());
   } catch (const StorageCorruptionError& e) {
     // At-rest corruption (torn write, bit rot) caught by the integrity
@@ -471,9 +477,11 @@ void IoServer::handle_sync_request(Message&& msg) {
 }
 
 void IoServer::handle_sync_reply(Message&& msg) {
-  // Runs on the loop thread of the restarted replica. Failures are
-  // recorded for the waiting sync_subfile call, never bounced back to the
-  // peer — it already did its part.
+  // Runs on the loop thread of the pulling replica. Failures are recorded
+  // for the waiting sync_subfile call, never bounced back to the peer — it
+  // already did its part. A reply whose call already timed out is dropped
+  // unapplied: only the waiting call knows the epoch cap a chunked full
+  // stream must adopt, and the caller pulls again anyway.
   SyncOutcome out;
   try {
     Subfile* subp = nullptr;
@@ -481,13 +489,17 @@ void IoServer::handle_sync_reply(Message&& msg) {
     std::int64_t adopt_cap = -1;
     {
       MutexLock lock(mu_);
+      const auto wit = sync_waits_.find(msg.req_id);
+      if (wit == sync_waits_.end()) {
+        PFM_WARN("IoServer ", node_id_, ": stale sync reply ", msg.req_id);
+        return;
+      }
+      adopt_cap = wit->second.adopt_cap;
       const auto it = subfiles_.find(msg.subfile);
       if (it == subfiles_.end())
         throw std::runtime_error("sync reply for a subfile not served here");
       subp = &it->second;
       my_epoch = subp->storage->epoch();
-      const auto wit = sync_waits_.find(msg.req_id);
-      if (wit != sync_waits_.end()) adopt_cap = wit->second.adopt_cap;
     }
     Subfile& sub = *subp;
     const int mode =
@@ -569,73 +581,48 @@ void IoServer::handle_error_reply(const Message& msg) {
 }
 
 IoServer::SyncOutcome IoServer::sync_subfile(
-    int subfile_id, int peer_node, int attempts,
-    std::chrono::milliseconds per_attempt, std::int64_t chunk_bytes,
-    std::int64_t resume_offset, std::int64_t adopt_epoch_cap) {
-  std::map<int, Subfile>::iterator it;
+    int subfile_id, int peer_node, std::chrono::nanoseconds timeout,
+    std::int64_t chunk_bytes, std::int64_t resume_offset,
+    std::int64_t adopt_epoch_cap) {
+  SyncOutcome out;
+  const std::uint64_t id = next_sync_req_id();
+  Message req;
+  req.kind = MsgKind::kSyncRequest;
+  req.dst_node = peer_node;
+  req.subfile = subfile_id;
+  req.req_id = id;
+  req.w = chunk_bytes;
+  req.view_id = resume_offset;
   {
     MutexLock lock(mu_);
-    it = subfiles_.find(subfile_id);
+    const auto it = subfiles_.find(subfile_id);
     if (it == subfiles_.end()) {
-      SyncOutcome out;
       out.error = "subfile not served here";
       return out;
     }
+    req.v = it->second.storage->epoch();
+    // Register before sending: the reply may race us.
+    sync_waits_[id].adopt_cap = adopt_epoch_cap;
   }
-  if (chunk_bytes < 0 || resume_offset < 0) {
-    SyncOutcome out;
-    out.error = "negative sync chunk or resume offset";
+  if (net_.checksums_enabled()) stamp_checksum(req);
+  if (!net_.send(node_id_, std::move(req))) {
+    MutexLock lock(mu_);
+    sync_waits_.erase(id);
+    out.error = "peer unreachable";
     return out;
   }
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    const std::uint64_t id = next_sync_req_id();
-    Message req;
-    req.kind = MsgKind::kSyncRequest;
-    req.dst_node = peer_node;
-    req.subfile = subfile_id;
-    req.req_id = id;
-    req.w = chunk_bytes;
-    req.view_id = resume_offset;
-    {
-      MutexLock lock(mu_);
-      req.v = it->second.storage->epoch();
-      // Register before sending: the reply may race us.
-      sync_waits_[id].adopt_cap = adopt_epoch_cap;
-    }
-    if (net_.checksums_enabled()) stamp_checksum(req);
-    if (!net_.send(node_id_, std::move(req))) {
-      MutexLock lock(mu_);
-      sync_waits_.erase(id);
-      SyncOutcome out;
-      out.error = "peer unreachable";
-      return out;
-    }
-    const auto deadline = std::chrono::steady_clock::now() + per_attempt;
-    MutexLock lock(mu_);
-    // Explicit wait loop (not the predicate-lambda overload): the
-    // thread-safety analysis cannot see mu_ inside a lambda, and the loop
-    // keeps every sync_waits_ access visibly under the lock.
-    bool done = false;
-    while (true) {
-      const auto wit = sync_waits_.find(id);
-      if (wit != sync_waits_.end() && wit->second.done) {
-        done = true;
-        break;
-      }
-      if (sync_cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-        const auto late = sync_waits_.find(id);
-        done = late != sync_waits_.end() && late->second.done;
-        break;
-      }
-    }
-    SyncOutcome out;
-    if (done) out = sync_waits_[id].out;
-    sync_waits_.erase(id);
-    if (done) return out;
-    // Timed out: abandon this wait and retry with a fresh request — the
-    // peer side is read-only, so a duplicate pull is harmless.
-  }
-  SyncOutcome out;
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  MutexLock lock(mu_);
+  // Explicit wait loop (not the predicate-lambda overload): the
+  // thread-safety analysis cannot see mu_ inside a lambda, and the loop
+  // keeps every sync_waits_ access visibly under the lock. A timed-out wait
+  // is abandoned; a reply arriving later finds no waiter and is dropped.
+  bool timed_out = false;
+  while (!sync_waits_[id].done && !timed_out)
+    timed_out = sync_cv_.wait_until(lock, deadline) == std::cv_status::timeout;
+  const SyncWait wait = sync_waits_[id];
+  sync_waits_.erase(id);
+  if (wait.done) return wait.out;
   out.error = "peer did not answer the sync request";
   return out;
 }

@@ -20,7 +20,7 @@
 //
 // Replication (DESIGN.md "Failure model"): with epoch tracking on, every
 // applied write bumps the subfile's monotonic epoch (persisted in the
-// storage) and appends its byte ranges to a bounded write log. A restarted
+// storage) and appends its byte ranges to a bounded write log. A lagging
 // replica calls sync_subfile, which sends kSyncRequest carrying its own
 // epoch to a live peer; the peer answers kSyncReply with the ranges written
 // since that epoch (or a full transfer when its log no longer reaches back
@@ -118,14 +118,15 @@ class IoServer {
     std::string error;             ///< why not, when !ok
   };
 
-  /// Pulls the write ranges this replica missed from `peer_node`: sends a
-  /// kSyncRequest carrying the local epoch, waits for the kSyncReply
-  /// (applied on the server's loop thread), and retries with a fresh
-  /// request up to `attempts` times on timeout (the peer side is
-  /// read-only, so retries are harmless). Called from the restart path —
-  /// the caller must not race client writes against the same ranges.
+  /// One re-sync pull of the write ranges this replica missed from
+  /// `peer_node`: sends a kSyncRequest carrying the local epoch and waits up
+  /// to `timeout` for the kSyncReply (applied on the server's loop thread).
+  /// No retry here — Clusterfile::copy_replica, the only caller, rotates
+  /// sources under one delivery budget (the peer side is read-only, so a
+  /// repeated pull is harmless). The caller must not race client writes
+  /// against the same ranges unless it follows up with catch-up pulls.
   ///
-  /// Chunking (the rebalancer's bulk-copy path): with `chunk_bytes` > 0 the
+  /// Chunking (every copy_replica pull): with `chunk_bytes` > 0 the
   /// peer bounds each reply. A bounded *delta* includes whole write-log
   /// entries (at least one, so progress is guaranteed) and the pull adopts
   /// the epoch of the last included entry — resuming is just pulling again
@@ -140,11 +141,10 @@ class IoServer {
   /// follow-up delta pull re-fetches everything written during the stream —
   /// without the cap, bytes delivered early and overwritten late would be
   /// silently stale under an up-to-date epoch.
-  SyncOutcome sync_subfile(int subfile_id, int peer_node, int attempts,
-                           std::chrono::milliseconds per_attempt,
-                           std::int64_t chunk_bytes = 0,
-                           std::int64_t resume_offset = 0,
-                           std::int64_t adopt_epoch_cap = -1);
+  SyncOutcome sync_subfile(int subfile_id, int peer_node,
+                           std::chrono::nanoseconds timeout,
+                           std::int64_t chunk_bytes, std::int64_t resume_offset,
+                           std::int64_t adopt_epoch_cap);
 
  private:
   struct LogEntry {

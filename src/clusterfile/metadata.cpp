@@ -85,6 +85,9 @@ MetadataManager::~MetadataManager() = default;
 
 namespace {
 
+/// The one manifest format written and accepted.
+constexpr int kManifestVersion = 5;
+
 [[noreturn]] void bad_manifest(const std::string& what) {
   throw std::invalid_argument("MetadataManager: malformed manifest: " + what);
 }
@@ -149,10 +152,9 @@ void write_record_body(std::ostream& os, const FileRecord& rec) {
   }
 }
 
-/// Parses and validates the lines written by write_record_body. `version`
-/// gates which optional lines a checkpoint manifest of that vintage may
-/// carry; journal records always parse as the latest version.
-FileRecord parse_record_body(std::istream& is, int version, std::string name) {
+/// Parses and validates the lines written by write_record_body (checkpoint
+/// manifests and journal `create` records share it).
+FileRecord parse_record_body(std::istream& is, std::string name) {
   FileRecord rec;
   rec.name = std::move(name);
   rec.displacement = manifest_i64(expect_keyword(is, "disp"), "disp");
@@ -160,7 +162,6 @@ FileRecord parse_record_body(std::istream& is, int version, std::string name) {
   std::string word;
   if (!(is >> word)) bad_manifest("expected subfiles");
   if (word == "ring") {
-    if (version < 5) bad_manifest("ring line in a pre-5 manifest");
     std::string value;
     if (!(is >> value)) bad_manifest("missing value after ring");
     const std::int64_t e = manifest_i64(value, "ring");
@@ -169,7 +170,6 @@ FileRecord parse_record_body(std::istream& is, int version, std::string name) {
     if (!(is >> word)) bad_manifest("expected subfiles");
   }
   if (word == "retired") {
-    if (version < 5) bad_manifest("retired line in a pre-5 manifest");
     std::string value;
     if (!(is >> value)) bad_manifest("missing value after retired");
     rec.retired_nodes = parse_node_list(value, "retired node");
@@ -177,7 +177,6 @@ FileRecord parse_record_body(std::istream& is, int version, std::string name) {
     if (!(is >> word)) bad_manifest("expected subfiles");
   }
   if (word == "placement") {
-    if (version < 4) bad_manifest("placement line in a pre-4 manifest");
     std::string value;
     if (!(is >> value)) bad_manifest("missing value after placement");
     const std::int64_t e = manifest_i64(value, "placement");
@@ -186,7 +185,6 @@ FileRecord parse_record_body(std::istream& is, int version, std::string name) {
     if (!(is >> word)) bad_manifest("expected subfiles");
   }
   if (word == "quorum") {
-    if (version < 3) bad_manifest("quorum line in a pre-3 manifest");
     std::string value;
     if (!(is >> value)) bad_manifest("missing value after quorum");
     const std::int64_t q = manifest_i64(value, "quorum");
@@ -208,8 +206,6 @@ FileRecord parse_record_body(std::istream& is, int version, std::string name) {
     std::getline(is, falls_text);
     std::vector<int> reps = parse_node_list(nodes, "io node");
     if (reps.empty()) bad_manifest("empty replica list");
-    if (version == 1 && reps.size() > 1)
-      bad_manifest("replica list in a version-1 manifest");
     rec.io_nodes.push_back(reps[0]);
     widest = std::max(widest, reps.size());
     rec.replica_nodes.push_back(std::move(reps));
@@ -218,7 +214,7 @@ FileRecord parse_record_body(std::istream& is, int version, std::string name) {
   }
   if (rec.write_quorum > static_cast<int>(widest))
     bad_manifest("write quorum exceeds the replica count");
-  if (version == 1 || !replicated) rec.replica_nodes.clear();
+  if (!replicated) rec.replica_nodes.clear();
   try {
     check_retired(rec.retired_nodes, rec.io_nodes, rec.replica_nodes);
   } catch (const std::invalid_argument& e) {
@@ -436,21 +432,14 @@ std::vector<std::string> MetadataManager::list() const {
 // --- Manifest checkpoint ----------------------------------------------------
 //
 // Manifest format (line oriented):
-//   pfm-manifest <version>
+//   pfm-manifest 5
 //   file <name>
 //   <record body — see write_record_body>
-// Version 1 writes <nodes> as the single primary I/O node; version 2 —
-// emitted whenever any record carries replica placement — writes the full
-// comma-separated replica list, primary first (e.g. "5,7"); version 3 —
-// emitted whenever any record carries a write quorum — additionally allows
-// the optional `quorum` line between size and subfiles; version 4 —
-// emitted whenever any record carries a repair-advanced placement epoch —
-// additionally allows the optional `placement` line before `quorum`;
-// version 5 — emitted whenever any record carries elastic-membership state
-// — additionally allows the optional `ring` and `retired` lines before
-// `placement`. load() accepts all five versions and rejects each optional
-// line in the versions that predate it; a placement referencing a retired
-// node is malformed in any version.
+// One format: <nodes> is the primary I/O node of an unreplicated record and
+// the comma-separated replica list, primary first (e.g. "5,7"), of a
+// replicated one, and every optional line of the record body may appear.
+// load() accepts only this version; a placement referencing a retired node
+// is malformed.
 
 void MetadataManager::save(const std::filesystem::path& manifest) const {
   // save_atomic returning false means the crash harness froze the metadata
@@ -461,20 +450,8 @@ void MetadataManager::save(const std::filesystem::path& manifest) const {
 }
 
 bool MetadataManager::save_atomic(const std::filesystem::path& manifest) const {
-  bool replicated = false;
-  bool quorum = false;
-  bool placed = false;
-  bool membered = false;
-  for (const auto& [name, rec] : files_) {
-    if (!rec.replica_nodes.empty()) replicated = true;
-    if (rec.write_quorum > 0) quorum = true;
-    if (rec.placement_epoch > 0) placed = true;
-    if (rec.ring_epoch > 0 || !rec.retired_nodes.empty()) membered = true;
-  }
   std::ostringstream os;
-  os << "pfm-manifest "
-     << (membered ? 5 : placed ? 4 : quorum ? 3 : replicated ? 2 : 1)
-     << "\n";
+  os << "pfm-manifest " << kManifestVersion << "\n";
   for (const auto& [name, rec] : files_) {
     os << "file " << name << "\n";
     write_record_body(os, rec);
@@ -498,7 +475,7 @@ void MetadataManager::load(std::istream& is) {
   std::string magic;
   int version = 0;
   if (!(is >> magic >> version) || magic != "pfm-manifest" ||
-      version < 1 || version > 5)
+      version != kManifestVersion)
     bad_manifest("bad header");
 
   std::map<std::string, FileRecord> loaded;
@@ -507,7 +484,7 @@ void MetadataManager::load(std::istream& is) {
     if (keyword != "file") bad_manifest("expected 'file'");
     std::string name;
     if (!(is >> name)) bad_manifest("missing file name");
-    FileRecord rec = parse_record_body(is, version, std::move(name));
+    FileRecord rec = parse_record_body(is, std::move(name));
     if (!loaded.emplace(rec.name, std::move(rec)).second)
       bad_manifest("duplicate file name");
   }
@@ -551,7 +528,7 @@ void MetadataManager::apply_journal_record(const std::string& payload) {
   // shrink.
   if (op == "create") {
     const std::string name = journal_token(is, "file name");
-    FileRecord rec = parse_record_body(is, 5, name);
+    FileRecord rec = parse_record_body(is, name);
     expect_journal_end(is);
     files_[name] = std::move(rec);
     return;

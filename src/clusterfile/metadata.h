@@ -49,21 +49,21 @@ struct FileRecord {
   std::vector<std::vector<int>> replica_nodes;
   /// W-of-N write acknowledgment policy for the file (ClusterConfig::
   /// write_quorum): 0 = wait for the full fan-out. Must not exceed the
-  /// widest replica list. Persisted by manifest version 3.
+  /// widest replica list. Persisted as the manifest's `quorum` line.
   int write_quorum = 0;
   /// Placement version: 0 for the as-created placement, bumped each time
   /// the self-heal repair path re-places replicas (PlacementDirectory
-  /// epoch at publish time). Persisted by manifest version 4; clients
-  /// compare it to detect stale replica lists.
+  /// epoch at publish time). Persisted as the manifest's `placement` line;
+  /// clients compare it to detect stale replica lists.
   std::int64_t placement_epoch = 0;
   /// Membership epoch of the placement ring (Clusterfile::ring_epoch): 0
   /// until the first add/decommission/remove, strictly advancing after.
-  /// Persisted by manifest version 5.
+  /// Persisted as the manifest's `ring` line.
   std::int64_t ring_epoch = 0;
   /// I/O nodes decommissioned or removed from the membership (no
   /// duplicates). A placement referencing a retired node is malformed —
   /// retirement means no copy may live (or be looked for) there again.
-  /// Persisted by manifest version 5.
+  /// Persisted as the manifest's `retired` line.
   std::vector<int> retired_nodes;
 
   /// The validated partitioning pattern (constructed on demand).

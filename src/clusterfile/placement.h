@@ -4,7 +4,7 @@
 // keep running, so "which nodes hold subfile i" is no longer a constant of
 // FileMeta: it is versioned, concurrently-read state. The directory holds
 // the authoritative replica lists plus a monotonically increasing
-// placement epoch (persisted as manifest version 4's `placement` line);
+// placement epoch (persisted as the manifest's `placement` line);
 // clients compare the epoch at the start of every access and re-snapshot
 // their targets when it moved — the in-band analogue of a metadata-server
 // round trip, after which the first request to a fresh replica answers
@@ -48,7 +48,7 @@ class PlacementDirectory {
       PFM_EXCLUDES(mu_);
 
   /// Replaces one subfile's replica list (primary first, non-empty) and
-  /// bumps the placement epoch. Called by the repair scheduler only.
+  /// bumps the placement epoch. Called by the copy workers only.
   void update(std::size_t subfile, std::vector<int> replicas)
       PFM_EXCLUDES(mu_);
 

@@ -17,7 +17,7 @@
 //                 (W = total weight) and leaves every other arc untouched,
 //                 so a membership change remaps only the keys whose walk
 //                 crossed a stolen arc — the structural counterpart of the
-//                 INTERSECT-minimal transfer plans the rebalancer emits.
+//                 INTERSECT-minimal transfer plans plan_rebalance emits.
 //
 // The ring is a value type with no locking: Clusterfile mutates it under
 // its own membership mutex and hands out copies/derived placements.

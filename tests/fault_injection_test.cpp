@@ -897,6 +897,42 @@ TEST(Quorum, GroupSharesOneDeadlineAcrossReplicas) {
   EXPECT_GE(t.rel.failovers, 1);
 }
 
+// W-of-N writes can leave a *live* peer behind as well, so a restarted
+// replica must re-sync from the highest-epoch peer rather than the first
+// live one in placement order — otherwise it adopts the lagging peer's
+// state and the next read returns pre-write bytes while reporting ok().
+TEST(Quorum, RestartResyncsFromTheHighestEpochPeer) {
+  ClusterConfig cfg = replicated_config(/*replication=*/3);
+  cfg.write_quorum = 1;
+  Clusterfile fs(cfg, pattern2d(Partition2D::kRowBlocks, 16, 4));
+  auto& client = fs.client(0);
+  client.set_retry_policy(fast_policy());
+  // A row-block view congruent with the physical partition: the writes
+  // touch subfile 0 only, whose replicas live on nodes 4, 5 and 6.
+  const auto views = partition2d_all(Partition2D::kRowBlocks, 16, 16, 4);
+  const std::int64_t vid = client.set_view(views[0], 256);
+  client.write(vid, 0, 63, make_pattern_buffer(64, 101));
+  client.drain_stragglers();
+  ASSERT_EQ(fs.replica_nodes(0), (std::vector<int>{4, 5, 6}));
+
+  fs.crash_server(0);      // node 4 misses the next write ...
+  fs.faults().isolate(5);  // ... and so does node 5: only node 6 applies it
+  const Buffer data = make_pattern_buffer(64, 102);
+  ASSERT_TRUE(client.write(vid, 0, 63, data).ok());
+  client.drain_stragglers();  // node 5's straggler is abandoned
+  fs.faults().restore(5);
+
+  const ResyncStats rs = fs.restart_server(0);
+  EXPECT_EQ(rs.failures, 0);
+  EXPECT_GT(rs.bytes, 0);
+  EXPECT_EQ(fs.replica_storage(0, 0).epoch(), fs.replica_storage(0, 2).epoch());
+  EXPECT_EQ(replica_image(fs, 0, 0), replica_image(fs, 0, 2));
+  Buffer back(64);
+  const auto t = client.read(vid, 0, 63, back);
+  EXPECT_TRUE(t.ok());
+  EXPECT_EQ(back, data);
+}
+
 // Fault-free W<N writes must look exactly like full fan-out once drained:
 // clean counters, no abandonment, byte-identical replicas.
 TEST(Quorum, FaultFreeQuorumWritesLeaveCountersClean) {
@@ -1371,6 +1407,28 @@ TEST(Rebalance, SourceCrashMidDrainFallsBackAndConverges) {
   expect_byte_identical(fs, w, "post-drain");
   EXPECT_TRUE(fs.under_replicated_subfiles().empty());
   EXPECT_TRUE(fs.scrub().clean());
+}
+
+// scrub() walks replica storage directly, so it must wait out every queued
+// background copy — migrations as well as repairs. A scrub issued right
+// after add_io_node() used to return while the migration workers were still
+// filling and catching up the new copies.
+TEST(Rebalance, ScrubWaitsForQueuedMigrations) {
+  Clusterfile fs(rebalance_config(),
+                 pattern2d(Partition2D::kRowBlocks, 16, 8));
+  const RebalanceWorkload w = write_workload(fs);
+
+  fs.add_io_node();
+  const ScrubReport rep = fs.scrub();
+  EXPECT_TRUE(rep.clean()) << "divergent=" << rep.divergent_blocks
+                           << " unreadable=" << rep.unreadable_blocks
+                           << " unrepaired=" << rep.unrepaired_blocks;
+  const std::int64_t completed = fs.rebalance_counters().migrations_completed;
+  EXPECT_GE(completed, 1);
+  // Nothing was left for await_rebalance: every migration had landed.
+  fs.await_rebalance();
+  EXPECT_EQ(fs.rebalance_counters().migrations_completed, completed);
+  expect_byte_identical(fs, w, "post-scrub");
 }
 
 // The fault-free control cell: a grow plus a shrink with a clean wire must

@@ -1,10 +1,11 @@
-// Fuzz target: the v1/v2 metadata manifest parser (clusterfile/metadata.h).
+// Fuzz target: the metadata manifest parser (clusterfile/metadata.h), which
+// reads the one `pfm-manifest 5` format.
 //
 // Contract under test: MetadataManager::load(istream) on arbitrary bytes
 // either loads a manifest or throws std::invalid_argument — never
 // ContractViolation or std::overflow_error from PartitioningPattern
-// validation, never std::out_of_range from integer fields. A loaded
-// manifest must survive a save/load round trip with the same file list.
+// validation, never std::out_of_range from integer fields. Every record of
+// a loaded manifest must be listed, lookup-able and yield its pattern.
 //
 // Historical crashers, now fixed and kept in tests/fuzz/regressions/manifest/:
 //   - "disp 99999999999999999999": std::out_of_range leaked from std::stoll

@@ -98,6 +98,16 @@ TEST(Metadata, ManifestRoundTrip) {
   mm.create(custom);
   mm.save(manifest);
 
+  // One format: even unreplicated records save under the version-5 header.
+  {
+    std::ifstream is(manifest);
+    std::string magic;
+    int version = 0;
+    is >> magic >> version;
+    EXPECT_EQ(magic, "pfm-manifest");
+    EXPECT_EQ(version, 5);
+  }
+
   MetadataManager back;
   back.load(manifest);
   EXPECT_EQ(back.count(), 3u);
@@ -125,25 +135,28 @@ TEST(Metadata, LoadRejectsMalformedManifests) {
   };
   MetadataManager mm;
   EXPECT_THROW(mm.load(dir / "missing.txt"), std::runtime_error);
-  EXPECT_THROW(mm.load(write("not-a-manifest 1\n")), std::invalid_argument);
-  EXPECT_THROW(mm.load(write("pfm-manifest 6\n")), std::invalid_argument);
-  EXPECT_NO_THROW(mm.load(write("pfm-manifest 2\n")));  // empty v2 is valid
-  EXPECT_THROW(mm.load(write("pfm-manifest 1\nfile x\ndisp 0\n")),
+  EXPECT_THROW(mm.load(write("not-a-manifest 5\n")), std::invalid_argument);
+  EXPECT_NO_THROW(mm.load(write("pfm-manifest 5\n")));  // empty is valid
+  EXPECT_THROW(mm.load(write("pfm-manifest 5\nfile x\ndisp 0\n")),
                std::invalid_argument);
   EXPECT_THROW(
-      mm.load(write("pfm-manifest 1\nfile x\ndisp 0\nsize 8\nsubfiles 1\n"
+      mm.load(write("pfm-manifest 5\nfile x\ndisp 0\nsize 8\nsubfiles 1\n"
                     "4 {(0,1,")),
       std::invalid_argument);
-  // A replica list needs a version-2 header.
-  EXPECT_THROW(
-      mm.load(write("pfm-manifest 1\nfile x\ndisp 0\nsize 12\nsubfiles 1\n"
-                    "4,5 {(0,11,12,1)}\n")),
-      std::invalid_argument);
+  // Only the one current format loads: every other version is rejected,
+  // even over a body the current parser accepts.
+  const std::string body =
+      "\nfile x\ndisp 0\nsize 12\nsubfiles 1\n4,5 {(0,11,12,1)}\n";
+  EXPECT_NO_THROW(mm.load(write("pfm-manifest 5" + body)));
+  for (const char* version : {"0", "1", "2", "3", "4", "6", "-5", "five"})
+    EXPECT_THROW(mm.load(write(std::string("pfm-manifest ") + version + body)),
+                 std::invalid_argument)
+        << "version " << version;
   std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
-// Replica placement (manifest version 2)
+// Replica placement
 // ---------------------------------------------------------------------------
 
 TEST(Metadata, ReplicatedRecordValidation) {
@@ -172,28 +185,19 @@ TEST(Metadata, ReplicatedManifestRoundTrip) {
   mm.create(sample_record("plain", Partition2D::kColumnBlocks));
   mm.save(manifest);
 
-  // The header advertises version 2 exactly because a record is replicated.
-  {
-    std::ifstream is(manifest);
-    std::string magic;
-    int version = 0;
-    is >> magic >> version;
-    EXPECT_EQ(version, 2);
-  }
-
   MetadataManager back;
   back.load(manifest);
   const FileRecord& m = back.lookup("mirrored");
   EXPECT_EQ(m.replica_nodes, rec.replica_nodes);
   EXPECT_EQ(m.io_nodes, rec.io_nodes);
-  // Unreplicated records stay unreplicated after a v2 round trip.
+  // Unreplicated records stay unreplicated after a round trip.
   EXPECT_TRUE(back.lookup("plain").replica_nodes.empty());
 
   std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
-// Write quorum (manifest version 3)
+// Write quorum
 // ---------------------------------------------------------------------------
 
 TEST(Metadata, QuorumRecordValidation) {
@@ -228,15 +232,6 @@ TEST(Metadata, QuorumManifestRoundTrip) {
   mm.create(sample_record("plain", Partition2D::kColumnBlocks));
   mm.save(manifest);
 
-  // The header advertises version 3 exactly because a record has a quorum.
-  {
-    std::ifstream is(manifest);
-    std::string magic;
-    int version = 0;
-    is >> magic >> version;
-    EXPECT_EQ(version, 3);
-  }
-
   MetadataManager back;
   back.load(manifest);
   const FileRecord& s = back.lookup("sloppy");
@@ -244,21 +239,6 @@ TEST(Metadata, QuorumManifestRoundTrip) {
   EXPECT_EQ(s.replica_nodes, rec.replica_nodes);
   // Records without a quorum line load as full fan-out.
   EXPECT_EQ(back.lookup("plain").write_quorum, 0);
-
-  // Replicated-but-no-quorum records still save as version 2: the format
-  // never advances past what the content needs.
-  MetadataManager v2;
-  FileRecord flat = sample_record("mirrored", Partition2D::kRowBlocks);
-  flat.replica_nodes = {{4, 5}, {5, 6}, {6, 7}, {7, 4}};
-  v2.create(flat);
-  v2.save(manifest);
-  {
-    std::ifstream is(manifest);
-    std::string magic;
-    int version = 0;
-    is >> magic >> version;
-    EXPECT_EQ(version, 2);
-  }
 
   std::filesystem::remove_all(dir);
 }
@@ -276,34 +256,26 @@ TEST(Metadata, LoadRejectsMalformedQuorums) {
   MetadataManager mm;
   const std::string body =
       "file x\ndisp 0\nsize 12\nquorum %s\nsubfiles 1\n4,5 {(0,11,12,1)}\n";
-  const auto with_quorum = [&](const std::string& header,
-                               const std::string& q) {
-    std::string text = header + "\n" + body;
+  const auto with_quorum = [&](const std::string& q) {
+    std::string text = "pfm-manifest 5\n" + body;
     text.replace(text.find("%s"), 2, q);
     return write(text);
   };
-  // A quorum line needs a version-3 header.
-  EXPECT_THROW(mm.load(with_quorum("pfm-manifest 2", "1")),
-               std::invalid_argument);
   // Zero, negative and non-numeric quorums are malformed (0 is expressed by
   // omitting the line, exactly as unreplicated files omit replica lists).
-  EXPECT_THROW(mm.load(with_quorum("pfm-manifest 3", "0")),
-               std::invalid_argument);
-  EXPECT_THROW(mm.load(with_quorum("pfm-manifest 3", "-1")),
-               std::invalid_argument);
-  EXPECT_THROW(mm.load(with_quorum("pfm-manifest 3", "two")),
-               std::invalid_argument);
+  EXPECT_THROW(mm.load(with_quorum("0")), std::invalid_argument);
+  EXPECT_THROW(mm.load(with_quorum("-1")), std::invalid_argument);
+  EXPECT_THROW(mm.load(with_quorum("two")), std::invalid_argument);
   // A quorum wider than the replica lists can never be met.
-  EXPECT_THROW(mm.load(with_quorum("pfm-manifest 3", "3")),
-               std::invalid_argument);
+  EXPECT_THROW(mm.load(with_quorum("3")), std::invalid_argument);
   // The same record with a satisfiable quorum loads.
-  EXPECT_NO_THROW(mm.load(with_quorum("pfm-manifest 3", "2")));
+  EXPECT_NO_THROW(mm.load(with_quorum("2")));
   EXPECT_EQ(mm.lookup("x").write_quorum, 2);
   std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
-// Repair-advanced placement (manifest version 4)
+// Repair-advanced placement
 // ---------------------------------------------------------------------------
 
 TEST(Metadata, UpdatePlacementValidates) {
@@ -349,16 +321,6 @@ TEST(Metadata, PlacedManifestRoundTrip) {
   mm.update_placement("healed", {{5, 6}, {5, 6}, {6, 7}, {7, 5}}, 3);
   mm.save(manifest);
 
-  // The header advertises version 4 exactly because a record carries a
-  // repair-advanced placement epoch.
-  {
-    std::ifstream is(manifest);
-    std::string magic;
-    int version = 0;
-    is >> magic >> version;
-    EXPECT_EQ(version, 4);
-  }
-
   MetadataManager back;
   back.load(manifest);
   const FileRecord& h = back.lookup("healed");
@@ -367,21 +329,6 @@ TEST(Metadata, PlacedManifestRoundTrip) {
             (std::vector<std::vector<int>>{{5, 6}, {5, 6}, {6, 7}, {7, 5}}));
   EXPECT_EQ(h.write_quorum, 1);
   EXPECT_EQ(back.lookup("plain").placement_epoch, 0);
-
-  // Epoch-0 records never advance the format: quorum alone still saves 3.
-  MetadataManager v3;
-  FileRecord flat = sample_record("sloppy", Partition2D::kRowBlocks);
-  flat.replica_nodes = {{4, 5}, {5, 6}, {6, 7}, {7, 4}};
-  flat.write_quorum = 1;
-  v3.create(flat);
-  v3.save(manifest);
-  {
-    std::ifstream is(manifest);
-    std::string magic;
-    int version = 0;
-    is >> magic >> version;
-    EXPECT_EQ(version, 3);
-  }
 
   std::filesystem::remove_all(dir);
 }
@@ -399,30 +346,18 @@ TEST(Metadata, LoadRejectsMalformedPlacements) {
   MetadataManager mm;
   const std::string body =
       "file x\ndisp 0\nsize 12\nplacement %s\nsubfiles 1\n4,5 {(0,11,12,1)}\n";
-  const auto with_placement = [&](const std::string& header,
-                                  const std::string& e) {
-    std::string text = header + "\n" + body;
+  const auto with_placement = [&](const std::string& e) {
+    std::string text = "pfm-manifest 5\n" + body;
     text.replace(text.find("%s"), 2, e);
     return write(text);
   };
-  // A placement line needs a version-4 header: every pre-4 reader rejects
-  // it rather than silently dropping the repaired placement.
-  EXPECT_THROW(mm.load(with_placement("pfm-manifest 1", "1")),
-               std::invalid_argument);
-  EXPECT_THROW(mm.load(with_placement("pfm-manifest 2", "1")),
-               std::invalid_argument);
-  EXPECT_THROW(mm.load(with_placement("pfm-manifest 3", "1")),
-               std::invalid_argument);
   // Zero, negative and non-numeric epochs are malformed (epoch 0 is
   // expressed by omitting the line).
-  EXPECT_THROW(mm.load(with_placement("pfm-manifest 4", "0")),
-               std::invalid_argument);
-  EXPECT_THROW(mm.load(with_placement("pfm-manifest 4", "-2")),
-               std::invalid_argument);
-  EXPECT_THROW(mm.load(with_placement("pfm-manifest 4", "soon")),
-               std::invalid_argument);
+  EXPECT_THROW(mm.load(with_placement("0")), std::invalid_argument);
+  EXPECT_THROW(mm.load(with_placement("-2")), std::invalid_argument);
+  EXPECT_THROW(mm.load(with_placement("soon")), std::invalid_argument);
   // The same record with a positive epoch loads.
-  EXPECT_NO_THROW(mm.load(with_placement("pfm-manifest 4", "7")));
+  EXPECT_NO_THROW(mm.load(with_placement("7")));
   EXPECT_EQ(mm.lookup("x").placement_epoch, 7);
   std::filesystem::remove_all(dir);
 }
@@ -476,16 +411,6 @@ TEST(Metadata, MembershipManifestRoundTrip) {
   mm.update_membership("elastic", 4, {8, 9});
   mm.save(manifest);
 
-  // The header advertises version 5 exactly because a record carries
-  // elastic-membership state.
-  {
-    std::ifstream is(manifest);
-    std::string magic;
-    int version = 0;
-    is >> magic >> version;
-    EXPECT_EQ(version, 5);
-  }
-
   MetadataManager back;
   back.load(manifest);
   const FileRecord& e = back.lookup("elastic");
@@ -497,22 +422,6 @@ TEST(Metadata, MembershipManifestRoundTrip) {
             (std::vector<std::vector<int>>{{5, 6}, {5, 6}, {6, 7}, {7, 5}}));
   EXPECT_EQ(back.lookup("plain").ring_epoch, 0);
   EXPECT_TRUE(back.lookup("plain").retired_nodes.empty());
-
-  // Records without membership state never advance the format: the same
-  // placement-epoch record alone still saves 4.
-  MetadataManager v4;
-  FileRecord placed = sample_record("healed", Partition2D::kRowBlocks);
-  placed.replica_nodes = {{4, 5}, {5, 6}, {6, 7}, {7, 4}};
-  v4.create(placed);
-  v4.update_placement("healed", {{5, 6}, {5, 6}, {6, 7}, {7, 5}}, 3);
-  v4.save(manifest);
-  {
-    std::ifstream is(manifest);
-    std::string magic;
-    int version = 0;
-    is >> magic >> version;
-    EXPECT_EQ(version, 4);
-  }
 
   std::filesystem::remove_all(dir);
 }
@@ -528,36 +437,20 @@ TEST(Metadata, LoadRejectsMalformedMembership) {
     return path;
   };
   MetadataManager mm;
-  const auto manifest = [&](const std::string& header,
-                            const std::string& lines,
-                            const std::string& nodes = "4,5") {
-    return write(header + "\nfile x\ndisp 0\nsize 12\n" + lines +
-                 "subfiles 1\n" + nodes + " {(0,11,12,1)}\n");
+  const auto manifest = [&](const std::string& lines) {
+    return write("pfm-manifest 5\nfile x\ndisp 0\nsize 12\n" + lines +
+                 "subfiles 1\n4,5 {(0,11,12,1)}\n");
   };
-  // ring / retired lines need a version-5 header: every pre-5 reader
-  // rejects them rather than silently dropping the membership state.
-  for (const char* old : {"pfm-manifest 1", "pfm-manifest 2",
-                          "pfm-manifest 3", "pfm-manifest 4"}) {
-    EXPECT_THROW(mm.load(manifest(old, "ring 1\n")), std::invalid_argument);
-    EXPECT_THROW(mm.load(manifest(old, "retired 9\n")),
-                 std::invalid_argument);
-  }
   // Epoch 0 is expressed by omitting the line; zero/negative/garbage are
   // malformed, as are duplicate or placement-referenced retired nodes.
-  EXPECT_THROW(mm.load(manifest("pfm-manifest 5", "ring 0\n")),
-               std::invalid_argument);
-  EXPECT_THROW(mm.load(manifest("pfm-manifest 5", "ring -1\n")),
-               std::invalid_argument);
-  EXPECT_THROW(mm.load(manifest("pfm-manifest 5", "ring soon\n")),
-               std::invalid_argument);
-  EXPECT_THROW(mm.load(manifest("pfm-manifest 5", "retired 9,9\n")),
-               std::invalid_argument);
-  EXPECT_THROW(mm.load(manifest("pfm-manifest 5", "ring 2\nretired 5\n")),
+  EXPECT_THROW(mm.load(manifest("ring 0\n")), std::invalid_argument);
+  EXPECT_THROW(mm.load(manifest("ring -1\n")), std::invalid_argument);
+  EXPECT_THROW(mm.load(manifest("ring soon\n")), std::invalid_argument);
+  EXPECT_THROW(mm.load(manifest("retired 9,9\n")), std::invalid_argument);
+  EXPECT_THROW(mm.load(manifest("ring 2\nretired 5\n")),
                std::invalid_argument);  // 5 still holds a replica of x
-  EXPECT_THROW(mm.load(manifest("pfm-manifest 6", "ring 1\n")),
-               std::invalid_argument);  // future version
   // The well-formed equivalent loads.
-  EXPECT_NO_THROW(mm.load(manifest("pfm-manifest 5", "ring 2\nretired 9\n")));
+  EXPECT_NO_THROW(mm.load(manifest("ring 2\nretired 9\n")));
   EXPECT_EQ(mm.lookup("x").ring_epoch, 2);
   EXPECT_EQ(mm.lookup("x").retired_nodes, (std::vector<int>{9}));
   std::filesystem::remove_all(dir);

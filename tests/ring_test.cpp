@@ -1,6 +1,6 @@
 // PlacementRing: determinism, weight proportionality, minimal disruption
 // (DESIGN.md "Elastic membership & rebalancing"). The ring is the
-// structural half of the elastic-membership design — the rebalancer's
+// structural half of the elastic-membership design — plan_rebalance's
 // INTERSECT-minimal plans only stay minimal if membership changes remap
 // only the keys whose clockwise walk crossed a stolen arc.
 

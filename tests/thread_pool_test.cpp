@@ -1,17 +1,21 @@
-// ThreadPool and LruCache unit tests. Run under the tsan preset in CI: the
-// pool's caller-participation contract and the concurrent parallel_for use
-// (four bench clients over one shared pool) are exactly the shapes TSan can
-// falsify.
+// ThreadPool, LruCache and MoveQueue unit tests. Run under the tsan preset
+// in CI: the pool's caller-participation contract, the concurrent
+// parallel_for use (four bench clients over one shared pool) and the
+// background copy queue's worker bound and counters are exactly the shapes
+// TSan can falsify.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "clusterfile/mover.h"
 #include "util/lru.h"
 #include "util/thread_pool.h"
 
@@ -173,6 +177,139 @@ TEST(LruCache, HammeredThroughPoolUnderExternalLock) {
   });
   EXPECT_LE(lru.size(), 8u);
   EXPECT_GT(lru.evictions(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// MoveQueue: the bounded background queue of repairs and migrations
+// ---------------------------------------------------------------------------
+
+MoveTask move_task(MoveKind kind, int subfile) {
+  MoveTask t;
+  t.kind = kind;
+  t.subfile = subfile;
+  return t;
+}
+
+/// Holds every task inside the execute hook until opened, counting how
+/// many run at once.
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  int running = 0;
+  int peak = 0;
+  bool open = false;
+
+  bool pass() {
+    std::unique_lock<std::mutex> lock(mu);
+    peak = std::max(peak, ++running);
+    cv.notify_all();
+    cv.wait(lock, [&] { return open; });
+    --running;
+    return true;
+  }
+  bool wait_running(int n) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(10),
+                       [&] { return running == n; });
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      open = true;
+    }
+    cv.notify_all();
+  }
+};
+
+TEST(MoveQueue, RunsNoMoreTasksAtOnceThanTheWorkerBound) {
+  Gate gate;
+  MoveQueue q([&](const MoveTask&, MoveStats*) { return gate.pass(); });
+  std::vector<MoveTask> tasks;
+  for (int i = 0; i < 8; ++i)
+    tasks.push_back(
+        move_task(i % 2 ? MoveKind::kRepair : MoveKind::kMigration, i));
+  q.enqueue(std::move(tasks));
+  const bool filled = gate.wait_running(MoveQueue::kWorkers);
+  // Every worker is parked inside a task: a pool wider than the bound would
+  // start another one within this window.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::size_t pending = q.pending();
+  gate.release();
+  q.await_idle();
+  EXPECT_TRUE(filled);
+  EXPECT_EQ(pending, 8u);  // queued + executing, both kinds
+  EXPECT_EQ(gate.peak, MoveQueue::kWorkers);
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.counters(MoveKind::kRepair).completed, 4);
+  EXPECT_EQ(q.counters(MoveKind::kMigration).completed, 4);
+}
+
+TEST(MoveQueue, KeepsCountersPerKind) {
+  MoveQueue q([](const MoveTask& t, MoveStats* s) {
+    if (t.subfile == 99) throw std::runtime_error("copy threw");
+    if (t.subfile < 0) return false;
+    s->bulk_bytes = 10 * t.subfile;
+    s->catchup_bytes = 1;
+    return true;
+  });
+  q.enqueue({move_task(MoveKind::kRepair, 1), move_task(MoveKind::kRepair, 2),
+             move_task(MoveKind::kRepair, -1),
+             move_task(MoveKind::kMigration, 3),
+             move_task(MoveKind::kMigration, 99)});
+  q.await_idle();
+  const MoveCounters r = q.counters(MoveKind::kRepair);
+  EXPECT_EQ(r.started, 3);
+  EXPECT_EQ(r.completed, 2);
+  EXPECT_EQ(r.failed, 1);
+  EXPECT_EQ(r.bytes.bulk_bytes, 30);  // completed tasks only
+  EXPECT_EQ(r.bytes.catchup_bytes, 2);
+  const MoveCounters m = q.counters(MoveKind::kMigration);
+  EXPECT_EQ(m.started, 2);
+  EXPECT_EQ(m.completed, 1);
+  EXPECT_EQ(m.failed, 1);  // the throw is a failure, not a dead worker
+  EXPECT_EQ(m.bytes.bulk_bytes, 30);
+  EXPECT_EQ(m.bytes.catchup_bytes, 1);
+}
+
+TEST(MoveQueue, StopCountsDroppedTasksAsFailedUnderTheirKind) {
+  Gate gate;
+  MoveQueue q([&](const MoveTask&, MoveStats*) { return gate.pass(); });
+  // The two repairs occupy both workers; the rest stays queued.
+  q.enqueue({move_task(MoveKind::kRepair, 0), move_task(MoveKind::kRepair, 1),
+             move_task(MoveKind::kMigration, 2),
+             move_task(MoveKind::kMigration, 3),
+             move_task(MoveKind::kMigration, 4),
+             move_task(MoveKind::kRepair, 5), move_task(MoveKind::kRepair, 6)});
+  const bool filled = gate.wait_running(MoveQueue::kWorkers);
+  // stop() drops the queue at once, then joins the workers it is waiting
+  // out; run it aside until only the executing tasks remain pending.
+  std::thread stopper([&] { q.stop(); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (q.pending() > static_cast<std::size_t>(MoveQueue::kWorkers) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  gate.release();
+  stopper.join();
+  EXPECT_TRUE(filled);
+  MoveCounters r = q.counters(MoveKind::kRepair);
+  MoveCounters m = q.counters(MoveKind::kMigration);
+  EXPECT_EQ(r.started, 2);
+  EXPECT_EQ(r.completed, 2);  // in-flight tasks finish
+  EXPECT_EQ(r.failed, 2);
+  EXPECT_EQ(m.started, 0);
+  EXPECT_EQ(m.failed, 3);
+
+  // Enqueue after stop: nothing runs, every task counts failed.
+  q.enqueue({move_task(MoveKind::kRepair, 7),
+             move_task(MoveKind::kMigration, 8),
+             move_task(MoveKind::kMigration, 9)});
+  r = q.counters(MoveKind::kRepair);
+  m = q.counters(MoveKind::kMigration);
+  EXPECT_EQ(r.failed, 3);
+  EXPECT_EQ(m.failed, 5);
+  EXPECT_EQ(r.started + m.started, 2);
+  EXPECT_EQ(q.pending(), 0u);
 }
 
 }  // namespace
