@@ -91,20 +91,17 @@ void ClusterfileClient::maybe_refresh_placement() {
   // copy the placement retired, and scrub debt against it would point scrub
   // at a replica that no longer exists — purge both. No divergence is lost:
   // the migration's catch-up sync carried everything the new holder missed.
+  const auto retired = [&](int subfile, int node) {
+    const std::vector<int>& reps = snap[static_cast<std::size_t>(subfile)];
+    return std::find(reps.begin(), reps.end(), node) == reps.end();
+  };
   std::erase_if(scrub_debt_, [&](const std::pair<int, int>& debt) {
-    const std::vector<int>& reps = snap[static_cast<std::size_t>(debt.first)];
-    return std::find(reps.begin(), reps.end(), debt.second) == reps.end();
+    return retired(debt.first, debt.second);
   });
-  std::vector<std::uint64_t> stale;
-  for (const auto& [id, s] : stragglers_) {
-    const std::vector<int>& reps = snap[static_cast<std::size_t>(s.subfile)];
-    if (std::find(reps.begin(), reps.end(), s.io_node) == reps.end())
-      stale.push_back(id);
-  }
-  for (const std::uint64_t id : stale) {
-    stragglers_.erase(id);
-    ++stragglers_purged_;
-  }
+  // Between accesses every in-flight entry is a detached straggler.
+  std::erase_if(inflight_, [&](const auto& entry) {
+    return retired(entry.second.subfile, entry.second.io_node);
+  });
   placement_seen_ = epoch;
 }
 
@@ -168,7 +165,6 @@ std::int64_t ClusterfileClient::set_view(FallsSet falls,
     struct Slot {
       bool used = false;
       SubTarget target;
-      Message msg;
     };
     std::vector<Slot> slots(count);
     ThreadPool::shared().parallel_for(count, [&](std::size_t j) {
@@ -184,13 +180,6 @@ std::int64_t ClusterfileClient::set_view(FallsSet falls,
       s.target.sub_period_bytes = state.replay_period > 0 ? sub_period[j] : 0;
       s.target.proj_meta = serialize(ps.falls);
       s.target.proj_period = ps.period;
-
-      s.msg.kind = MsgKind::kSetView;
-      s.msg.dst_node = meta_.io_nodes[j];
-      s.msg.subfile = static_cast<int>(j);
-      s.msg.view_id = new_view_id;
-      s.msg.meta = s.target.proj_meta;
-      s.msg.v = ps.period;
       s.used = true;
     });
     for (Slot& s : slots) {
@@ -200,7 +189,7 @@ std::int64_t ClusterfileClient::set_view(FallsSet falls,
       const std::size_t group = state.targets.size();
       for (const int node : s.target.replicas) {
         TxReq req;
-        req.msg = s.msg;
+        req.msg = view_install(s.target, new_view_id);
         req.msg.dst_node = node;
         req.group = group;
         to_send.push_back(std::move(req));
@@ -217,20 +206,12 @@ std::int64_t ClusterfileClient::set_view(FallsSet falls,
     const std::vector<SubTarget>& targets = state.targets;
     AccessTimings vt;
     transact(
-        std::move(to_send), targets.size(), MsgKind::kAck, /*quorum=*/0,
+        std::move(to_send), targets.size(), /*quorum=*/0,
         /*rebuild=*/
         [&](std::size_t i) {
-          const SubTarget& st = targets[req_target[i]];
-          Message msg;
-          msg.kind = MsgKind::kSetView;
-          msg.dst_node = st.io_node;
-          msg.subfile = static_cast<int>(st.subfile);
-          msg.view_id = new_view_id;
-          msg.meta = st.proj_meta;
-          msg.v = st.proj_period;
-          return msg;
+          return view_install(targets[req_target[i]], new_view_id);
         },
-        /*reinstall=*/[](std::size_t) { return std::nullopt; }, vt, nullptr);
+        /*reinstall=*/{}, vt, nullptr);
   }
   t_view_total_us_ = total.elapsed_us();
 
@@ -284,7 +265,7 @@ ClusterfileClient::acquire_plan(const ViewState& state, std::int64_t view_id,
                                 std::int64_t v, std::int64_t w,
                                 std::int64_t& shift_periods, AccessTimings& t) {
   shift_periods = 0;
-  const bool cacheable = state.replay_period > 0 && v >= 0;
+  const bool cacheable = state.replay_period > 0;
   PlanKey key;
   if (cacheable) {
     key = PlanKey{view_id, v % state.replay_period, w - v};
@@ -303,11 +284,16 @@ ClusterfileClient::acquire_plan(const ViewState& state, std::int64_t view_id,
   return plan;
 }
 
-void ClusterfileClient::send_or_throw(Message msg) {
-  const int dst = msg.dst_node;
-  if (!net_.send(node_id_, std::move(msg)))
-    throw std::runtime_error("ClusterfileClient: I/O node " +
-                             std::to_string(dst) + " is unreachable");
+Message ClusterfileClient::view_install(const SubTarget& st,
+                                        std::int64_t view_id) {
+  Message msg;
+  msg.kind = MsgKind::kSetView;
+  msg.dst_node = st.io_node;
+  msg.subfile = static_cast<int>(st.subfile);
+  msg.view_id = view_id;
+  msg.meta = st.proj_meta;
+  msg.v = st.proj_period;
+  return msg;
 }
 
 void ClusterfileClient::seal(Message& msg, std::uint64_t req_id) {
@@ -329,27 +315,11 @@ std::chrono::nanoseconds RetryPolicy::budget() const {
   return total;
 }
 
-void ClusterfileClient::transact(
-    std::vector<TxReq> reqs, std::size_t group_count, MsgKind expected,
-    int quorum,
-    const std::function<Message(std::size_t)>& rebuild,
-    const std::function<std::optional<Message>(std::size_t)>& reinstall,
-    AccessTimings& t, std::vector<Message>* replies) {
-  const std::size_t n = reqs.size();
-  if (replies != nullptr) replies->assign(n, Message{});
-  t.per_subfile.assign(group_count, SubfileAccess{});
-
-  // One delivery budget for the whole access: every deadline — retries,
-  // failovers, view re-installs, straggler retransmits — is clipped to
-  // `hard_deadline` (the summed backoff schedule), so a target's replica
-  // chain burns one schedule total, never chain-length × schedule.
-  const Clock::time_point start = Clock::now();
-  const Clock::time_point hard_deadline = start + policy_.budget();
-
+struct ClusterfileClient::Access {
   /// Per-group (per-target) outcome accumulator: a group succeeds while at
   /// least one of its requests completes, degrades when a replica is lost
   /// along the way, and fails only when every request is abandoned.
-  struct GroupState {
+  struct Group {
     int total = 0;
     int ok = 0;
     int failed = 0;
@@ -359,339 +329,54 @@ void ClusterfileClient::transact(
     bool retried = false;
     bool timed_out = false;
     std::string error;  ///< first failure reason
+    std::shared_ptr<bool> quorum_short;  ///< made when the group detaches
   };
-  std::vector<GroupState> groups(group_count);
-  /// Created on a group's first demotion and shared with every straggler it
-  /// sheds, so the first abandonment — and only the first — counts the
-  /// group as quorum_short.
-  std::vector<std::shared_ptr<bool>> group_short(group_count);
+  int quorum = 0;
+  const std::function<Message(std::size_t)>& rebuild;
+  const std::function<Message(std::size_t)>& reinstall;
+  AccessTimings& t;
+  std::vector<Message>* replies = nullptr;
+  std::vector<Group> groups;
+};
 
-  /// In-flight request bookkeeping, keyed by req_id. An `aux` entry is a
-  /// kSetView re-install launched to recover a primary request from
-  /// kUnknownView; its `partner` is the paused primary's req_id (and vice
-  /// versa while the primary waits). `io_node` is the node currently
-  /// serving the request — a failover retargets it down `backups`, and
-  /// `attempts` keeps counting across the move.
-  struct Pend {
-    std::size_t index = 0;
-    std::size_t group = 0;
-    bool is_aux = false;
-    bool waiting_view = false;
-    std::uint64_t partner = 0;
-    int attempts = 1;
-    int io_node = -1;
-    std::vector<int> backups;
-    Clock::time_point deadline;
-  };
-  std::unordered_map<std::uint64_t, Pend> pend;
-  pend.reserve(n);
+void ClusterfileClient::transact(
+    std::vector<TxReq> reqs, std::size_t group_count, int quorum,
+    const std::function<Message(std::size_t)>& rebuild,
+    const std::function<Message(std::size_t)>& reinstall, AccessTimings& t,
+    std::vector<Message>* replies) {
+  if (replies != nullptr) replies->assign(reqs.size(), Message{});
+  t.per_subfile.assign(group_count, SubfileAccess{});
+  Access acc{quorum, rebuild, reinstall, t, replies,
+             std::vector<Access::Group>(group_count)};
 
-  const auto entry_deadline = [&](int attempt) {
-    return std::min(Clock::now() + policy_.timeout(attempt), hard_deadline);
-  };
-  const auto make_request = [&](const Pend& p) {
-    Message m;
-    if (!p.is_aux) {
-      m = rebuild(p.index);
-    } else {
-      std::optional<Message> r = reinstall(p.index);
-      PFM_CHECK(r.has_value(), "transact: lost re-install template");
-      m = std::move(*r);
+  // One delivery budget for the whole access: every deadline — retries,
+  // failovers, view re-installs, straggler retransmits — is clipped to
+  // `hard_deadline` (the summed backoff schedule), so a target's replica
+  // chain burns one schedule total, never chain-length × schedule.
+  const Clock::time_point hard_deadline = Clock::now() + policy_.budget();
+  try {
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      const std::uint64_t id = next_req_id();
+      InFlight& e = inflight_[id];
+      e.kind = reqs[i].msg.kind;
+      e.index = i;
+      e.group = reqs[i].group;
+      e.subfile = reqs[i].msg.subfile;
+      e.io_node = reqs[i].msg.dst_node;
+      e.backups = std::move(reqs[i].backups);
+      e.hard_deadline = hard_deadline;
+      SubfileAccess& s = t.per_subfile[e.group];
+      s.subfile = e.subfile;
+      // The primary names the group.
+      if (++acc.groups[e.group].total == 1) s.io_node = e.io_node;
+      transmit(id, e, std::move(reqs[i].msg));
     }
-    // transact owns routing: after a failover the regenerated message goes
-    // to the replica now serving the request, not the original target.
-    m.dst_node = p.io_node;
-    return m;
-  };
-  const auto fail_request = [&](std::uint64_t id, const std::string& why,
-                                bool timed_out) {
-    const auto it = pend.find(id);
-    if (it == pend.end()) return;
-    Pend& p = it->second;
-    GroupState& g = groups[p.group];
-    ++g.failed;
-    g.max_attempts = std::max(g.max_attempts, p.attempts);
-    if (g.error.empty()) {
-      g.error = why;
-      g.timed_out = timed_out;
-    }
-    pend.erase(it);
-  };
-  // Terminal outcome for a request on its current node: fail over to the
-  // next backup replica while attempts and budget remain, otherwise record
-  // the loss. Attempts carry across the move — the chain shares one
-  // delivery schedule.
-  const auto fail_or_failover = [&](std::uint64_t id, const std::string& why,
-                                    bool timed_out) {
-    const auto it = pend.find(id);
-    if (it == pend.end()) return;
-    Pend& p = it->second;
-    GroupState& g = groups[p.group];
-    g.max_attempts = std::max(g.max_attempts, p.attempts);
-    if (p.backups.empty() || p.attempts >= policy_.max_attempts ||
-        Clock::now() >= hard_deadline) {
-      fail_request(id, why, timed_out);
-      return;
-    }
-    ++g.failovers;
-    ++t.rel.failovers;
-    ++p.attempts;
-    p.io_node = p.backups.front();
-    p.backups.erase(p.backups.begin());
-    p.waiting_view = false;
-    Message msg = make_request(p);
-    seal(msg, id);  // same req_id: a late reply from the old node is stale
-    p.deadline = entry_deadline(p.attempts);
-    send_or_throw(std::move(msg));
-  };
-
-  // Quorum met for group `gi`: demote its outstanding fan-out requests to
-  // the background completion set. Each keeps its req_id (so servers dedup
-  // a late original crossing a retransmit, and a late ack still matches),
-  // its attempt count and its schedule; the retransmit copy is materialized
-  // NOW, while the caller's buffer behind rebuild() is still alive. Aux
-  // view re-installs of demoted primaries are dropped — a straggler that
-  // lands on kUnknownView is abandoned to scrub instead of re-installing.
-  const auto demote_group = [&](std::size_t gi) {
-    std::vector<std::uint64_t> members;
-    for (const auto& [id, p] : pend)
-      if (p.group == gi) members.push_back(id);
-    for (const std::uint64_t id : members) {
-      const auto it = pend.find(id);
-      if (it == pend.end()) continue;
-      Pend& p = it->second;
-      if (p.is_aux) {
-        pend.erase(it);
-        continue;
-      }
-      if (!group_short[gi]) group_short[gi] = std::make_shared<bool>(false);
-      Straggler s;
-      s.subfile = t.per_subfile[gi].subfile;
-      s.io_node = p.io_node;
-      s.attempts = p.attempts;
-      s.deadline = p.waiting_view ? entry_deadline(p.attempts) : p.deadline;
-      s.hard_deadline = hard_deadline;
-      s.group_short = group_short[gi];
-      Message m = make_request(p);
-      seal(m, id);
-      s.msg = std::move(m);
-      stragglers_.emplace(id, std::move(s));
-      ++t.stragglers;
-      pend.erase(it);
-    }
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    Message msg = std::move(reqs[i].msg);
-    const std::uint64_t id = next_req_id();
-    Pend p;
-    p.index = i;
-    p.group = reqs[i].group;
-    p.io_node = msg.dst_node;
-    p.backups = std::move(reqs[i].backups);
-    p.deadline = entry_deadline(1);
-    GroupState& g = groups[p.group];
-    ++g.total;
-    SubfileAccess& s = t.per_subfile[p.group];
-    s.subfile = msg.subfile;
-    if (g.total == 1) s.io_node = msg.dst_node;  // the primary names the group
-    seal(msg, id);
-    pend.emplace(id, p);
-    send_or_throw(std::move(msg));
-  }
-
-  Channel& inbox = net_.inbox(node_id_);
-  while (!pend.empty()) {
-    // The next actionable deadline, straggler retransmits included (they
-    // ride along on whatever wait this access does anyway); primaries
-    // paused behind a view re-install are driven by their aux request's
-    // deadline instead.
-    Clock::time_point next = straggler_next_deadline();
-    for (const auto& [id, p] : pend)
-      if (!p.waiting_view) next = std::min(next, p.deadline);
-    const Clock::time_point now = Clock::now();
-
-    if (next <= now) {
-      straggler_handle_timeouts(now);
-      std::vector<std::uint64_t> expired;
-      for (const auto& [id, p] : pend)
-        if (!p.waiting_view && p.deadline <= now) expired.push_back(id);
-      for (const std::uint64_t id : expired) {
-        const auto it = pend.find(id);
-        if (it == pend.end()) continue;
-        Pend& p = it->second;
-        ++t.rel.timeouts;
-        if (p.attempts >= policy_.max_attempts || now >= hard_deadline) {
-          const std::string why =
-              "I/O node " + std::to_string(p.io_node) + " unresponsive after " +
-              std::to_string(p.attempts) + " attempts";
-          if (p.is_aux) {
-            const std::uint64_t parent = p.partner;
-            pend.erase(it);
-            fail_or_failover(parent, why, /*timed_out=*/true);
-          } else {
-            fail_or_failover(id, why, /*timed_out=*/true);
-          }
-          continue;
-        }
-        ++p.attempts;
-        if (!p.is_aux && !p.backups.empty()) {
-          // A backup is available: moving there beats hammering a node
-          // that just missed a deadline — the chain shares one budget, so
-          // spreading the attempts maximizes the replicas actually tried.
-          // The chain is round-robin: the node that just timed out rejoins
-          // the tail, so one dropped reply from a live node can't strand
-          // the remaining attempts on a dead backup.
-          GroupState& g = groups[p.group];
-          ++g.failovers;
-          ++t.rel.failovers;
-          const int prev = p.io_node;
-          p.io_node = p.backups.front();
-          p.backups.erase(p.backups.begin());
-          p.backups.push_back(prev);
-          p.waiting_view = false;
-        } else {
-          ++t.rel.retries;
-        }
-        Message msg = make_request(p);
-        seal(msg, id);  // same req_id: the server replays, never re-applies
-        p.deadline = entry_deadline(p.attempts);
-        send_or_throw(std::move(msg));
-      }
-      continue;
-    }
-
-    auto msg = inbox.receive_for(next - now);
-    if (!msg.has_value()) {
-      if (inbox.closed())
-        throw std::runtime_error(
-            "ClusterfileClient: network closed while waiting");
-      continue;  // deadline pass happens at the top of the loop
-    }
-
-    if (!verify_checksum(*msg)) {
-      // A corrupted reply: the request itself succeeded server-side, so
-      // resend right away (idempotent) instead of waiting out the timer.
-      ++t.rel.corruptions_detected;
-      const auto it = pend.find(msg->req_id);
-      if (it != pend.end() && !it->second.waiting_view &&
-          it->second.attempts < policy_.max_attempts) {
-        Pend& p = it->second;
-        ++p.attempts;
-        ++t.rel.retries;
-        Message resend = make_request(p);
-        seal(resend, msg->req_id);
-        p.deadline = entry_deadline(p.attempts);
-        send_or_throw(std::move(resend));
-      } else if (it == pend.end()) {
-        straggler_handle_corrupt_reply(msg->req_id);
-      }
-      continue;
-    }
-
-    const auto it = pend.find(msg->req_id);
-    if (it == pend.end()) {
-      // Not ours — unless a background straggler is waiting for it.
-      if (straggler_handle_reply(std::move(*msg))) continue;
-      // Duplicate or late reply for a request already completed (or one we
-      // never sent): discard. This used to be a fatal logic_error.
-      ++t.rel.stale_replies;
-      continue;
-    }
-    Pend& p = it->second;
-
-    if (msg->kind == MsgKind::kError) {
-      if (msg->err == ErrCode::kUnknownView && !p.is_aux && !p.waiting_view &&
-          p.attempts < policy_.max_attempts) {
-        // The server lost its projections (crash/restart): re-install the
-        // view, then resend the request once the re-install is acked.
-        std::optional<Message> setv = reinstall(p.index);
-        if (setv.has_value()) {
-          ++t.rel.view_reinstalls;
-          const std::uint64_t aux_id = next_req_id();
-          Pend aux;
-          aux.index = p.index;
-          aux.group = p.group;
-          aux.is_aux = true;
-          aux.partner = msg->req_id;
-          // The re-install goes to whichever replica is serving the
-          // request right now, not the original primary.
-          aux.io_node = p.io_node;
-          aux.deadline = entry_deadline(1);
-          p.waiting_view = true;
-          p.partner = aux_id;
-          Message m = std::move(*setv);
-          m.dst_node = p.io_node;
-          seal(m, aux_id);
-          pend.emplace(aux_id, aux);
-          send_or_throw(std::move(m));
-          continue;
-        }
-      }
-      if ((msg->err == ErrCode::kBadChecksum ||
-           msg->err == ErrCode::kIoError) &&
-          p.attempts < policy_.max_attempts) {
-        // The server caught a corrupted request (resend it) or its storage
-        // EIO'd transiently (errors are never reply-cached, so the resend
-        // re-executes).
-        if (msg->err == ErrCode::kBadChecksum) ++t.rel.corruptions_detected;
-        ++p.attempts;
-        ++t.rel.retries;
-        Message resend = make_request(p);
-        seal(resend, msg->req_id);
-        p.deadline = entry_deadline(p.attempts);
-        send_or_throw(std::move(resend));
-        continue;
-      }
-      // Terminal for this replica — including kCorruptData, where a resend
-      // would re-read the same rotten bytes: move to a backup if one is
-      // left.
-      const std::string why =
-          "server reported " + std::string(to_string(msg->err)) + ": " + msg->meta;
-      if (p.is_aux) {
-        const std::uint64_t parent = p.partner;
-        pend.erase(it);
-        fail_or_failover(parent, why, /*timed_out=*/false);
-      } else {
-        fail_or_failover(msg->req_id, why, /*timed_out=*/false);
-      }
-      continue;
-    }
-
-    if (p.is_aux) {
-      if (msg->kind != MsgKind::kAck) {
-        ++t.rel.stale_replies;
-        continue;
-      }
-      // View re-installed: resume the paused primary with a fresh attempt.
-      const std::uint64_t parent = p.partner;
-      pend.erase(it);
-      const auto pit = pend.find(parent);
-      if (pit == pend.end()) continue;
-      Pend& pri = pit->second;
-      pri.waiting_view = false;
-      ++pri.attempts;
-      ++t.rel.retries;
-      Message resend = make_request(pri);
-      seal(resend, parent);
-      pri.deadline = entry_deadline(pri.attempts);
-      send_or_throw(std::move(resend));
-      continue;
-    }
-
-    if (msg->kind != expected) {
-      ++t.rel.stale_replies;
-      continue;
-    }
-    GroupState& g = groups[p.group];
-    ++g.ok;
-    g.max_attempts = std::max(g.max_attempts, p.attempts);
-    if (p.attempts > 1) g.retried = true;
-    g.served_by = p.io_node;
-    if (replies != nullptr) (*replies)[p.index] = std::move(*msg);
-    const std::size_t gi = p.group;
-    pend.erase(it);
-    if (quorum > 0 && g.ok >= std::min(quorum, g.total)) demote_group(gi);
+    pump(&acc);
+  } catch (...) {
+    // The access's own entries never outlive it; stragglers stay.
+    std::erase_if(inflight_,
+                  [](const auto& entry) { return !entry.second.detached; });
+    throw;
   }
 
   // Collapse per-request outcomes into one status per group: an access is
@@ -699,7 +384,7 @@ void ClusterfileClient::transact(
   // serving a read from a backup — is kDegraded, correct data at a
   // reliability cost.
   for (std::size_t gi = 0; gi < group_count; ++gi) {
-    const GroupState& g = groups[gi];
+    const Access::Group& g = acc.groups[gi];
     SubfileAccess& s = t.per_subfile[gi];
     s.attempts = g.max_attempts;
     s.failovers = g.failovers;
@@ -734,132 +419,285 @@ void ClusterfileClient::transact(
   }
 }
 
-ClusterfileClient::Clock::time_point
-ClusterfileClient::straggler_next_deadline() const {
-  Clock::time_point next = Clock::time_point::max();
-  for (const auto& [id, s] : stragglers_) next = std::min(next, s.deadline);
-  return next;
-}
+void ClusterfileClient::pump(Access* acc) {
+  const auto counters = [&](const InFlight* e) -> ReliabilityCounters& {
+    return (acc == nullptr || (e != nullptr && e->detached)) ? rel_
+                                                              : acc->t.rel;
+  };
+  Channel& inbox = net_.inbox(node_id_);
+  for (;;) {
+    // The next actionable deadline. An entry paused behind a view
+    // re-install is driven by its aux entry's deadline instead.
+    Clock::time_point next = Clock::time_point::max();
+    bool owned = false;
+    for (const auto& [id, e] : inflight_) {
+      owned = owned || !e.detached;
+      if (!e.waiting_view) next = std::min(next, e.deadline);
+    }
+    if (acc != nullptr ? !owned : inflight_.empty()) return;
+    const Clock::time_point now = Clock::now();
 
-void ClusterfileClient::straggler_handle_timeouts(Clock::time_point now) {
-  std::vector<std::uint64_t> expired;
-  for (const auto& [id, s] : stragglers_)
-    if (s.deadline <= now) expired.push_back(id);
-  for (const std::uint64_t id : expired) {
-    const auto it = stragglers_.find(id);
-    if (it == stragglers_.end()) continue;
-    Straggler& s = it->second;
-    ++rel_.timeouts;
-    if (s.attempts >= policy_.max_attempts || now >= s.hard_deadline) {
-      straggler_abandon(id);
+    if (next <= now) {
+      std::vector<std::uint64_t> expired;
+      for (const auto& [id, e] : inflight_)
+        if (!e.waiting_view && e.deadline <= now) expired.push_back(id);
+      for (const std::uint64_t id : expired) {
+        const auto it = inflight_.find(id);
+        if (it == inflight_.end()) continue;
+        InFlight& e = it->second;
+        ReliabilityCounters& rel = counters(&e);
+        ++rel.timeouts;
+        if (e.attempts >= policy_.max_attempts || now >= e.hard_deadline) {
+          give_up(id,
+                  "I/O node " + std::to_string(e.io_node) +
+                      " unresponsive after " + std::to_string(e.attempts) +
+                      " attempts",
+                  /*timed_out=*/true, acc);
+          continue;
+        }
+        if (!e.backups.empty()) {
+          // A backup is available: moving there beats hammering a node
+          // that just missed a deadline — the chain shares one budget, so
+          // spreading the attempts maximizes the replicas actually tried.
+          // The chain is round-robin: the node that just timed out rejoins
+          // the tail, so one dropped reply from a live node can't strand
+          // the remaining attempts on a dead backup.
+          ++acc->groups[e.group].failovers;
+          ++rel.failovers;
+          e.backups.push_back(e.io_node);
+          e.io_node = e.backups.front();
+          e.backups.erase(e.backups.begin());
+        } else {
+          ++rel.retries;
+        }
+        resend(id, e, acc);
+      }
       continue;
     }
-    ++s.attempts;
-    ++rel_.retries;
-    Message copy = s.msg;  // sealed: same req_id, checksum already stamped
-    s.deadline = std::min(now + policy_.timeout(s.attempts), s.hard_deadline);
-    // A closed destination inbox means the node crashed mid-straggler: no
-    // ack can ever arrive, so hand the subfile to scrub instead of looping.
-    if (!net_.send(node_id_, std::move(copy))) straggler_abandon(id);
-  }
-}
 
-bool ClusterfileClient::straggler_handle_reply(Message&& msg) {
-  const auto it = stragglers_.find(msg.req_id);
-  if (it == stragglers_.end()) return false;
-  Straggler& s = it->second;
-  if (msg.kind == MsgKind::kError) {
-    if ((msg.err == ErrCode::kBadChecksum || msg.err == ErrCode::kIoError) &&
-        s.attempts < policy_.max_attempts && Clock::now() < s.hard_deadline) {
-      // Transient server-side trouble: the retry schedule keeps going.
-      if (msg.err == ErrCode::kBadChecksum) ++rel_.corruptions_detected;
-      ++s.attempts;
-      ++rel_.retries;
-      Message copy = s.msg;
-      s.deadline =
-          std::min(Clock::now() + policy_.timeout(s.attempts), s.hard_deadline);
-      if (!net_.send(node_id_, std::move(copy))) straggler_abandon(msg.req_id);
-      return true;
+    auto msg = inbox.receive_for(next - now);
+    if (!msg.has_value()) {
+      if (!inbox.closed()) continue;  // the deadline pass runs at the top
+      if (acc != nullptr)
+        throw std::runtime_error(
+            "ClusterfileClient: network closed while waiting");
+      // Draining with the network gone: no ack can arrive. Abandon
+      // everything so the table empties and scrub knows what it owes.
+      while (!inflight_.empty())
+        give_up(inflight_.begin()->first, {}, false, nullptr);
+      return;
     }
-    // Terminal — kUnknownView included: the quorum already carried the
-    // write, so instead of a re-install dance for a background copy the
-    // replica is abandoned to scrub, which repairs it from a peer.
-    straggler_abandon(msg.req_id);
-    return true;
+    const std::uint64_t id = msg->req_id;
+    const auto it = inflight_.find(id);
+    InFlight* e = it == inflight_.end() ? nullptr : &it->second;
+    ReliabilityCounters& rel = counters(e);
+
+    if (!verify_checksum(*msg)) {
+      // A corrupted reply: the request itself succeeded server-side, so
+      // resend right away (idempotent) instead of waiting out the timer.
+      // With no attempt left the deadline gives up on it.
+      ++rel.corruptions_detected;
+      if (e != nullptr && !e->waiting_view &&
+          e->attempts < policy_.max_attempts) {
+        ++rel.retries;
+        resend(id, *e, acc);
+      }
+      continue;
+    }
+    if (e == nullptr) {
+      // Duplicate or late reply for a request already completed (or one we
+      // never sent): discard. This used to be a fatal logic_error.
+      ++rel.stale_replies;
+      continue;
+    }
+
+    if (msg->kind == MsgKind::kError) {
+      if (e->waiting_view) {
+        // A paused request has a re-install in flight: this error repeats
+        // the reply that started it (a duplicate, or a delayed earlier
+        // attempt), not a new verdict on the replica.
+        ++rel.stale_replies;
+        continue;
+      }
+      if (msg->err == ErrCode::kUnknownView && !e->detached && !e->is_aux &&
+          acc->reinstall && e->attempts < policy_.max_attempts) {
+        // The server lost its projections (crash/restart): re-install the
+        // view on the replica serving the request, then resend the request
+        // once the re-install is acked. A detached entry is abandoned to
+        // scrub instead: its quorum already carried the write.
+        ++rel.view_reinstalls;
+        const std::uint64_t aux_id = next_req_id();
+        e->waiting_view = true;
+        e->partner = aux_id;
+        Message setv = acc->reinstall(e->index);
+        InFlight& aux = inflight_[aux_id];
+        aux.kind = setv.kind;
+        aux.index = e->index;
+        aux.group = e->group;
+        aux.subfile = e->subfile;
+        aux.io_node = e->io_node;
+        aux.hard_deadline = e->hard_deadline;
+        aux.is_aux = true;
+        aux.partner = id;
+        transmit(aux_id, aux, std::move(setv));
+        continue;
+      }
+      if ((msg->err == ErrCode::kBadChecksum ||
+           msg->err == ErrCode::kIoError) &&
+          e->attempts < policy_.max_attempts) {
+        // The server caught a corrupted request (resend it) or its storage
+        // EIO'd transiently (errors are never reply-cached, so the resend
+        // re-executes).
+        if (msg->err == ErrCode::kBadChecksum) ++rel.corruptions_detected;
+        ++rel.retries;
+        resend(id, *e, acc);
+        continue;
+      }
+      // Terminal for this replica — including kCorruptData, where a resend
+      // would re-read the same rotten bytes.
+      give_up(id,
+              "server reported " + std::string(to_string(msg->err)) + ": " +
+                  msg->meta,
+              /*timed_out=*/false, acc);
+      continue;
+    }
+
+    if (msg->kind != (e->kind == MsgKind::kRead ? MsgKind::kReadReply
+                                                : MsgKind::kAck)) {
+      ++rel.stale_replies;
+      continue;
+    }
+    if (e->is_aux) {
+      // View re-installed: resume the paused partner with a fresh attempt.
+      const std::uint64_t partner = e->partner;
+      inflight_.erase(it);
+      const auto pit = inflight_.find(partner);
+      if (pit == inflight_.end()) continue;
+      ++rel.retries;
+      resend(partner, pit->second, acc);
+      continue;
+    }
+    if (e->detached) {
+      ++stragglers_completed_;
+      inflight_.erase(it);
+      continue;
+    }
+    const std::size_t gi = e->group;
+    Access::Group& g = acc->groups[gi];
+    ++g.ok;
+    g.max_attempts = std::max(g.max_attempts, e->attempts);
+    if (e->attempts > 1) g.retried = true;
+    g.served_by = e->io_node;
+    if (acc->replies != nullptr) (*acc->replies)[e->index] = std::move(*msg);
+    inflight_.erase(it);
+    if (acc->quorum == 0 || g.ok < std::min(acc->quorum, g.total)) continue;
+
+    // Quorum met: detach the group's outstanding fan-out requests. Each
+    // keeps its req_id (a late ack still matches), its attempt count and
+    // its schedule; the retransmit copy is made NOW, while the caller's
+    // buffer behind rebuild() is still alive. Re-installs of paused members
+    // are dropped with the pause.
+    std::vector<std::uint64_t> aux_ids;
+    for (auto& [mid, m] : inflight_) {
+      if (m.detached || m.group != gi) continue;
+      if (m.is_aux) {
+        aux_ids.push_back(mid);
+        continue;
+      }
+      if (m.waiting_view) {
+        m.waiting_view = false;
+        m.deadline = std::min(Clock::now() + policy_.timeout(m.attempts),
+                              m.hard_deadline);
+      }
+      if (!g.quorum_short) g.quorum_short = std::make_shared<bool>(false);
+      m.group_short = g.quorum_short;
+      m.sealed = acc->rebuild(m.index);
+      m.sealed.dst_node = m.io_node;
+      seal(m.sealed, mid);
+      m.detached = true;
+      ++acc->t.stragglers;
+    }
+    for (const std::uint64_t aux_id : aux_ids) inflight_.erase(aux_id);
   }
-  if (msg.kind != MsgKind::kAck) return false;
-  ++stragglers_completed_;
-  stragglers_.erase(it);
-  return true;
 }
 
-bool ClusterfileClient::straggler_handle_corrupt_reply(std::uint64_t req_id) {
-  const auto it = stragglers_.find(req_id);
-  if (it == stragglers_.end()) return false;
-  Straggler& s = it->second;
-  if (s.attempts >= policy_.max_attempts || Clock::now() >= s.hard_deadline) {
-    straggler_abandon(req_id);
-    return true;
+void ClusterfileClient::transmit(std::uint64_t id, InFlight& e, Message msg) {
+  if (!e.detached) {
+    // The engine owns routing: after a failover the regenerated message
+    // goes to the replica now serving the request. Every attempt carries
+    // the same req_id, so the server replays instead of re-applying and a
+    // late reply from an earlier attempt is stale.
+    msg.dst_node = e.io_node;
+    seal(msg, id);
   }
-  ++s.attempts;
-  ++rel_.retries;
-  Message copy = s.msg;
-  s.deadline =
-      std::min(Clock::now() + policy_.timeout(s.attempts), s.hard_deadline);
-  if (!net_.send(node_id_, std::move(copy))) straggler_abandon(req_id);
-  return true;
+  e.deadline = std::min(Clock::now() + policy_.timeout(e.attempts),
+                        e.hard_deadline);
+  if (net_.send(node_id_, std::move(msg))) return;
+  if (!e.detached)
+    throw std::runtime_error("ClusterfileClient: I/O node " +
+                             std::to_string(e.io_node) + " is unreachable");
+  give_up(id, {}, false, nullptr);
 }
 
-void ClusterfileClient::straggler_abandon(std::uint64_t req_id) {
-  const auto it = stragglers_.find(req_id);
-  if (it == stragglers_.end()) return;
-  Straggler& s = it->second;
-  ++stragglers_abandoned_;
-  ++rel_.replica_failures;
-  if (s.group_short && !*s.group_short) {
-    *s.group_short = true;
-    ++rel_.quorum_short;
+void ClusterfileClient::resend(std::uint64_t id, InFlight& e, Access* acc) {
+  ++e.attempts;
+  e.waiting_view = false;
+  Message msg = e.detached ? e.sealed
+                : e.is_aux ? acc->reinstall(e.index)
+                           : acc->rebuild(e.index);
+  transmit(id, e, std::move(msg));
+}
+
+void ClusterfileClient::give_up(std::uint64_t id, const std::string& why,
+                                bool timed_out, Access* acc) {
+  auto it = inflight_.find(id);
+  if (it != inflight_.end() && it->second.is_aux) {
+    const std::uint64_t partner = it->second.partner;
+    inflight_.erase(it);
+    it = inflight_.find(partner);
+  }
+  if (it == inflight_.end()) return;
+  InFlight& e = it->second;
+  if (e.detached) {
+    ++stragglers_abandoned_;
+    ++rel_.replica_failures;
+    if (!*e.group_short) {
+      *e.group_short = true;
+      ++rel_.quorum_short;
+    }
+  } else {
+    Access::Group& g = acc->groups[e.group];
+    g.max_attempts = std::max(g.max_attempts, e.attempts);
+    if (!e.backups.empty() && e.attempts < policy_.max_attempts &&
+        Clock::now() < e.hard_deadline) {
+      // Attempts carry across the move — the chain shares one schedule.
+      ++g.failovers;
+      ++acc->t.rel.failovers;
+      e.io_node = e.backups.front();
+      e.backups.erase(e.backups.begin());
+      resend(it->first, e, acc);
+      return;
+    }
+    ++g.failed;
+    if (g.error.empty()) {
+      g.error = why;
+      g.timed_out = timed_out;
+    }
   }
   // Deduplicated: the same (subfile, node) abandoned across many retries
   // (or many groups) owes exactly one scrub, and the debt set stays bounded
   // by subfiles × replicas instead of growing with the failure rate.
-  const std::pair<int, int> owed{s.subfile, s.io_node};
-  if (std::find(scrub_debt_.begin(), scrub_debt_.end(), owed) ==
-      scrub_debt_.end())
+  const std::pair<int, int> owed{e.subfile, e.io_node};
+  if (e.kind == MsgKind::kWrite &&
+      std::find(scrub_debt_.begin(), scrub_debt_.end(), owed) ==
+          scrub_debt_.end())
     scrub_debt_.push_back(owed);
-  stragglers_.erase(it);
+  inflight_.erase(it);
 }
 
 void ClusterfileClient::drain_stragglers() {
   AccessCanary::Scope guard(canary_);
-  Channel& inbox = net_.inbox(node_id_);
-  while (!stragglers_.empty()) {
-    const Clock::time_point next = straggler_next_deadline();
-    const Clock::time_point now = Clock::now();
-    if (next <= now) {
-      straggler_handle_timeouts(now);
-      continue;
-    }
-    auto msg = inbox.receive_for(next - now);
-    if (!msg.has_value()) {
-      if (inbox.closed()) {
-        // The network is gone: no ack can arrive. Abandon everything so
-        // the pending set empties and scrub knows what it owes.
-        std::vector<std::uint64_t> ids;
-        ids.reserve(stragglers_.size());
-        for (const auto& [id, s] : stragglers_) ids.push_back(id);
-        for (const std::uint64_t id : ids) straggler_abandon(id);
-        return;
-      }
-      continue;
-    }
-    if (!verify_checksum(*msg)) {
-      ++rel_.corruptions_detected;
-      straggler_handle_corrupt_reply(msg->req_id);
-      continue;
-    }
-    if (!straggler_handle_reply(std::move(*msg))) ++rel_.stale_replies;
-  }
+  pump(nullptr);
 }
 
 ClusterfileClient::AccessTimings ClusterfileClient::write(
@@ -867,7 +705,8 @@ ClusterfileClient::AccessTimings ClusterfileClient::write(
     std::span<const std::byte> data) {
   AccessCanary::Scope guard(canary_);
   maybe_refresh_placement();
-  if (v > w) throw std::invalid_argument("ClusterfileClient::write: v > w");
+  if (v < 0 || v > w)
+    throw std::invalid_argument("ClusterfileClient::write: need 0 <= v <= w");
   if (static_cast<std::int64_t>(data.size()) < w - v + 1)
     throw std::invalid_argument("ClusterfileClient::write: short buffer");
   const ViewState& state = view_state(view_id);
@@ -933,8 +772,7 @@ ClusterfileClient::AccessTimings ClusterfileClient::write(
     // the fault-free path never copies a payload it doesn't have to.
     Timer t;
     transact(
-        std::move(reqs), plan->targets.size(), MsgKind::kAck,
-        /*quorum=*/write_quorum_,
+        std::move(reqs), plan->targets.size(), /*quorum=*/write_quorum_,
         /*rebuild=*/
         [&](std::size_t i) {
           const PlanTarget& pt = plan->targets[req_target[i]];
@@ -943,17 +781,10 @@ ClusterfileClient::AccessTimings ClusterfileClient::write(
           return msg;
         },
         /*reinstall=*/
-        [&](std::size_t i) -> std::optional<Message> {
-          const SubTarget& st =
-              state.targets[plan->targets[req_target[i]].target_index];
-          Message msg;
-          msg.kind = MsgKind::kSetView;
-          msg.dst_node = st.io_node;
-          msg.subfile = static_cast<int>(st.subfile);
-          msg.view_id = view_id;
-          msg.meta = st.proj_meta;
-          msg.v = st.proj_period;
-          return msg;
+        [&](std::size_t i) {
+          return view_install(
+              state.targets[plan->targets[req_target[i]].target_index],
+              view_id);
         },
         out, nullptr);
     out.t_w_us = t.elapsed_us();
@@ -966,7 +797,8 @@ ClusterfileClient::AccessTimings ClusterfileClient::read(
     std::span<std::byte> out_buf) {
   AccessCanary::Scope guard(canary_);
   maybe_refresh_placement();
-  if (v > w) throw std::invalid_argument("ClusterfileClient::read: v > w");
+  if (v < 0 || v > w)
+    throw std::invalid_argument("ClusterfileClient::read: need 0 <= v <= w");
   if (static_cast<std::int64_t>(out_buf.size()) < w - v + 1)
     throw std::invalid_argument("ClusterfileClient::read: short buffer");
   const ViewState& state = view_state(view_id);
@@ -1011,21 +843,13 @@ ClusterfileClient::AccessTimings ClusterfileClient::read(
   {
     Timer t;
     transact(
-        std::move(reqs), plan->targets.size(), MsgKind::kReadReply,
-        /*quorum=*/0,
+        std::move(reqs), plan->targets.size(), /*quorum=*/0,
         /*rebuild=*/
         [&](std::size_t i) { return make_read(plan->targets[i]); },
         /*reinstall=*/
-        [&](std::size_t i) -> std::optional<Message> {
-          const SubTarget& st = state.targets[plan->targets[i].target_index];
-          Message msg;
-          msg.kind = MsgKind::kSetView;
-          msg.dst_node = st.io_node;
-          msg.subfile = static_cast<int>(st.subfile);
-          msg.view_id = view_id;
-          msg.meta = st.proj_meta;
-          msg.v = st.proj_period;
-          return msg;
+        [&](std::size_t i) {
+          return view_install(state.targets[plan->targets[i].target_index],
+                              view_id);
         },
         out, &replies);
     out.t_w_us = t.elapsed_us();

@@ -40,20 +40,20 @@
 //
 // Quorum writes (DESIGN.md "Replication, re-sync and scrub"): with
 // FileMeta::write_quorum = W in [1, replication), a write group completes
-// as soon as W replicas acked; the remaining fan-out requests are demoted
-// to background stragglers that keep their retry schedule and are pumped
-// whenever the client waits on the network (and by drain_stragglers()). A
-// straggler that completes late is deduplicated server-side by req_id; one
-// abandoned past its schedule counts quorum_short/replica_failures and
-// owes its subfile to take_scrub_debt() — epoch re-sync and scrub repair
-// the divergence, which is what makes sloppy acks safe.
+// as soon as W replicas acked; its remaining fan-out requests stay in the
+// client's one in-flight table as detached entries (stragglers) that keep
+// their retry schedule and are pumped whenever the client waits on the
+// network (and by drain_stragglers()). A straggler that completes late is
+// deduplicated server-side by req_id; one abandoned past its schedule
+// counts quorum_short/replica_failures. Every abandoned write request,
+// detached or not, owes its subfile to take_scrub_debt() — epoch re-sync
+// and scrub repair the divergence, which is what makes sloppy acks safe.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -150,12 +150,12 @@ class ClusterfileClient {
     std::int64_t messages = 0;
     std::int64_t plan_hits = 0;    ///< 1 when this access replayed a plan
     std::int64_t plan_misses = 0;  ///< 1 when this access built its plan
-    std::int64_t stragglers = 0;   ///< fan-out requests demoted to background
+    std::int64_t stragglers = 0;   ///< fan-out requests detached to background
                                    ///< completion once the quorum was met
     ReliabilityCounters rel;       ///< this access's share of the counters.
-                                   ///< Straggler events land in the client's
-                                   ///< cumulative counters instead — they
-                                   ///< belong to no single access.
+                                   ///< Events of stragglers land in the
+                                   ///< client's cumulative counters instead
+                                   ///< — they belong to no single access.
     std::vector<SubfileAccess> per_subfile;  ///< ascending subfile order
 
     bool ok() const {
@@ -215,25 +215,22 @@ class ClusterfileClient {
   /// split. Stragglers are pumped whenever the client waits on the network;
   /// drain_stragglers() blocks until none are pending (each either acks or
   /// exhausts its retry schedule — bounded by RetryPolicy, never forever).
-  std::size_t stragglers_pending() const { return stragglers_.size(); }
+  /// Between accesses every in-flight entry is a straggler.
+  std::size_t stragglers_pending() const { return inflight_.size(); }
   std::int64_t stragglers_completed() const { return stragglers_completed_; }
   std::int64_t stragglers_abandoned() const { return stragglers_abandoned_; }
   void drain_stragglers();
 
-  /// Subfiles whose write fan-out abandoned a replica (quorum shortfall):
-  /// the divergence scrub/re-sync must repair. Deduplicated — a subfile
-  /// abandoned many times across retries appears once — so the set is
-  /// bounded by the subfile count. Returns the accumulated list
-  /// (insertion order) and clears it. Debt against a node the subfile was
-  /// since migrated away from is dropped at placement refresh: the
+  /// Subfiles whose write fan-out abandoned a replica (a quorum straggler
+  /// or a full-fan-out request given up on): the divergence scrub/re-sync
+  /// must repair. Deduplicated — a subfile abandoned many times across
+  /// retries appears once — so the set is bounded by the subfile count.
+  /// Returns the accumulated list (insertion order) and clears it. Debt
+  /// against a node the subfile was since migrated away from is dropped at
+  /// placement refresh, together with pending stragglers aimed at it: the
   /// migration's own catch-up sync carried the data, and scrub writing to
   /// the stale holder would resurrect a retired copy.
   std::vector<int> take_scrub_debt();
-
-  /// Stragglers dropped at a placement refresh because their target node no
-  /// longer holds the subfile (a rebalance migrated the slot away). Not a
-  /// failure: the replica they were completing no longer exists.
-  std::int64_t stragglers_purged() const { return stragglers_purged_; }
 
   void set_retry_policy(RetryPolicy policy) { policy_ = policy; }
   const RetryPolicy& retry_policy() const { return policy_; }
@@ -342,62 +339,80 @@ class ClusterfileClient {
 
   using Clock = std::chrono::steady_clock;
 
-  /// A fan-out request demoted to background completion once its group met
-  /// its quorum: keeps the in-flight request's retry schedule (sealed
-  /// message ready to retransmit with the *same* req_id, so servers dedup a
-  /// late original crossing a retransmit) and is pumped whenever the client
-  /// waits on the network. `group_short` is shared by every straggler of
-  /// one group so the first abandonment — and only the first — counts
-  /// quorum_short.
-  struct Straggler {
+  /// One in-flight request of the client-wide table, keyed by req_id. The
+  /// running access owns it until its group meets the write quorum; it is
+  /// then *detached* (a straggler): it keeps its req_id, attempts and
+  /// deadlines plus a sealed retransmit copy, made while the caller's
+  /// buffer behind the access's rebuild() was still alive. Retransmits
+  /// reuse the req_id, so servers dedup a late original crossing one. An
+  /// `is_aux` entry is a kSetView re-install recovering its `partner` from
+  /// kUnknownView; the partner is paused (`waiting_view`) meanwhile.
+  struct InFlight {
+    MsgKind kind = MsgKind::kWrite;  ///< the request's kind
+    std::size_t index = 0;  ///< request index within its access
+    std::size_t group = 0;  ///< replica group (target) within its access
     int subfile = 0;
-    int io_node = -1;
+    int io_node = -1;  ///< the node serving the request right now
+    std::vector<int> backups;  ///< failover chain (single-shot requests)
     int attempts = 1;
     Clock::time_point deadline;       ///< next retransmit fires here
-    Clock::time_point hard_deadline;  ///< the group's delivery budget end
-    Message msg;                      ///< sealed retransmit copy
+    Clock::time_point hard_deadline;  ///< the access's delivery budget end
+    bool is_aux = false;
+    bool waiting_view = false;
+    std::uint64_t partner = 0;
+    bool detached = false;
+    Message sealed;  ///< detached: the retransmit copy
+    /// Detached: shared by the group's stragglers so the first abandonment
+    /// — and only the first — counts quorum_short.
     std::shared_ptr<bool> group_short;
   };
+  /// The running access's callbacks and per-group outcomes (client.cpp).
+  struct Access;
+
+  /// kSetView installing `st`'s projection of view `view_id` on st.io_node.
+  static Message view_install(const SubTarget& st, std::int64_t view_id);
 
   /// The reliable request engine. Sends every request (already built —
-  /// payload gathering stays outside the t_w window), matches replies of
-  /// kind `expected` by req_id, retransmits on timeout via `rebuild(i)`
-  /// (which regenerates request i, payload included; transact retargets it
-  /// to the replica currently serving the request), recovers from
-  /// kUnknownView via `reinstall(i)` (a fresh kSetView for request i's
-  /// target, or nullopt when not applicable), and fails over along a
-  /// request's backup chain when its current node is given up on. One
-  /// delivery budget — RetryPolicy::budget(), the summed backoff schedule —
-  /// spans a request's whole replica chain: attempts never reset on failover and
-  /// every deadline is clipped to the budget's end. With `quorum` > 0, a
-  /// group whose ok count reaches min(quorum, fan-out) demotes its
-  /// remaining requests to stragglers_ instead of waiting them out. Fills
-  /// `t.per_subfile` with one status per *group* (group_count entries):
-  /// kFailed only when every replica of the group was lost; kDegraded when
-  /// data survived but a replica didn't. Throws TimeoutError /
-  /// runtime_error only for kFailed groups unless allow_partial is set;
-  /// always throws if the network closes.
-  void transact(std::vector<TxReq> reqs, std::size_t group_count,
-                MsgKind expected, int quorum,
+  /// payload gathering stays outside the t_w window), matches replies by
+  /// req_id, retransmits on timeout via `rebuild(i)` (which regenerates
+  /// request i, payload included; the engine retargets it to the replica
+  /// currently serving the request), recovers from kUnknownView via
+  /// `reinstall(i)` (a kSetView for request i's target; empty when the
+  /// access cannot re-install), and fails over along a request's backup
+  /// chain when its current node is given up on. One delivery budget —
+  /// RetryPolicy::budget(), the summed backoff schedule — spans a request's
+  /// whole replica chain: attempts never reset on failover and every
+  /// deadline is clipped to the budget's end. With `quorum` > 0, a group
+  /// whose ok count reaches min(quorum, fan-out) detaches its remaining
+  /// requests instead of waiting them out. Fills `t.per_subfile` with one
+  /// status per *group* (group_count entries): kFailed only when every
+  /// replica of the group was lost; kDegraded when data survived but a
+  /// replica didn't. Throws TimeoutError / runtime_error only for kFailed
+  /// groups unless allow_partial is set; always throws if the network
+  /// closes.
+  void transact(std::vector<TxReq> reqs, std::size_t group_count, int quorum,
                 const std::function<Message(std::size_t)>& rebuild,
-                const std::function<std::optional<Message>(std::size_t)>& reinstall,
+                const std::function<Message(std::size_t)>& reinstall,
                 AccessTimings& t, std::vector<Message>* replies);
-
-  /// Earliest straggler retransmit deadline (time_point::max() when none).
-  Clock::time_point straggler_next_deadline() const;
-  /// Retransmits every straggler whose deadline passed; abandons those past
-  /// their schedule. Counters go straight to rel_ (see AccessTimings::rel).
-  void straggler_handle_timeouts(Clock::time_point now);
-  /// Consumes a reply addressed to a straggler (completion, retryable
-  /// error, or terminal error). False when the req_id matches no straggler.
-  bool straggler_handle_reply(Message&& msg);
-  /// Resends a straggler after its reply arrived corrupted; false when the
-  /// id matches no straggler (or its schedule is exhausted — abandoned).
-  bool straggler_handle_corrupt_reply(std::uint64_t req_id);
-  void straggler_abandon(std::uint64_t req_id);
-  /// Sends one message; throws std::runtime_error if the destination inbox
-  /// is closed (a silently dropped request would hang the reply wait).
-  void send_or_throw(Message msg);
+  /// The one event loop: waits until the earliest deadline, then handles
+  /// timeouts and replies for every entry of inflight_. With an access it
+  /// runs until the access owns no entry; without one (drain) until the
+  /// table is empty. Detached entries' counters go to rel_, never to an
+  /// access's share (see AccessTimings::rel).
+  void pump(Access* acc);
+  /// Routes and seals `msg` for entry `id` (a detached entry's sealed copy
+  /// is sent as is), arms the deadline of its current attempt and sends
+  /// it. A closed destination inbox throws for an access's entry and
+  /// abandons a detached one: no reply can ever arrive.
+  void transmit(std::uint64_t id, InFlight& e, Message msg);
+  /// Sends entry `id`'s next attempt.
+  void resend(std::uint64_t id, InFlight& e, Access* acc);
+  /// Terminal outcome for entry `id` on its current node (an aux entry
+  /// hands it to its partner): fail over to the next backup while attempts
+  /// and budget remain, otherwise record the loss in the access's group —
+  /// or, detached, abandon it. A lost write owes its subfile to scrub.
+  void give_up(std::uint64_t id, const std::string& why, bool timed_out,
+               Access* acc);
   /// Stamps req_id (and the checksum when the network asks for it).
   void seal(Message& msg, std::uint64_t req_id);
   /// Re-snapshots replica targets from the placement directory when its
@@ -422,12 +437,11 @@ class ClusterfileClient {
   bool allow_partial_ = false;
   int write_quorum_ = 0;
   ReliabilityCounters rel_;
-  /// Background completion set: fan-out requests outliving their group's
-  /// quorum, keyed by req_id. Pumped by transact and drain_stragglers.
-  std::unordered_map<std::uint64_t, Straggler> stragglers_;
+  /// Every request in flight, keyed by req_id: the running access's own
+  /// entries and the detached stragglers of earlier accesses.
+  std::unordered_map<std::uint64_t, InFlight> inflight_;
   std::int64_t stragglers_completed_ = 0;
   std::int64_t stragglers_abandoned_ = 0;
-  std::int64_t stragglers_purged_ = 0;
   /// (subfile, io_node) owed to scrub, deduplicated by pair: the node is
   /// kept so a placement refresh can purge debt whose holder the subfile
   /// migrated away from (take_scrub_debt surfaces only the subfiles).

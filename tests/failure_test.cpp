@@ -68,6 +68,11 @@ TEST(Failure, ClientSurfacesServerErrors) {
   fs.network().inbox(4).close();
   const Buffer data = make_pattern_buffer(16, 2);
   EXPECT_THROW(client.write(vid, 0, 15, data), std::runtime_error);
+  // The failed access leaves no request behind: the client keeps serving
+  // the subfiles whose nodes are still up.
+  const std::int64_t other = client.set_view(views[1], 64);
+  EXPECT_NO_THROW(client.write(other, 0, 15, data));
+  EXPECT_EQ(client.stragglers_pending(), 0u);
 }
 
 TEST(Failure, NetworkCloseUnblocksWaitingClient) {
@@ -95,6 +100,12 @@ TEST(Failure, ClientRejectsBadArguments) {
   Buffer out(4);
   EXPECT_THROW(client.read(vid, 3, 2, out), std::invalid_argument);
   EXPECT_THROW(client.read(vid + 7, 0, 3, out), std::out_of_range);
+  // Negative view offsets: wholly before the view, and straddling its start.
+  Buffer wide(64);
+  EXPECT_THROW(client.write(vid, -64, -1, wide), std::invalid_argument);
+  EXPECT_THROW(client.write(vid, -8, 55, wide), std::invalid_argument);
+  EXPECT_THROW(client.read(vid, -64, -1, wide), std::invalid_argument);
+  EXPECT_THROW(client.read(vid, -8, 55, wide), std::invalid_argument);
 }
 
 TEST(Failure, ViewOnEmptyIntersectionWritesNothing) {

@@ -277,6 +277,42 @@ TEST(Reliability, AllowPartialReportsFailedTargets) {
   EXPECT_EQ(failed, 1);
 }
 
+/// A fault plan that delivers every error reply twice.
+FaultPlan duplicate_errors() {
+  FaultPlan plan;
+  FaultRule rule;
+  rule.kind = MsgKind::kError;
+  rule.duplicate = 1.0;
+  plan.rules.push_back(rule);
+  return plan;
+}
+
+// Regression: a restarted server answers kUnknownView, which pauses the
+// request behind a view re-install. A second copy of that reply (a wire
+// duplicate or a delayed earlier attempt) used to find the request paused
+// and fail it as a terminal error. It repeats the reply that started the
+// re-install, so it is stale.
+TEST(Reliability, DuplicatedUnknownViewIsStaleNotFatal) {
+  Clusterfile fs(ClusterConfig{}, pattern2d(Partition2D::kRowBlocks, 16, 4));
+  auto& client = fs.client(0);
+  const auto views = partition2d_all(Partition2D::kColumnBlocks, 16, 16, 4);
+  const std::int64_t vid = client.set_view(views[0], 256);
+  client.write(vid, 0, 63, make_pattern_buffer(64, 22));
+
+  fs.install_faults(duplicate_errors());
+  fs.crash_server(0);
+  fs.restart_server(0);  // node 4 lost its projections
+  const Buffer data = make_pattern_buffer(64, 23);
+  const auto w = client.write(vid, 0, 63, data);
+  EXPECT_TRUE(w.ok());
+  EXPECT_EQ(w.rel.failures, 0);
+  EXPECT_GE(w.rel.view_reinstalls, 1);
+  EXPECT_GE(w.rel.stale_replies, 1);
+  Buffer back(64);
+  client.read(vid, 0, 63, back);
+  EXPECT_EQ(back, data);
+}
+
 TEST(Reliability, NoFaultPlanMeansZeroCountersEverywhere) {
   Clusterfile fs(ClusterConfig{}, pattern2d(Partition2D::kRowBlocks, 16, 4));
   const auto views = partition2d_all(Partition2D::kColumnBlocks, 16, 16, 4);
@@ -449,30 +485,53 @@ TEST(FaultSoak, CrashRestartMidWorkloadStaysByteIdentical) {
     }
   }
 
-  // Same workload with a crash/restart of I/O node 0 between the writes.
-  Clusterfile fs(ClusterConfig{}, physical);
-  auto& client = fs.client(0);
-  client.set_retry_policy(soak_policy());
-  const std::int64_t v0 = client.set_view(views[0], 256);
-  const std::int64_t v1 = client.set_view(views[1], 256);
-  client.write(v0, 0, 63, data_a);
-  fs.crash_server(0);
-  fs.restart_server(0);  // projections lost; storage survives
-  client.write(v1, 0, 63, data_b);  // recovers via kUnknownView re-install
-  Buffer back(64);
-  client.read(v0, 0, 63, back);
-  EXPECT_EQ(back, data_a);
-  client.read(v1, 0, 63, back);
-  EXPECT_EQ(back, data_b);
+  // Same workload with a crash/restart of I/O node 0 between the writes:
+  // on a clean wire, then under the grid's duplicate and storm mixes, where
+  // the restarted server's kUnknownView can itself be duplicated or delayed.
+  const auto run = [&](const FaultPlan* plan) {
+    Clusterfile fs(ClusterConfig{}, physical);
+    if (plan != nullptr) fs.install_faults(*plan);
+    auto& client = fs.client(0);
+    client.set_retry_policy(soak_policy());
+    const std::int64_t v0 = client.set_view(views[0], 256);
+    const std::int64_t v1 = client.set_view(views[1], 256);
+    client.write(v0, 0, 63, data_a);
+    fs.crash_server(0);
+    fs.restart_server(0);  // projections lost; storage survives
+    client.write(v1, 0, 63, data_b);  // recovers via kUnknownView re-install
+    Buffer back(64);
+    client.read(v0, 0, 63, back);
+    EXPECT_EQ(back, data_a);
+    client.read(v1, 0, 63, back);
+    EXPECT_EQ(back, data_b);
 
-  for (std::size_t i = 0; i < fs.subfile_count(); ++i) {
-    const SubfileStorage& st = fs.subfile_storage(i);
-    Buffer img(static_cast<std::size_t>(st.size()));
-    if (!img.empty()) st.read(0, img);
-    EXPECT_EQ(img, reference[i]) << "subfile " << i;
+    for (std::size_t i = 0; i < fs.subfile_count(); ++i) {
+      const SubfileStorage& st = fs.subfile_storage(i);
+      Buffer img(static_cast<std::size_t>(st.size()));
+      if (!img.empty()) st.read(0, img);
+      EXPECT_EQ(img, reference[i]) << "subfile " << i;
+    }
+    EXPECT_GE(client.reliability().view_reinstalls, 1);
+    EXPECT_EQ(client.reliability().failures, 0);
+  };
+  run(nullptr);
+
+  std::vector<std::uint64_t> seeds = {1, 2, 3, 4, 5};
+  if (const char* env = std::getenv("PFM_FAULT_SEED"); env && *env)
+    seeds.push_back(std::strtoull(env, nullptr, 10));
+  for (const std::uint64_t seed : seeds) {
+    for (const SoakMix& mix : kMixes) {
+      if (std::string(mix.name) != "duplicate" &&
+          std::string(mix.name) != "storm")
+        continue;
+      SCOPED_TRACE(std::string("mix=") + mix.name +
+                   " seed=" + std::to_string(seed));
+      FaultPlan plan;
+      plan.seed = seed;
+      plan.rules.push_back(mix.rule);
+      run(&plan);
+    }
   }
-  EXPECT_GE(client.reliability().view_reinstalls, 1);
-  EXPECT_EQ(client.reliability().failures, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -560,6 +619,11 @@ TEST(Replication, ReadFailsOverToBackupWhenPrimaryDies) {
   EXPECT_EQ(w.rel.failures, 0);
   EXPECT_GE(w.rel.degraded, 1);
   EXPECT_GE(w.rel.replica_failures, 1);
+  // Every replica the write gave up on owes its subfile to scrub: node 4
+  // holds subfile 0's primary and subfile 3's backup.
+  std::vector<int> debt = client.take_scrub_debt();
+  std::sort(debt.begin(), debt.end());
+  EXPECT_EQ(debt, (std::vector<int>{0, 3}));
   client.read(vid, 0, 63, back);
   EXPECT_EQ(back, data2);
 }
@@ -598,6 +662,45 @@ TEST(Replication, CrashResyncThenScrubIsClean) {
   Buffer back(64);
   client.read(vid, 0, 63, back);
   EXPECT_EQ(back, data);
+}
+
+// The replicated side of the duplicated-kUnknownView regression. The
+// repeat used to fail a read over to the backup for no reason, and to
+// abandon a write's replica on a live restarted node while the write still
+// returned ok() — the next read then served the bytes from before the write.
+TEST(Replication, DuplicatedUnknownViewLeavesNoReplicaBehind) {
+  Clusterfile fs(replicated_config(),
+                 pattern2d(Partition2D::kRowBlocks, 16, 4));
+  auto& client = fs.client(0);
+  const auto views = partition2d_all(Partition2D::kColumnBlocks, 16, 16, 4);
+  const std::int64_t vid = client.set_view(views[0], 256);
+  const Buffer before = make_pattern_buffer(64, 86);
+  client.write(vid, 0, 63, before);
+  fs.install_faults(duplicate_errors());
+
+  fs.crash_server(0);
+  fs.restart_server(0);  // node 4: primary of subfile 0
+  Buffer back(64);
+  const auto r = client.read(vid, 0, 63, back);
+  EXPECT_EQ(back, before);
+  EXPECT_EQ(r.rel.failovers, 0);
+  EXPECT_EQ(r.rel.degraded, 0);
+
+  fs.crash_server(1);
+  fs.restart_server(1);  // node 5: primary of subfile 1, backup of subfile 0
+  const Buffer data = make_pattern_buffer(64, 87);
+  const auto w = client.write(vid, 0, 63, data);
+  EXPECT_TRUE(w.ok());
+  EXPECT_EQ(w.rel.replica_failures, 0);
+  EXPECT_EQ(w.rel.degraded, 0);
+  EXPECT_TRUE(client.take_scrub_debt().empty());
+
+  fs.install_faults(FaultPlan{});
+  EXPECT_TRUE(client.read(vid, 0, 63, back).ok());
+  EXPECT_EQ(back, data);
+  for (std::size_t i = 0; i < fs.subfile_count(); ++i)
+    EXPECT_EQ(replica_image(fs, i, 0), replica_image(fs, i, 1))
+        << "subfile " << i;
 }
 
 // Replication soak: 1% drop on the wire plus one permanently dead replica
@@ -931,6 +1034,45 @@ TEST(Quorum, RestartResyncsFromTheHighestEpochPeer) {
   const auto t = client.read(vid, 0, 63, back);
   EXPECT_TRUE(t.ok());
   EXPECT_EQ(back, data);
+}
+
+// A repair (or a rebalance) can move a subfile slot off the node a pending
+// straggler is aimed at. The placement refresh at the next access drops
+// that straggler: it is neither completed nor abandoned and leaves its
+// group not quorum-short, because the new holder got its copy from the data
+// mover.
+TEST(Quorum, PlacementRefreshPurgesStragglersOfRemovedHolders) {
+  ClusterConfig cfg = replicated_config();
+  cfg.write_quorum = 1;
+  cfg.self_heal = true;
+  cfg.ring_placement = true;
+  // Only remove_node declares the isolated backup dead: the probes it
+  // misses must not get there first.
+  cfg.heartbeat.suspect_n = 1000;
+  Clusterfile fs(cfg, pattern2d(Partition2D::kRowBlocks, 16, 4));
+  auto& client = fs.client(0);
+  // A row-block view congruent with the physical partition: the write
+  // touches subfile 0 only.
+  const auto views = partition2d_all(Partition2D::kRowBlocks, 16, 16, 4);
+  const std::int64_t vid = client.set_view(views[0], 256);
+  const int backup = fs.replica_nodes(0)[1];
+  fs.faults().isolate(backup);
+  const Buffer data = make_pattern_buffer(64, 104);
+  ASSERT_TRUE(client.write(vid, 0, 63, data).ok());
+  ASSERT_EQ(client.stragglers_pending(), 1u);
+
+  fs.remove_node(static_cast<std::size_t>(backup - fs.compute_nodes()));
+  fs.await_repairs();
+  const std::vector<int> nodes = fs.replica_nodes(0);
+  ASSERT_EQ(std::count(nodes.begin(), nodes.end(), backup), 0);
+
+  Buffer back(64);
+  EXPECT_TRUE(client.read(vid, 0, 63, back).ok());
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(client.stragglers_pending(), 0u);
+  EXPECT_EQ(client.stragglers_completed(), 0);
+  EXPECT_EQ(client.stragglers_abandoned(), 0);
+  EXPECT_EQ(client.reliability().quorum_short, 0);
 }
 
 // Fault-free W<N writes must look exactly like full fan-out once drained:
