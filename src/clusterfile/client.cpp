@@ -125,6 +125,9 @@ std::int64_t ClusterfileClient::set_view(FallsSet falls,
   // set once and amortized over every access, paper table 1).
   PFM_CHECK(view_pattern_size >= 1, "set_view: view pattern size ",
             view_pattern_size, " < 1");
+  // An empty view has no byte to read or write: an access through it would
+  // move nothing yet return ok().
+  if (falls.empty()) throw std::invalid_argument("set_view: empty view");
   validate_falls_set(falls);
   PFM_CHECK(set_extent(falls) <= view_pattern_size,
             "set_view: view FALLS extent ", set_extent(falls),

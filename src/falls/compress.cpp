@@ -53,8 +53,7 @@ bool is_repetition(const FallsSet& set, std::size_t prefix_len,
 
 }  // namespace
 
-FallsSet compress_runs_nested(std::span<const LineSegment> runs) {
-  FallsSet flat = compress_runs(runs);
+FallsSet wrap_repetitions(FallsSet flat) {
   // Try prefix lengths that divide the list size, shortest first, so we find
   // the finest period (maximum number of outer repetitions).
   const std::size_t m = flat.size();
@@ -77,6 +76,10 @@ FallsSet compress_runs_nested(std::span<const LineSegment> runs) {
     return FallsSet{std::move(outer)};
   }
   return flat;
+}
+
+FallsSet compress_runs_nested(std::span<const LineSegment> runs) {
+  return wrap_repetitions(compress_runs(runs));
 }
 
 FallsSet recompress(const FallsSet& set) {

@@ -1,11 +1,12 @@
 // Compression of run lists into compact FALLS sets.
 //
-// The intersection projections (paper section 7) are computed here as streams
-// of maximal runs and then re-compressed into FALLS so that the regularity of
-// array partitions is preserved: a projection of one BLOCK distribution onto
-// another compresses back to a handful of FALLS instead of thousands of line
-// segments, which is what keeps view-setting cost (t_i in Table 1) small and
-// size-independent.
+// A run list compresses back into FALLS so that the regularity of array
+// partitions is preserved: a list of one BLOCK distribution's runs becomes a
+// handful of FALLS instead of thousands of line segments. PROJ (paper
+// section 7) uses it only as its exact fallback, for intersections its
+// structural walk cannot map; that walk, not run compression, keeps
+// view-setting cost (t_i in Table 1) size-independent. wrap_repetitions is
+// also the last rule of the walk's canonical form.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +22,13 @@ namespace pfm {
 /// disjoint and non-adjacent (i.e. maximal). O(runs).
 FallsSet compress_runs(std::span<const LineSegment> runs);
 
-/// Two-level compression: first compress_runs, then detect whether the flat
-/// FALLS list is k >= 2 repetitions of its prefix shifted by a constant
-/// period, and if so wrap the prefix into an outer FALLS. Applied repeatedly
-/// this recovers nested structure of multidimensional partitions.
+/// When the member list is k >= 2 repetitions of its prefix shifted by a
+/// constant period, wraps the prefix into one outer FALLS; otherwise returns
+/// the list unchanged. Members are compared structurally, inner sets included.
+FallsSet wrap_repetitions(FallsSet members);
+
+/// Two-level compression: compress_runs, then wrap_repetitions. Applied
+/// repeatedly this recovers nested structure of multidimensional partitions.
 FallsSet compress_runs_nested(std::span<const LineSegment> runs);
 
 /// Re-compresses an arbitrary FALLS set by enumerating its runs. The result

@@ -165,9 +165,38 @@ std::vector<std::int64_t> set_bytes(const FallsSet& set) {
   return out;
 }
 
+namespace {
+
+/// Appends the runs of f's blocks, offset by base, to out, coalescing a run
+/// that touches the previous one; clears `ordered` on a run that starts
+/// before the previous one (members whose spans interleave).
+void append_runs(const Falls& f, std::int64_t base, std::vector<LineSegment>& out,
+                 bool& ordered) {
+  for (std::int64_t k = 0; k < f.n; ++k) {
+    const std::int64_t b = base + f.l + k * f.s;
+    if (!f.leaf()) {
+      for (const Falls& g : f.inner) append_runs(g, b, out, ordered);
+      continue;
+    }
+    const LineSegment seg{b, b + f.block_len() - 1};
+    if (out.empty() || seg.l > out.back().r + 1) {
+      out.push_back(seg);
+    } else if (seg.l >= out.back().l) {
+      out.back().r = std::max(out.back().r, seg.r);
+    } else {
+      ordered = false;
+      out.push_back(seg);
+    }
+  }
+}
+
+}  // namespace
+
 std::vector<LineSegment> set_runs(const FallsSet& set) {
   std::vector<LineSegment> out;
-  for_each_run(set, [&](std::int64_t a, std::int64_t b) { out.push_back({a, b}); });
+  bool ordered = true;
+  for (const Falls& f : set) append_runs(f, 0, out, ordered);
+  if (ordered) return out;
   std::sort(out.begin(), out.end(),
             [](const LineSegment& x, const LineSegment& y) { return x.l < y.l; });
   // Coalesce runs that touch (distinct set members may produce adjacent runs).

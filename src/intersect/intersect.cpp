@@ -10,6 +10,19 @@
 
 namespace pfm {
 
+namespace {
+
+/// True when f is one block whose bytes are all members: a leaf, or a
+/// leaf padded by equalize_height with trivial inner FALLS. O(depth).
+bool dense_block(const Falls& f) {
+  if (f.n != 1) return false;
+  if (f.leaf()) return true;
+  return f.inner.size() == 1 && f.inner[0].l == 0 &&
+         f.inner[0].r == f.r - f.l && dense_block(f.inner[0]);
+}
+
+}  // namespace
+
 FallsSet intersect_aux(const FallsSet& s1, std::int64_t a1, std::int64_t b1,
                        const FallsSet& s2, std::int64_t a2, std::int64_t b2) {
   if (b1 - a1 != b2 - a2)
@@ -21,27 +34,19 @@ FallsSet intersect_aux(const FallsSet& s1, std::int64_t a1, std::int64_t b1,
       const FallsSet cuts2 = cut_falls(f2, a2, b2);
       for (const Falls& g1 : cuts1) {
         for (const Falls& g2 : cuts2) {
-          // Leaf fast path: intersecting with one dense block is CUT-FALLS
-          // (paper section 7 uses CUT for exactly this). This keeps the
-          // result compact — a cut yields at most three FALLS where the
-          // segment-pair enumeration of INTERSECT-FALLS yields one per
-          // segment. Only valid at the leaves: deeper recursion relies on
-          // result strides being common multiples of both parents'.
-          if (g1.leaf() && g2.leaf()) {
-            const Falls* block = nullptr;
-            const Falls* other = nullptr;
-            if (g1.n == 1) {
-              block = &g1;
-              other = &g2;
-            } else if (g2.n == 1) {
-              block = &g2;
-              other = &g1;
-            }
-            if (block != nullptr) {
-              for (const Falls& piece : cut_falls(*other, block->l, block->r))
-                out.push_back(shift_falls(piece, block->l));
-              continue;
-            }
+          // Dense-block shortcut: intersecting with one block whose bytes
+          // are all members is CUT-FALLS of the other side at that block
+          // (paper section 7 uses CUT for exactly this), inner sets kept.
+          // The cut yields at most three FALLS where the segment-pair
+          // enumeration of INTERSECT-FALLS yields one member per block of
+          // the other side inside the common stride: one per matrix row
+          // for a row-block view against a square-block subfile.
+          const Falls* block = dense_block(g1) ? &g1 : dense_block(g2) ? &g2 : nullptr;
+          if (block != nullptr) {
+            const Falls& other = block == &g1 ? g2 : g1;
+            for (const Falls& piece : cut_falls(other, block->l, block->r))
+              out.push_back(shift_falls(piece, block->l));
+            continue;
           }
           for (const Falls& h : intersect_falls(g1, g2)) {
             if (g1.leaf() && g2.leaf()) {
@@ -67,10 +72,6 @@ FallsSet intersect_aux(const FallsSet& s1, std::int64_t a1, std::int64_t b1,
   return out;
 }
 
-namespace {
-
-/// PREPROCESS for one element: rotate to the aligned origin and extend over
-/// the common period.
 FallsSet preprocess(const PatternElement& e, std::int64_t origin,
                     std::int64_t common_period) {
   const std::int64_t shift = mod_floor(origin - e.displacement, e.pattern_size);
@@ -79,8 +80,6 @@ FallsSet preprocess(const PatternElement& e, std::int64_t origin,
   if (reps == 1) return aligned;
   return FallsSet{wrap_outer(std::move(aligned), e.pattern_size, reps)};
 }
-
-}  // namespace
 
 Intersection intersect_nested(const PatternElement& e1, const PatternElement& e2) {
   if (e1.pattern_size < 1 || e2.pattern_size < 1)

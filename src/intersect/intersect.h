@@ -37,6 +37,12 @@ struct Intersection {
   bool empty() const { return falls.empty(); }
 };
 
+/// PREPROCESS for one element: its set rotated to start at `origin` and
+/// extended over `common_period` (a multiple of its pattern size), in the
+/// index space INTERSECT and PROJ work in.
+FallsSet preprocess(const PatternElement& e, std::int64_t origin,
+                    std::int64_t common_period);
+
 /// INTERSECT with PREPROCESS. Throws std::invalid_argument on invalid
 /// inputs (pattern sizes < 1, element extent exceeding its pattern size).
 Intersection intersect_nested(const PatternElement& e1, const PatternElement& e2);

@@ -1,6 +1,6 @@
 #include "intersect/project.h"
 
-#include <stdexcept>
+#include <algorithm>
 #include <vector>
 
 #include "falls/compress.h"
@@ -11,65 +11,237 @@ namespace pfm {
 
 namespace {
 
-/// First/last member byte of a nested FALLS in O(depth) (inner sets are
-/// sorted, so front/back bound the members).
-std::int64_t first_member(const Falls& f) {
-  return f.leaf() ? f.l : f.l + first_member(f.inner.front());
-}
-std::int64_t last_member(const Falls& f) {
-  const std::int64_t base = f.l + (f.n - 1) * f.s;
-  return f.leaf() ? base + f.block_len() - 1 : base + last_member(f.inner.back());
-}
-
-/// Structural fast path: tries to project one top-level FALLS of the
-/// intersection without enumerating its runs. Two safe cases:
-///  (a) the element has no gaps across the FALLS's whole span (checked via
-///      MAP(last) - MAP(first) == last - first) — MAP is a plain shift
-///      there, so the FALLS keeps its structure, nesting included;
-///  (b) a flat FALLS whose stride is a whole number of element periods and
-///      whose first block maps contiguously — every repetition advances by
-///      a fixed number of element bytes, one strided family.
-/// Returns false when neither applies (caller falls back to runs).
-bool project_structural(const Falls& f, const ElementRef& ref,
-                        std::int64_t origin, FallsSet& out) {
-  const std::int64_t fb = first_member(f);
-  const std::int64_t lb = last_member(f);
-  const std::int64_t a_first = map_to_element(ref, origin + fb);
-  const std::int64_t a_last = map_to_element(ref, origin + lb);
-  if (a_last - a_first == lb - fb) {
-    // Case (a): dense over [fb, lb] — pure shift.
-    const std::int64_t delta = a_first - fb;
-    if (f.l + delta < 0) return false;
-    out.push_back(shift_falls(f, delta));
-    return true;
+/// The structural PROJ: appends to `out` the image, under rank in `elem`,
+/// of every member of `xs`, whose indices are relative to position `off` of
+/// `elem`'s index space; every image index is lowered by `base`. Each
+/// member f maps through the element member g whose span holds f's first
+/// block: f's blocks must fit inside g's blocks at one fixed offset u (a
+/// stride that is a multiple of g's, or any stride inside one dense block
+/// of g), so the image is one FALLS of g's members per block, and f's inner
+/// set maps by the same walk against g's inner set. Returns false when a
+/// member does not fit that shape, or a level of `elem` interleaves its
+/// members (ranks are then not a running sum); the caller then falls back
+/// to the run path. Cost: O(members of xs x depth x members per level).
+bool walk(const FallsSet& xs, std::int64_t off, const FallsSet& elem,
+          std::int64_t base, FallsSet& out) {
+  for (std::size_t i = 1; i < elem.size(); ++i)
+    if (elem[i].l < falls_extent(elem[i - 1])) return false;
+  out.reserve(out.size() + xs.size());
+  std::size_t gi = 0;
+  std::int64_t before = 0;  // members of elem below elem[gi].l
+  std::int64_t per = -1;    // members per block of elem[gi], once needed
+  for (const Falls& f : xs) {
+    const std::int64_t pos = off + f.l;
+    while (gi < elem.size() && falls_extent(elem[gi]) <= pos) {
+      before += falls_size(elem[gi++]);
+      per = -1;
+    }
+    if (gi == elem.size() || pos < elem[gi].l) return false;
+    const Falls& g = elem[gi];
+    const std::int64_t k0 = g.n == 1 ? 0 : (pos - g.l) / g.s;
+    const std::int64_t u = pos - g.l - k0 * g.s;
+    const std::int64_t flen = f.block_len();
+    if (k0 >= g.n || u + flen > g.block_len()) return false;
+    if (per < 0) per = g.leaf() ? g.block_len() : set_size(g.inner);
+    const bool dense = per == g.block_len();  // rank inside a block = offset
+    std::int64_t step = flen;                 // image stride
+    if (f.n > 1) {
+      if (dense && u + falls_extent(f) - f.l <= g.block_len()) {
+        step = f.s;  // all of f inside one dense block: a plain shift
+      } else {
+        if (f.s % g.s != 0) return false;
+        const std::int64_t m = f.s / g.s;
+        if (k0 + (f.n - 1) * m >= g.n) return false;
+        step = m * per;
+      }
+    }
+    const std::int64_t ru = dense ? u : set_rank(g.inner, u);
+    const std::int64_t blen = dense ? flen : set_rank(g.inner, u + flen) - ru;
+    if (f.leaf() && blen != flen) return false;  // f is not inside the element
+    Falls img;
+    img.l = before + k0 * per + ru - base;
+    img.r = img.l + blen - 1;
+    img.s = f.n > 1 ? step : blen;
+    img.n = f.n;
+    if (!f.leaf()) {
+      if (dense)
+        img.inner = f.inner;
+      else if (!walk(f.inner, u, g.inner, ru, img.inner))
+        return false;
+    }
+    out.push_back(std::move(img));
   }
-  if (!f.leaf()) return false;
-  // The per-repetition advance in element space is constant when the
-  // element's tiled byte set is invariant under a shift dividing f's
-  // stride. Two sound sub-cases:
-  //  (b) f.s is a whole number of pattern periods (any element shape);
-  //  (c) the element is one flat family whose blocks seamlessly tile the
-  //      pattern (n0*s0 == T), making its byte set s0-periodic, and f.s is
-  //      a multiple of s0 — the BLOCK/CYCLIC(b) shapes of HPF layouts.
-  std::int64_t bytes_per_shift = -1;
-  if (f.s % ref.pattern_size == 0) {
-    bytes_per_shift = (f.s / ref.pattern_size) * ref.element_period();
-  } else if (ref.falls->size() == 1 && (*ref.falls)[0].leaf()) {
-    const Falls& a = (*ref.falls)[0];
-    if (a.n * a.s == ref.pattern_size && f.s % a.s == 0)
-      bytes_per_shift = (f.s / a.s) * a.block_len();
-  }
-  if (bytes_per_shift < 0) return false;
-  const std::int64_t b0 = map_to_element(ref, origin + f.r);
-  if (b0 - a_first + 1 != f.block_len()) return false;  // block not contiguous
-  out.push_back(make_falls(a_first, a_first + f.block_len() - 1,
-                           f.n > 1 ? bytes_per_shift : f.block_len(), f.n));
   return true;
 }
 
-}  // namespace
+/// Same block length and inner set: the members differ only in position.
+bool same_shape(const Falls& a, const Falls& b) {
+  return a.block_len() == b.block_len() && a.inner == b.inner;
+}
 
-namespace {
+/// The canonical rules on one member (not a single nested block) whose
+/// inner set is already canonical.
+void simplify(Falls& f) {
+  if (f.inner.size() == 1) {
+    Falls g = std::move(f.inner.front());
+    if (g.n == 1) {
+      // A block holding one member (a dense segment, say) is that member.
+      f = Falls{f.l + g.l, f.l + g.r, f.s, f.n, std::move(g.inner)};
+    } else if (f.s == g.n * g.s) {
+      // An inner family that tiles the outer stride is flattened.
+      f = Falls{f.l + g.l, f.l + g.r, g.s, g.n * f.n, std::move(g.inner)};
+    } else {
+      f.inner.front() = std::move(g);
+    }
+  }
+  if (f.leaf()) {
+    // Abutting leaf blocks are one block.
+    if (f.s == f.block_len()) {
+      f.r = f.l + f.n * f.s - 1;
+      f.n = 1;
+    }
+  } else {
+    // A nested block spans exactly its inner set.
+    const std::int64_t lo = f.inner.front().l;
+    const std::int64_t hi = set_extent(f.inner);
+    if (lo > 0) f.inner = shift_set(f.inner, -lo);
+    f.l += lo;
+    f.r = f.l + hi - lo - 1;
+  }
+  if (f.n == 1) f.s = f.block_len();
+}
+
+/// Joins leaf families whose blocks abut (same count and stride), so that
+/// progressions form over maximal runs. `set` is sorted by l.
+FallsSet join_abutting(FallsSet set) {
+  FallsSet out;
+  for (Falls& q : set) {
+    if (!out.empty()) {
+      Falls& p = out.back();
+      if (p.leaf() && q.leaf() && p.n == q.n && q.l == p.r + 1 &&
+          (p.n == 1 || (q.s == p.s && q.r - p.l < p.s))) {
+        p.r = q.r;
+        simplify(p);
+        continue;
+      }
+    }
+    out.push_back(std::move(q));
+  }
+  return out;
+}
+
+/// The number of members from set[i] on that are one family repeated at a
+/// constant offset d inside its stride (same shape, stride and count, d
+/// apart, all inside one stride); 1 when set[i + 1] does not continue it.
+std::size_t parallel_run(const FallsSet& set, std::size_t i, std::int64_t& d) {
+  const Falls& f = set[i];
+  if (f.n < 2 || i + 1 == set.size()) return 1;
+  d = set[i + 1].l - f.l;
+  if (d < f.block_len()) return 1;
+  std::size_t k = 1;
+  while (i + k < set.size()) {
+    const Falls& g = set[i + k];
+    const auto kk = static_cast<std::int64_t>(k);
+    if (g.l != f.l + kk * d || g.s != f.s || g.n != f.n || !same_shape(f, g) ||
+        kk * d + f.block_len() > f.s)
+      break;
+    ++k;
+  }
+  return k;
+}
+
+/// Joins families into progressions: parallel families (parallel_run) into
+/// one family with an inner family, and a member that continues its
+/// predecessor's progression into it. `set` is sorted by l.
+FallsSet join_progressions(FallsSet set) {
+  FallsSet out;
+  for (std::size_t i = 0; i < set.size();) {
+    std::int64_t d = 0;
+    const std::size_t k = parallel_run(set, i, d);
+    Falls q = std::move(set[i]);
+    i += k;
+    if (k > 1) {
+      const auto kk = static_cast<std::int64_t>(k);
+      Falls g{0, q.block_len() - 1, d, kk, std::move(q.inner)};
+      simplify(g);
+      q.r = q.l + (kk - 1) * d + q.block_len() - 1;
+      q.inner = {std::move(g)};
+      simplify(q);
+    }
+    if (!out.empty() && same_shape(out.back(), q)) {
+      Falls& p = out.back();
+      const std::int64_t gap = q.l - p.l;
+      if (p.n == 1 && (q.n == 1 || q.s == gap) && gap >= p.block_len()) {
+        p.s = gap;
+        p.n += q.n;
+        simplify(p);
+        continue;
+      }
+      if (p.n > 1 && q.l == p.l + p.n * p.s && (q.n == 1 || q.s == p.s)) {
+        p.n += q.n;
+        simplify(p);
+        continue;
+      }
+    }
+    out.push_back(std::move(q));
+  }
+  return out;
+}
+
+/// Rewrites a walked projection, bottom-up, into the compact form run
+/// compression gives the same bytes (DESIGN.md, "Set-view algebra"): a
+/// single nested block is replaced by its members, every other member is
+/// simplified, families are joined, leaf families that still interleave are
+/// recompressed from their runs, and a member list that repeats a prefix at
+/// a constant period is wrapped.
+void canonicalize(FallsSet& set) {
+  if (set.size() == 1 && (set[0].n > 1 || set[0].leaf())) {
+    canonicalize(set[0].inner);
+    simplify(set[0]);
+    return;
+  }
+  if (set.empty()) return;
+  FallsSet flat;
+  flat.reserve(set.size());
+  for (Falls& f : set) {
+    canonicalize(f.inner);
+    if (f.n == 1 && !f.leaf()) {
+      for (Falls& g : f.inner) {
+        g.l += f.l;
+        g.r += f.l;
+        flat.push_back(std::move(g));
+      }
+      continue;
+    }
+    simplify(f);
+    flat.push_back(std::move(f));
+  }
+  const auto by_l = [](const Falls& x, const Falls& y) { return x.l < y.l; };
+  if (!std::is_sorted(flat.begin(), flat.end(), by_l))
+    std::sort(flat.begin(), flat.end(), by_l);
+  flat = join_progressions(join_abutting(std::move(flat)));
+  // Leaf families whose spans still interleave (progressions INTERSECT-FALLS
+  // split by stride, joined by none of the rules above) denote one run
+  // list: compress it as the run path does. None of the r, c, b and
+  // (block-)cyclic 2-D layouts reach this; irregular sets do.
+  bool leaves = true;
+  bool interleave = false;
+  for (std::size_t i = 0; i < flat.size(); ++i) {
+    leaves = leaves && flat[i].leaf();
+    if (i > 0 && flat[i].l < falls_extent(flat[i - 1])) interleave = true;
+  }
+  if (leaves && interleave) flat = compress_runs(set_runs(flat));
+  set = wrap_repetitions(std::move(flat));
+}
+
+/// True when every level of the tree has strictly increasing left indices.
+bool strictly_sorted(const FallsSet& set) {
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    if (i > 0 && set[i].l <= set[i - 1].l) return false;
+    if (!strictly_sorted(set[i].inner)) return false;
+  }
+  return true;
+}
 
 /// Post-conditions common to both projection paths (paper section 7): the
 /// projection is a valid index set of exactly the intersection's size — the
@@ -99,48 +271,29 @@ Projection project(const Intersection& x, const PatternElement& e) {
   out.period = set_size(e.falls) * (x.period / e.pattern_size);
   if (x.falls.empty()) return out;
 
-  const ElementRef ref{&e.falls, e.displacement, e.pattern_size};
-
-  // Attempt the structural projection for every member; any failure falls
-  // back to exact run enumeration for the whole set (mixing both could
-  // break the sorted-disjoint invariant cheaply maintained below).
-  {
-    FallsSet structural;
-    bool ok = true;
-    for (const Falls& f : x.falls) {
-      if (!project_structural(f, ref, x.origin, structural)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      std::sort(structural.begin(), structural.end(),
-                [](const Falls& p, const Falls& q) { return p.l < q.l; });
-      // The images are byte-disjoint (MAP is injective), but members with
-      // interleaved *spans* would violate the FallsSet invariant, and the
-      // shifted form's span slack (trailing non-member indices inside
-      // blocks) can poke past the projection period; fall back to exact
-      // runs in either rare case rather than emit an invalid set.
-      std::int64_t prev_end = 0;
-      for (const Falls& g : structural) {
-        if (g.l < prev_end) {
-          ok = false;
-          break;
-        }
-        prev_end = falls_extent(g);
-      }
-      if (ok && prev_end > out.period) ok = false;
-      if (ok) {
-        out.falls = std::move(structural);
+  // Structural path: the element, aligned like PREPROCESS aligns it, gives
+  // rank in [origin, origin + period); c0 adds its members in
+  // [displacement, origin). Distinct images can still share a left index
+  // (a block may start on a non-member byte); fall back then.
+  if (x.origin >= e.displacement) {
+    const std::int64_t shift = x.origin - e.displacement;
+    const std::int64_t c0 = shift / e.pattern_size * set_size(e.falls) +
+                            set_rank(e.falls, shift % e.pattern_size);
+    FallsSet walked;
+    if (walk(x.falls, 0, preprocess(e, x.origin, x.period), -c0, walked)) {
+      canonicalize(walked);
+      if (strictly_sorted(walked)) {
+        out.falls = std::move(walked);
         dcheck_projection(out, x, e);
         return out;
       }
     }
   }
 
-  // A maximal contiguous run of the intersection lies wholly inside the
-  // element's byte set, and MAP is order-preserving on that set, so each run
-  // maps to one contiguous run of element offsets.
+  // Exact fallback: a maximal contiguous run of the intersection lies wholly
+  // inside the element's byte set, and MAP is order-preserving on that set,
+  // so each run maps to one contiguous run of element offsets.
+  const ElementRef ref{&e.falls, e.displacement, e.pattern_size};
   std::vector<LineSegment> mapped;
   for (const LineSegment& run : set_runs(x.falls)) {
     const std::int64_t lo = map_to_element(ref, x.origin + run.l);

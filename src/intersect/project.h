@@ -24,8 +24,10 @@ struct Projection {
 };
 
 /// Projects intersection X onto element e (which must be one of the two
-/// elements X was computed from; every byte of X must belong to e).
-/// The result is compressed back into nested FALLS to preserve regularity.
+/// elements X was computed from; every byte of X must belong to e). Each
+/// member of X maps through e's own FALLS tree, in time proportional to
+/// members x depth, into a compact canonical form; intersections that do
+/// not fit e's block structure take an exact per-run fallback.
 Projection project(const Intersection& x, const PatternElement& e);
 
 /// Number of bytes one period of the projection covers in element space

@@ -9,6 +9,7 @@
 #include "falls/serialize.h"
 #include "layout/partitions2d.h"
 #include "tests/test_util.h"
+#include "util/check.h"
 
 namespace pfm {
 namespace {
@@ -106,6 +107,12 @@ TEST(Failure, ClientRejectsBadArguments) {
   EXPECT_THROW(client.write(vid, -8, 55, wide), std::invalid_argument);
   EXPECT_THROW(client.read(vid, -64, -1, wide), std::invalid_argument);
   EXPECT_THROW(client.read(vid, -8, 55, wide), std::invalid_argument);
+  // Views: empty, no pattern, a member past the pattern, overlapping members.
+  EXPECT_THROW(client.set_view(FallsSet{}, 16), std::invalid_argument);
+  EXPECT_THROW(client.set_view(views[0], 0), ContractViolation);
+  EXPECT_THROW(client.set_view({make_falls(0, 15, 16, 2)}, 16), ContractViolation);
+  EXPECT_THROW(client.set_view({make_falls(0, 7, 8, 1), make_falls(4, 11, 8, 1)}, 64),
+               std::invalid_argument);
 }
 
 TEST(Failure, ViewOnEmptyIntersectionWritesNothing) {

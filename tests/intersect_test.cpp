@@ -178,28 +178,50 @@ TEST(IntersectNested, PropertyMatchesTiledOracle) {
 }
 
 // Projection property: PROJ_e maps the intersection onto exactly the ranks
-// the element's MAP assigns to the common bytes, for both elements.
+// the element's MAP assigns to the common bytes, for both elements, over
+// displacements, nesting heights and pattern sizes whose common period often
+// spans several pattern periods of either element.
 TEST(Project, PropertyMatchesMapOracle) {
   Rng rng(1618);
-  for (int it = 0; it < 80; ++it) {
-    const FallsSet s1 = pfm::testing::random_falls_set(rng, 50, 2, 2);
-    const FallsSet s2 = pfm::testing::random_falls_set(rng, 50, 2, 2);
-    const std::int64_t t1 = set_extent(s1) + rng.uniform(0, 4);
-    const std::int64_t t2 = set_extent(s2) + rng.uniform(0, 4);
-    PatternElement e1{s1, t1, 0};
-    PatternElement e2{s2, t2, 0};
+  int checked = 0;
+  for (int it = 0; it < 600; ++it) {
+    const int h1 = static_cast<int>(rng.uniform(1, 3));
+    const int h2 = static_cast<int>(rng.uniform(1, 3));
+    const FallsSet s1 = pfm::testing::random_falls_set(rng, 50, h1, 3);
+    const FallsSet s2 = pfm::testing::random_falls_set(rng, 50, h2, 3);
+    const PatternElement e1{s1, set_extent(s1) + rng.uniform(0, 6), rng.uniform(0, 9)};
+    const PatternElement e2{s2, set_extent(s2) + rng.uniform(0, 6), rng.uniform(0, 9)};
     const Intersection x = intersect_nested(e1, e2);
     if (x.falls.empty()) continue;
-
-    const ElementRef r1{&s1, 0, t1};
-    const Projection p1 = project(x, e1);
-    std::set<std::int64_t> expected;
-    for (std::int64_t b : byte_set(x.falls))
-      expected.insert(map_to_element(r1, x.origin + b));
-    EXPECT_EQ(byte_set(p1.falls), expected)
-        << to_string(s1) << " ∩ " << to_string(s2);
-    EXPECT_EQ(projection_size(p1), set_size(x.falls));
+    for (const PatternElement* e : {&e1, &e2}) {
+      const ElementRef ref{&e->falls, e->displacement, e->pattern_size};
+      const Projection p = project(x, *e);
+      EXPECT_NO_THROW(validate_falls_set(p.falls)) << to_string(p.falls);
+      std::set<std::int64_t> expected;
+      for (std::int64_t b : byte_set(x.falls))
+        expected.insert(map_to_element(ref, x.origin + b));
+      EXPECT_EQ(byte_set(p.falls), expected)
+          << to_string(s1) << " T1=" << e1.pattern_size << " d1=" << e1.displacement
+          << " ∩ " << to_string(s2) << " T2=" << e2.pattern_size
+          << " d2=" << e2.displacement << " onto element " << (e == &e1 ? 1 : 2)
+          << ": got " << to_string(p.falls);
+      EXPECT_EQ(projection_size(p), set_size(x.falls));
+      ++checked;
+    }
   }
+  EXPECT_GT(checked, 400);
+}
+
+// A member whose block spans several element blocks has no image of the
+// element's block shape, so PROJ takes the exact run path for it.
+TEST(Project, MemberSpanningElementBlocksTakesRunPath) {
+  const PatternElement e{{make_falls(0, 1, 4, 2)}, 8, 0};  // bytes 0,1,4,5
+  Intersection x;
+  x.falls = {make_nested(0, 5, 6, 1, {make_falls(0, 1, 4, 2)})};
+  x.period = 8;
+  const Projection p = project(x, e);
+  EXPECT_EQ(p.falls, (FallsSet{make_falls(0, 3, 4, 1)})) << to_string(p.falls);
+  EXPECT_EQ(p.period, 4);
 }
 
 TEST(IntersectAux, WindowLengthMismatchThrows) {

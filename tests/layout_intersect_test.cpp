@@ -6,11 +6,13 @@
 
 #include <set>
 
+#include "falls/compress.h"
 #include "falls/print.h"
 #include "file_model/file.h"
 #include "intersect/intersect.h"
 #include "intersect/project.h"
 #include "layout/array_layout.h"
+#include "layout/partitions2d.h"
 #include "redist/execute.h"
 #include "tests/test_util.h"
 
@@ -69,6 +71,42 @@ TEST_P(LayoutIntersect, FullRedistributionIsByteExact) {
   redistribute(from, to, src, dst, bytes);
   for (std::size_t k = 0; k < expected.size(); ++k)
     ASSERT_TRUE(equal_bytes(dst[k], expected[k])) << c.name << " element " << k;
+}
+
+/// FALLS node counts of V∩S, PROJ_V and PROJ_S for every element of the
+/// evaluation's views (row blocks x2, column and square blocks x4,
+/// block-cyclic(N/16) on a 2x2 grid) against every subfile of the r, c and
+/// b layouts x4, on an N x N byte matrix.
+std::vector<std::int64_t> view_set_node_counts(std::int64_t n) {
+  const ArrayDesc a{{n, n}, 1};
+  const std::vector<Dist> cyclic = {Dist::block_cyclic(n / 16), Dist::block_cyclic(n / 16)};
+  std::vector<FallsSet> views = partition2d_all(Partition2D::kRowBlocks, n, n, 2);
+  for (const Partition2D p : {Partition2D::kColumnBlocks, Partition2D::kSquareBlocks})
+    for (FallsSet& v : partition2d_all(p, n, n, 4)) views.push_back(std::move(v));
+  for (FallsSet& v : layout_all(a, cyclic, GridDesc{{2, 2}})) views.push_back(std::move(v));
+  std::vector<std::int64_t> out;
+  for (const FallsSet& view : views) {
+    for (const Partition2D p : {Partition2D::kRowBlocks, Partition2D::kColumnBlocks,
+                                Partition2D::kSquareBlocks}) {
+      for (const FallsSet& sub : partition2d_all(p, n, n, 4)) {
+        const PatternElement v{view, n * n, 0};
+        const PatternElement s{sub, n * n, 0};
+        const Intersection x = intersect_nested(v, s);
+        out.push_back(node_count(x.falls));
+        if (x.empty()) continue;
+        out.push_back(node_count(project(x, v).falls));
+        out.push_back(node_count(project(x, s).falls));
+      }
+    }
+  }
+  return out;
+}
+
+// Paper section 8.2 finds the view-setting time t_i roughly independent of
+// the matrix size; that holds when INTERSECT and PROJ work per FALLS member
+// rather than per matrix row, so no result may grow with N.
+TEST(LayoutIntersectScaling, NodeCountsDoNotGrowWithMatrixSize) {
+  EXPECT_EQ(view_set_node_counts(256), view_set_node_counts(4096));
 }
 
 INSTANTIATE_TEST_SUITE_P(
