@@ -12,7 +12,6 @@
 #include "mapping/compose.h"
 #include "util/arith.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace pfm {
@@ -160,45 +159,33 @@ std::int64_t ClusterfileClient::set_view(FallsSet falls,
   std::vector<TxReq> to_send;
   std::vector<std::size_t> req_target;  // request index -> target index
   {
-    // t_i: intersections and projections only (paper table 1). Each
-    // subfile's V∩S is independent of every other's, so the loop fans out
-    // over the shared pool; the serial merge below restores ascending
-    // subfile order for deterministic target/message ordering.
+    // t_i: intersections and projections only (paper table 1).
     Timer t;
-    struct Slot {
-      bool used = false;
-      SubTarget target;
-    };
-    std::vector<Slot> slots(count);
-    ThreadPool::shared().parallel_for(count, [&](std::size_t j) {
+    for (std::size_t j = 0; j < count; ++j) {
       const Intersection x = intersect_nested(view_elem, phys.pattern_element(j));
-      if (x.empty()) return;
+      if (x.empty()) continue;
       const Projection pv = project(x, view_elem);
       const Projection ps = project(x, phys.pattern_element(j));
-      Slot& s = slots[j];
-      s.target.subfile = j;
-      s.target.io_node = meta_.io_nodes[j];
-      s.target.replicas = meta_.replicas[j];
-      s.target.proj_v = IndexSet(pv.falls, pv.period);
-      s.target.sub_period_bytes = state.replay_period > 0 ? sub_period[j] : 0;
-      s.target.proj_meta = serialize(ps.falls);
-      s.target.proj_period = ps.period;
-      s.used = true;
-    });
-    for (Slot& s : slots) {
-      if (!s.used) continue;
+      SubTarget target;
+      target.subfile = j;
+      target.io_node = meta_.io_nodes[j];
+      target.replicas = meta_.replicas[j];
+      target.proj_v = IndexSet(pv.falls, pv.period);
+      target.sub_period_bytes = state.replay_period > 0 ? sub_period[j] : 0;
+      target.proj_meta = serialize(ps.falls);
+      target.proj_period = ps.period;
       // The view install fans out to every replica of the subfile, so a
       // backup can serve reads and absorb writes without a re-install.
       const std::size_t group = state.targets.size();
-      for (const int node : s.target.replicas) {
+      for (const int node : target.replicas) {
         TxReq req;
-        req.msg = view_install(s.target, new_view_id);
+        req.msg = view_install(target, new_view_id);
         req.msg.dst_node = node;
         req.group = group;
         to_send.push_back(std::move(req));
         req_target.push_back(group);
       }
-      state.targets.push_back(std::move(s.target));
+      state.targets.push_back(std::move(target));
     }
     t_i_us_ = t.elapsed_us();
   }

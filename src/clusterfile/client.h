@@ -2,8 +2,7 @@
 // fragment and figure 5).
 //
 // set_view computes, for every subfile, the intersection V∩S and its two
-// projections (the t_i phase of Table 1) — in parallel over the subfiles,
-// since each intersection is independent — keeps PROJ_V^{V∩S} locally and
+// projections (the t_i phase of Table 1), keeps PROJ_V^{V∩S} locally and
 // ships PROJ_S^{V∩S} to the subfile's I/O server.
 //
 // read/write go through the access-plan layer (DESIGN.md): one

@@ -2,33 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "clusterfile/journal.h"
 #include "clusterfile/recover.h"
-#include "util/arith.h"
 #include "util/check.h"
 #include "util/log.h"
 #include "util/timer.h"
 
 namespace pfm {
-
-namespace {
-
-std::int64_t env_i64(const char* name, std::int64_t fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  try {
-    const std::int64_t n = parse_i64(v);
-    if (n < 1 || n > 1'000'000'000) return fallback;
-    return n;
-  } catch (const std::invalid_argument&) {
-    return fallback;
-  }
-}
-
-}  // namespace
 
 Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
     : config_(config) {
@@ -44,25 +26,12 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
     throw std::invalid_argument(
         "Clusterfile: self_heal needs replication > 1 (a lone copy has no "
         "surviving source to repair from)");
-  // Elastic-membership knobs: environment defaults resolved once so every
-  // later decision sees one consistent value.
   if (config_.max_io_nodes == 0) config_.max_io_nodes = config_.io_nodes;
   if (config_.max_io_nodes < config_.io_nodes)
     throw std::invalid_argument(
         "Clusterfile: max_io_nodes must be >= io_nodes");
-  if (config_.ring_vnodes == 0)
-    config_.ring_vnodes = static_cast<int>(env_i64("PFM_RING_VNODES", 64));
-  if (config_.ring_vnodes < 1)
-    throw std::invalid_argument("Clusterfile: ring_vnodes must be >= 1");
-  if (config_.rebalance_chunk == 0)
-    config_.rebalance_chunk = env_i64("PFM_REBALANCE_CHUNK", 256 * 1024);
   if (config_.rebalance_chunk < 1)
     throw std::invalid_argument("Clusterfile: rebalance_chunk must be >= 1");
-  if (config_.drain_timeout_ms == 0)
-    config_.drain_timeout_ms =
-        static_cast<int>(env_i64("PFM_DRAIN_TIMEOUT_MS", 30'000));
-  if (config_.drain_timeout_ms < 1)
-    throw std::invalid_argument("Clusterfile: drain_timeout_ms must be >= 1");
   if (!config_.storage_faults) config_.storage_faults = storage_fault_plan_from_env();
   // Integrity checking turns on automatically exactly when something can
   // damage stored bytes (replication implies scrub, faults imply damage);
@@ -106,10 +75,6 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
                        IoNodeState::kSpare);
     for (int i = 0; i < config_.io_nodes; ++i)
       node_state_[static_cast<std::size_t>(i)] = IoNodeState::kActive;
-    PlacementRing::Options ropts;
-    ropts.vnodes = config_.ring_vnodes;
-    if (config_.ring_seed != 0) ropts.seed = config_.ring_seed;
-    ring_ = PlacementRing(ropts);
     for (int i = 0; i < config_.io_nodes; ++i)
       ring_.add_node(config_.compute_nodes + i);
   }
@@ -164,8 +129,7 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
     FileRecord rec;
     {
       MutexLock lock(meta_mu_);
-      const RecoveryInfo info = meta_store_.open_durable(
-          config_.metadata_dir, config_.checkpoint_interval);
+      const RecoveryInfo info = meta_store_.open_durable(config_.metadata_dir);
       mount_report_.manifest_loaded = info.manifest_loaded;
       mount_report_.journal_records = info.journal_records;
       mount_report_.journal_torn_tail = info.journal_torn_tail;
@@ -568,33 +532,11 @@ ScrubReport Clusterfile::scrub() {
   const std::int64_t block =
       integrity_block_ > 0 ? integrity_block_ : IntegrityStorage::kDefaultBlock;
   for (std::size_t i = 0; i < subfile_count(); ++i) {
-    // Live replicas of subfile i, with their epochs; crashed nodes keep
-    // their disks but are not scrubbed (they re-sync on restart).
-    struct Rep {
-      SubfileStorage* st = nullptr;
-      std::int64_t epoch = 0;
-    };
-    std::vector<Rep> reps;
-    for (const int node : placement_->replicas_of(i)) {
-      const std::size_t idx =
-          static_cast<std::size_t>(node - config_.compute_nodes);
-      if (is_crashed(idx) || !servers_[idx]) continue;
-      IoServer& srv = *servers_[idx];
-      reps.push_back(
-          {&srv.storage_mut(static_cast<int>(i)), srv.subfile_epoch(static_cast<int>(i))});
-    }
+    // Crashed nodes are not scrubbed (they re-sync on restart).
+    const std::vector<LiveReplica> reps = live_replicas(i);
     if (reps.empty()) continue;
     std::int64_t max_size = 0;
-    for (const Rep& r : reps) max_size = std::max(max_size, r.st->size());
-    // Authority preference: highest epoch first (saw the most writes), ties
-    // to the lowest replica index. A corrupt block on the preferred replica
-    // fails its CRC-verified read and authority falls to the next one.
-    std::vector<std::size_t> order(reps.size());
-    for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return reps[a].epoch > reps[b].epoch;
-                     });
+    for (const LiveReplica& r : reps) max_size = std::max(max_size, r.st->size());
     for (std::int64_t lo = 0; lo < max_size; lo += block) {
       const std::int64_t len = std::min(block, max_size - lo);
       ++rep.blocks_checked;
@@ -614,12 +556,11 @@ ScrubReport Clusterfile::scrub() {
           ++rep.unreadable_blocks;
         }
       }
-      std::size_t auth = reps.size();
-      for (const std::size_t k : order)
-        if (data[k]) {
-          auth = k;
-          break;
-        }
+      // Authority: the first readable replica in epoch order. A corrupt
+      // block on the preferred replica fails its CRC-verified read and
+      // authority falls to the next one.
+      std::size_t auth = 0;
+      while (auth < reps.size() && !data[auth]) ++auth;
       if (auth == reps.size()) {
         // Nothing readable to repair from.
         rep.unrepaired_blocks += static_cast<std::int64_t>(reps.size());
@@ -644,6 +585,24 @@ ScrubReport Clusterfile::scrub() {
     }
   }
   return rep;
+}
+
+std::vector<Clusterfile::LiveReplica> Clusterfile::live_replicas(
+    std::size_t subfile) {
+  std::vector<LiveReplica> reps;
+  for (const int node : placement_->replicas_of(subfile)) {
+    const std::size_t idx =
+        static_cast<std::size_t>(node - config_.compute_nodes);
+    if (is_crashed(idx) || !servers_[idx]) continue;
+    IoServer& srv = *servers_[idx];
+    const int sub = static_cast<int>(subfile);
+    reps.push_back({&srv.storage_mut(sub), srv.subfile_epoch(sub)});
+  }
+  std::stable_sort(reps.begin(), reps.end(),
+                   [](const LiveReplica& a, const LiveReplica& b) {
+                     return a.epoch > b.epoch;
+                   });
+  return reps;
 }
 
 void Clusterfile::disarm_storage_faults() {
@@ -940,9 +899,7 @@ void Clusterfile::decommission_node(std::size_t io_index) {
     ring_.remove_node(node);
   }
   ring_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(config_.drain_timeout_ms);
+  const auto deadline = std::chrono::steady_clock::now() + kDrainTimeout;
   while (true) {
     // Each round re-plans from *current* placement, so a migration that
     // failed last round (crashed source, exhausted budget) is retried with
@@ -1130,12 +1087,14 @@ RedistStats Clusterfile::relayout(PartitioningPattern new_physical,
     throw std::invalid_argument("Clusterfile::relayout: displacement changed");
   PFM_CHECK(file_size >= 0, "relayout: negative file size ", file_size);
 
-  // Let in-flight repairs and migrations land, then adopt the published
-  // placement as the new baseline: the relayouted copies go wherever
-  // repair/rebalance moved them. The PlacementDirectory itself is never
-  // replaced (the detector callback and copy workers read the pointer
-  // concurrently); its table already says exactly what meta_ is being
-  // synced to.
+  // Settle every quorum straggler (start_clients below replaces the clients
+  // that track them) and let in-flight repairs and migrations land, then
+  // adopt the published placement as the new baseline: the relayouted
+  // copies go wherever repair/rebalance moved them. The PlacementDirectory
+  // itself is never replaced (the detector callback and copy workers read
+  // the pointer concurrently); its table already says exactly what meta_
+  // is being synced to.
+  drain_stragglers();
   if (mover_) mover_->await_idle();
   {
     const std::vector<std::vector<int>> snap = placement_->snapshot();
@@ -1145,11 +1104,18 @@ RedistStats Clusterfile::relayout(PartitioningPattern new_physical,
     }
   }
 
-  // Collect current subfile contents (unwritten tails read as zeros).
+  // Collect current subfile contents (unwritten tails read as zeros) from
+  // each subfile's authority: under W-of-N writes the primary may be the
+  // copy that missed an acknowledged write. Every new copy is rebuilt from
+  // this one image, which also settles any scrub debt the drain left.
   std::vector<Buffer> src(old.element_count());
   for (std::size_t i = 0; i < src.size(); ++i) {
     src[i].resize(static_cast<std::size_t>(old.element_bytes(i, file_size)));
-    const SubfileStorage& st = subfile_storage(i);
+    const std::vector<LiveReplica> reps = live_replicas(i);
+    if (reps.empty())
+      throw std::runtime_error("Clusterfile::relayout: subfile " +
+                               std::to_string(i) + " has no live replica");
+    const SubfileStorage& st = *reps.front().st;
     const std::int64_t have =
         std::min<std::int64_t>(st.size(), static_cast<std::int64_t>(src[i].size()));
     if (have > 0)

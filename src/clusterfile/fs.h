@@ -7,6 +7,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -79,27 +80,16 @@ struct ClusterConfig {
   /// decommission_node — elastic moves need a placement that is a pure
   /// function of the membership.
   bool ring_placement = false;
-  /// Virtual ring points per unit of node weight. 0 = the PFM_RING_VNODES
-  /// environment knob, or the PlacementRing default (64).
-  int ring_vnodes = 0;
-  /// Ring hash seed; 0 keeps the PlacementRing default. Placements are a
-  /// pure function of (seed, membership, weights), so a pinned seed makes
-  /// every rebalance plan reproducible.
-  std::uint64_t ring_seed = 0;
   /// Provisioned I/O-node capacity: network endpoints exist for this many
   /// I/O slots so add_io_node can activate spares at runtime (the
   /// in-process Network is fixed-size at construction, as a rack is).
   /// 0 = io_nodes (no headroom). Must be >= io_nodes.
   int max_io_nodes = 0;
   /// Byte limit per background copy pull (repair, migration, restart
-  /// re-sync, mount reconcile). 0 = the PFM_REBALANCE_CHUNK environment
-  /// knob, or 256 KiB. Chunking bounds how long one pull occupies the
-  /// source's loop thread, keeping foreground latency flat while a copy
+  /// re-sync, mount reconcile). Chunking bounds how long one pull occupies
+  /// the source's loop thread, keeping foreground latency flat while a copy
   /// runs, and makes copies resumable.
-  std::int64_t rebalance_chunk = 0;
-  /// Deadline for decommission_node's drain, in milliseconds. 0 = the
-  /// PFM_DRAIN_TIMEOUT_MS environment knob, or 30000.
-  int drain_timeout_ms = 0;
+  std::int64_t rebalance_chunk = 256 * 1024;
   /// Crash-consistent metadata (DESIGN.md "Durability & recovery"): a
   /// directory holding the checkpoint manifest plus the mutation journal.
   /// Non-empty = durable mount: construction replays checkpoint+journal,
@@ -108,9 +98,6 @@ struct ClusterConfig {
   /// mutation thereafter is journaled with fsync-before-apply. Empty
   /// (default) = ephemeral metadata, exactly as before.
   std::filesystem::path metadata_dir{};
-  /// Journal records between automatic checkpoints on the durable path.
-  /// 0 = the PFM_CHECKPOINT_INTERVAL environment knob, or 32.
-  int checkpoint_interval = 0;
 };
 
 /// What restart_server's re-sync pulled from the surviving replicas.
@@ -272,9 +259,10 @@ class Clusterfile {
   /// is off, the node retires: unmonitored, server stopped. A node that
   /// dies mid-drain is handed to the self-heal repair path instead
   /// (re-replication from the surviving replicas). Bounded by
-  /// drain_timeout_ms; throws std::runtime_error when the drain misses the
+  /// kDrainTimeout; throws std::runtime_error when the drain misses the
   /// deadline, leaving the node draining (call again or remove_node).
   void decommission_node(std::size_t io_index);
+  static constexpr std::chrono::seconds kDrainTimeout{30};
 
   /// Crash-style removal: the node leaves the ring, is crashed, and is
   /// declared dead to the detector in one step — data recovery is
@@ -330,7 +318,8 @@ class Clusterfile {
   /// layout to a certain access pattern"). Re-partitions the first
   /// `file_size` bytes of the file from the current physical pattern to
   /// `new_physical` (same element count), replaces the subfile storage and
-  /// restarts the I/O servers and clients.
+  /// restarts the I/O servers and clients. Quorum stragglers are drained
+  /// first, and each subfile is read from its highest-epoch live replica.
   ///
   /// Must be called with no operation in flight. Views set before the
   /// relayout are invalidated, and client references obtained earlier are
@@ -357,6 +346,15 @@ class Clusterfile {
   std::unique_ptr<SubfileStorage> replica_stack(int subfile, int slot,
                                                 int node,
                                                 bool preserve = false) const;
+  /// One copy of a subfile on a live server, with its write epoch.
+  struct LiveReplica {
+    SubfileStorage* st = nullptr;
+    std::int64_t epoch = 0;
+  };
+  /// The copies of `subfile` on live servers (a crashed node keeps its disk
+  /// but is skipped), highest write epoch first, ties in placement order:
+  /// the authority order of scrub and relayout.
+  std::vector<LiveReplica> live_replicas(std::size_t subfile);
   /// Outcome of one copy_replica call.
   struct CopyOutcome {
     bool ok = false;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -650,14 +649,9 @@ RecoveryInfo MetadataManager::recover_from(const std::filesystem::path& dir) {
 
 RecoveryInfo MetadataManager::open_durable(const std::filesystem::path& dir,
                                            int checkpoint_interval) {
+  PFM_CHECK(checkpoint_interval >= 1, "open_durable: checkpoint interval ",
+            checkpoint_interval, " < 1");
   std::filesystem::create_directories(dir);
-  if (checkpoint_interval <= 0) {
-    checkpoint_interval = 32;
-    if (const char* v = std::getenv("PFM_CHECKPOINT_INTERVAL"); v && *v) {
-      const std::int64_t n = std::strtoll(v, nullptr, 10);
-      if (n >= 1 && n <= INT32_MAX) checkpoint_interval = static_cast<int>(n);
-    }
-  }
   const RecoveryInfo info = recover_from(dir);
   // Attach: the Journal constructor re-scans the file, resumes the CRC
   // chain after the last valid record, and cuts off the torn tail recovery

@@ -140,12 +140,12 @@ class MetadataManager {
 
   /// recover_from + attach: subsequent mutations are journaled to
   /// `dir/metadata.journal` with fsync-before-apply, and every
-  /// `checkpoint_interval` records (0 = PFM_CHECKPOINT_INTERVAL or 32) the
-  /// state is checkpointed into `dir/manifest.pfm` and the journal
-  /// truncated. A torn journal tail found during recovery is cut off so
-  /// new appends continue the valid CRC chain.
+  /// `checkpoint_interval` (>= 1) records the state is checkpointed into
+  /// `dir/manifest.pfm` and the journal truncated. A torn journal tail
+  /// found during recovery is cut off so new appends continue the valid
+  /// CRC chain.
   RecoveryInfo open_durable(const std::filesystem::path& dir,
-                            int checkpoint_interval = 0);
+                            int checkpoint_interval = 32);
 
   bool durable() const { return journal_ != nullptr; }
   /// Folds the current state into the checkpoint manifest and truncates

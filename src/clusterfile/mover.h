@@ -131,9 +131,6 @@ struct MoveCounters {
 
 /// Executes copy tasks on a fixed pool of kWorkers threads. The queue owns
 /// no cluster state: execution is injected, so it can be unit tested.
-/// Deliberately not the shared ThreadPool — that pool runs set_view's
-/// caller-participating parallel_for, and a multi-second copy must not hold
-/// its workers.
 class MoveQueue {
  public:
   /// Concurrent copies at most: bounds background traffic so foreground

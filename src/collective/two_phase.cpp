@@ -1,10 +1,7 @@
 #include "collective/two_phase.h"
 
-#include <algorithm>
-#include <functional>
 #include <stdexcept>
 
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace pfm {
@@ -23,43 +20,28 @@ void check_inputs(const Clusterfile& fs, const PartitioningPattern& logical,
     throw std::invalid_argument("collective I/O: displacement mismatch");
 }
 
-/// Runs fn(i) for every element index with a non-empty buffer, fanned out
-/// over the compute nodes: indices are grouped by the client that serves
-/// them (i mod compute_nodes) and the groups run in parallel on the shared
-/// pool — a client is single-threaded, but distinct clients are independent,
-/// exactly like the paper's per-node phases. Returns summed request/byte
-/// counts from fn.
-struct IoCounts {
-  std::int64_t requests = 0;
-  std::int64_t bytes = 0;
-  ReliabilityCounters rel;
-};
-template <typename Fn>
-IoCounts for_each_element_by_client(
-    Clusterfile& fs, std::size_t element_count,
-    const std::function<bool(std::size_t)>& skip, const Fn& fn) {
-  const std::size_t clients =
-      static_cast<std::size_t>(std::max(1, fs.compute_nodes()));
-  std::vector<std::vector<std::size_t>> by_client(clients);
-  for (std::size_t i = 0; i < element_count; ++i)
-    if (!skip(i)) by_client[i % clients].push_back(i);
-  std::vector<IoCounts> acc(clients);
-  ThreadPool::shared().parallel_for(clients, [&](std::size_t c) {
-    for (const std::size_t i : by_client[c]) {
-      const IoCounts one = fn(static_cast<int>(c), i);
-      acc[c].requests += one.requests;
-      acc[c].bytes += one.bytes;
-      acc[c].rel += one.rel;
-    }
-  });
-  IoCounts total;
-  for (const IoCounts& a : acc) {
-    total.requests += a.requests;
-    total.bytes += a.bytes;
-    total.rel += a.rel;
+/// One access per element k of `pattern` whose buffer is non-empty: compute
+/// node k mod compute_nodes sets a view equal to element k, and
+/// `access(client, view id, k)` writes or reads buffer k through it. The
+/// requests, bytes and reliability outcome add up in `out`.
+template <typename Access>
+void access_by_element(Clusterfile& fs, const PartitioningPattern& pattern,
+                       const std::vector<Buffer>& bufs, CollectiveStats& out,
+                       const Access& access) {
+  for (std::size_t k = 0; k < bufs.size(); ++k) {
+    if (bufs[k].empty()) continue;
+    ClusterfileClient& client =
+        fs.client(static_cast<int>(k) % fs.compute_nodes());
+    const std::int64_t vid = client.set_view(pattern.element(k), pattern.size());
+    const ClusterfileClient::AccessTimings a = access(client, vid, k);
+    out.requests += a.messages;
+    out.bytes += a.bytes;
+    out.rel += a.rel;
   }
-  return total;
 }
+
+/// The last view offset of buffer b.
+std::int64_t last_offset(const Buffer& b) { return static_cast<std::int64_t>(b.size()) - 1; }
 
 }  // namespace
 
@@ -80,22 +62,13 @@ CollectiveStats collective_write(Clusterfile& fs,
   }
 
   // Phase 2: every aggregator writes its piece through a view identical to
-  // its subfile — the optimal-overlap case, one contiguous request each —
-  // with the aggregators running concurrently, one task per client.
+  // its subfile — the optimal-overlap case, one contiguous request each.
   {
     Timer t;
-    const IoCounts io = for_each_element_by_client(
-        fs, phys.element_count(), [&](std::size_t i) { return agg[i].empty(); },
-        [&](int c, std::size_t i) {
-          auto& client = fs.client(c);
-          const std::int64_t vid = client.set_view(phys.element(i), phys.size());
-          const auto w = client.write(
-              vid, 0, static_cast<std::int64_t>(agg[i].size()) - 1, agg[i]);
-          return IoCounts{w.messages, w.bytes, w.rel};
-        });
-    out.requests += io.requests;
-    out.bytes += io.bytes;
-    out.rel += io.rel;
+    access_by_element(fs, phys, agg, out,
+                      [&](ClusterfileClient& c, std::int64_t vid, std::size_t i) {
+                        return c.write(vid, 0, last_offset(agg[i]), agg[i]);
+                      });
     out.io_us = t.elapsed_us();
   }
   return out;
@@ -108,16 +81,10 @@ CollectiveStats independent_write(Clusterfile& fs,
   check_inputs(fs, logical, view_data, file_size);
   CollectiveStats out;
   Timer t;
-  for (std::size_t k = 0; k < logical.element_count(); ++k) {
-    if (view_data[k].empty()) continue;
-    auto& client = fs.client(static_cast<int>(k) % fs.compute_nodes());
-    const std::int64_t vid = client.set_view(logical.element(k), logical.size());
-    const auto w = client.write(
-        vid, 0, static_cast<std::int64_t>(view_data[k].size()) - 1, view_data[k]);
-    out.requests += w.messages;
-    out.bytes += w.bytes;
-    out.rel += w.rel;
-  }
+  access_by_element(fs, logical, view_data, out,
+                    [&](ClusterfileClient& c, std::int64_t vid, std::size_t k) {
+                      return c.write(vid, 0, last_offset(view_data[k]), view_data[k]);
+                    });
   out.io_us = t.elapsed_us();
   return out;
 }
@@ -129,25 +96,16 @@ CollectiveStats collective_read(Clusterfile& fs,
   const PartitioningPattern& phys = fs.physical();
   CollectiveStats out;
 
-  // Phase 1: aggregators read conforming pieces (contiguous fast path),
-  // concurrently — one task per client, as in the write direction.
+  // Phase 1: aggregators read conforming pieces (contiguous fast path).
   std::vector<Buffer> agg(phys.element_count());
   {
     Timer t;
     for (std::size_t i = 0; i < phys.element_count(); ++i)
       agg[i].resize(static_cast<std::size_t>(phys.element_bytes(i, file_size)));
-    const IoCounts io = for_each_element_by_client(
-        fs, phys.element_count(), [&](std::size_t i) { return agg[i].empty(); },
-        [&](int c, std::size_t i) {
-          auto& client = fs.client(c);
-          const std::int64_t vid = client.set_view(phys.element(i), phys.size());
-          const auto r = client.read(
-              vid, 0, static_cast<std::int64_t>(agg[i].size()) - 1, agg[i]);
-          return IoCounts{r.messages, r.bytes, r.rel};
-        });
-    out.requests += io.requests;
-    out.bytes += io.bytes;
-    out.rel += io.rel;
+    access_by_element(fs, phys, agg, out,
+                      [&](ClusterfileClient& c, std::int64_t vid, std::size_t i) {
+                        return c.read(vid, 0, last_offset(agg[i]), agg[i]);
+                      });
     out.io_us = t.elapsed_us();
   }
 

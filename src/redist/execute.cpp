@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace pfm {
 
@@ -31,26 +30,16 @@ RedistStats execute_redist(const RedistPlan& plan, const PartitioningPattern& fr
   RedistStats stats;
   if (file_size <= plan.origin) return stats;
 
-  // The transfers are independent: sources are disjoint element byte sets,
-  // so two transfers into the same destination element touch disjoint byte
-  // ranges. Fan the exchange loop over the shared pool (the paper's nodes
-  // exchange pairwise in parallel), one wire buffer per transfer, and
-  // reduce the per-transfer stats serially afterwards.
-  struct PerTransfer {
-    std::int64_t bytes = 0;
-    std::int64_t messages = 0;
-    std::int64_t runs = 0;
-  };
-  std::vector<PerTransfer> acc(plan.transfers.size());
-  ThreadPool::shared().parallel_for(plan.transfers.size(), [&](std::size_t ti) {
-    const Transfer& t = plan.transfers[ti];
+  // One wire buffer per transfer: the gather/scatter hand-off the paper's
+  // nodes perform pairwise.
+  for (const Transfer& t : plan.transfers) {
     // Element-space limits corresponding to file bytes [origin, file_size):
     // MAP is monotone, so they are plain byte counts.
     const std::int64_t src_limit = from.element_bytes(t.src_elem, file_size);
     const std::int64_t dst_limit = to.element_bytes(t.dst_elem, file_size);
-    if (src_limit == 0 || dst_limit == 0) return;
+    if (src_limit == 0 || dst_limit == 0) continue;
     const std::int64_t n = t.src_idx.count_in(0, src_limit - 1);
-    if (n == 0) return;
+    if (n == 0) continue;
     Buffer wire(static_cast<std::size_t>(n));
     const std::int64_t gathered =
         gather(wire, src[t.src_elem], 0, src_limit - 1, t.src_idx);
@@ -60,17 +49,11 @@ RedistStats execute_redist(const RedistPlan& plan, const PartitioningPattern& fr
               "execute_redist: transfer ", t.src_elem, "->", t.dst_elem,
               " gathered ", gathered, " and scattered ", scattered,
               " of ", n, " bytes");
-    acc[ti].bytes = n;
-    acc[ti].messages = 1;
-    std::int64_t runs = 0;
-    t.src_idx.for_each_run_in(0, src_limit - 1, [&](std::int64_t, std::int64_t) { ++runs; });
-    t.dst_idx.for_each_run_in(0, dst_limit - 1, [&](std::int64_t, std::int64_t) { ++runs; });
-    acc[ti].runs = runs;
-  });
-  for (const PerTransfer& pt : acc) {
-    stats.bytes_moved += pt.bytes;
-    stats.messages += pt.messages;
-    stats.copy_runs += pt.runs;
+    stats.bytes_moved += n;
+    ++stats.messages;
+    const auto count_run = [&](std::int64_t, std::int64_t) { ++stats.copy_runs; };
+    t.src_idx.for_each_run_in(0, src_limit - 1, count_run);
+    t.dst_idx.for_each_run_in(0, dst_limit - 1, count_run);
   }
   return stats;
 }

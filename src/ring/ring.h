@@ -34,7 +34,7 @@ class PlacementRing {
   struct Options {
     /// Virtual points per unit of weight. More vnodes → smoother arcs and
     /// closer-to-proportional ownership, at O(members * vnodes) rebuild
-    /// cost. PFM_RING_VNODES overrides the Clusterfile default.
+    /// cost.
     int vnodes = 64;
     /// Seed mixed into every point and key hash; placements are a pure
     /// function of (seed, membership, weights).

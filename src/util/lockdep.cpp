@@ -34,8 +34,7 @@ struct Graph {
 };
 
 // Intentionally leaked: static-destruction order is unknowable relative to
-// static pfm::Mutex owners (ThreadPool::shared()), whose teardown still
-// calls the hooks.
+// any static pfm::Mutex owner, whose teardown still calls the hooks.
 Graph& graph() {
   static Graph* g = new Graph;
   return *g;
@@ -52,8 +51,8 @@ struct ThreadState {
 
 /// Trivially destructible, so it outlives the ThreadState TLS slot. A
 /// thread's TLS destructors can run before the last pfm::Mutex use on that
-/// thread — on the main thread, atexit-destroyed statics such as
-/// ThreadPool::shared() still lock and unlock during shutdown — and the
+/// thread — on the main thread, an atexit-destroyed static that owns a
+/// pfm::Mutex still locks and unlocks during shutdown — and the
 /// hooks must then degrade to no-ops instead of touching freed storage
 /// (the same teardown-order reason graph() is leaked).
 thread_local bool t_state_dead = false;
@@ -190,7 +189,7 @@ void check_no_locks_held(const char* what) {
   PFM_CHECK(ts->held.empty(), "lockdep: ", what,
             " would block while this thread holds pfm::Mutex(es): ",
             stack_string(ts->held),
-            " — blocking channel/pool waits must run lock-free");
+            " — blocking channel waits must run lock-free");
 }
 
 std::size_t held_count() {

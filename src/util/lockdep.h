@@ -14,7 +14,7 @@
 //      stack snapshotted when the reverse path was first recorded.
 //
 // Blocking primitives that must never be entered with a lock held
-// (Channel::send/receive/receive_for, ThreadPool::parallel_for) call
+// (Channel::send/receive/receive_for) call
 // PFM_LOCKDEP_ASSERT_UNLOCKED at entry: blocking on a channel while holding
 // a pfm::Mutex stalls every thread that needs that lock for an unbounded
 // time and is a deadlock when the lock-holder is what drains the channel

@@ -53,10 +53,12 @@ class PFM_CAPABILITY("mutex") Mutex {
   }
 
   void unlock() PFM_RELEASE() {
-    mu_.unlock();
+    // Release the lockdep record first: once mu_ is free, a thread waiting
+    // to destroy the owner (Channel::~Channel) may free this object.
 #if PFM_LOCKDEP_ON
     lockdep::note_release(class_);
 #endif
+    mu_.unlock();
   }
 
   bool try_lock() PFM_TRY_ACQUIRE(true) {

@@ -278,6 +278,10 @@ TEST(Clusterfile, RelayoutValidation) {
   EXPECT_THROW(
       fs.relayout(PartitioningPattern({elems.begin(), elems.end()}, 2), 64),
       std::invalid_argument);
+  // A single copy on a crashed node leaves nothing live to rebuild from.
+  fs.crash_server(1);
+  EXPECT_THROW(fs.relayout(pattern2d(Partition2D::kColumnBlocks, 8, 4), 64),
+               std::runtime_error);
 }
 
 TEST(Clusterfile, MultipleSubfilesPerIoNode) {

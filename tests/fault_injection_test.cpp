@@ -1036,6 +1036,43 @@ TEST(Quorum, RestartResyncsFromTheHighestEpochPeer) {
   EXPECT_EQ(back, data);
 }
 
+// The same authority rule holds for a relayout, which rebuilds every
+// subfile from its current bytes: under W-of-N writes the primary can be
+// the replica that missed an acknowledged write, so the relayout must read
+// the highest-epoch live replica. Otherwise the new layout is built from
+// the primary's pre-write bytes.
+TEST(Quorum, RelayoutReadsTheHighestEpochReplica) {
+  ClusterConfig cfg = replicated_config();
+  cfg.write_quorum = 1;
+  Clusterfile fs(cfg, pattern2d(Partition2D::kRowBlocks, 16, 4));
+  auto& client = fs.client(0);
+  client.set_retry_policy(fast_policy());
+  // A row-block view congruent with the physical partition: the writes
+  // touch subfile 0 only, whose replicas live on nodes 4 and 5.
+  const auto rows = partition2d_all(Partition2D::kRowBlocks, 16, 16, 4);
+  const std::int64_t vid = client.set_view(rows[0], 256);
+  client.write(vid, 0, 63, make_pattern_buffer(64, 105));
+  client.drain_stragglers();
+  ASSERT_EQ(fs.replica_nodes(0), (std::vector<int>{4, 5}));
+
+  fs.faults().isolate(4);  // the primary misses the next write
+  const Buffer data = make_pattern_buffer(64, 106);
+  ASSERT_TRUE(client.write(vid, 0, 63, data).ok());
+  client.drain_stragglers();
+  ASSERT_EQ(client.stragglers_abandoned(), 1);
+  Buffer back(64);
+  ASSERT_TRUE(client.read(vid, 0, 63, back).ok());  // fails over to node 5
+  ASSERT_EQ(back, data);
+  fs.faults().restore(4);
+
+  fs.relayout(pattern2d(Partition2D::kColumnBlocks, 16, 4), 256);
+  auto& relaid = fs.client(0);
+  const std::int64_t rvid = relaid.set_view(rows[0], 256);
+  Buffer after(64);
+  ASSERT_TRUE(relaid.read(rvid, 0, 63, after).ok());
+  EXPECT_EQ(after, data);
+}
+
 // A repair (or a rebalance) can move a subfile slot off the node a pending
 // straggler is aimed at. The placement refresh at the next access drops
 // that straggler: it is neither completed nor abandoned and leaves its
@@ -1370,7 +1407,6 @@ ClusterConfig rebalance_config(int spares = 1) {
   // Small chunks: every subfile migration takes several pulls, so crash and
   // drop windows genuinely interleave with the bulk copy.
   cfg.rebalance_chunk = 16;
-  cfg.drain_timeout_ms = 30000;
   cfg.repair_retry = soak_policy();
   return cfg;
 }

@@ -20,7 +20,6 @@
 #include "util/lockdep.h"
 #include "util/lru.h"
 #include "util/mutex.h"
-#include "util/thread_pool.h"
 
 namespace pfm {
 namespace {
@@ -115,13 +114,6 @@ TEST_F(LockdepTest, BlockingChannelOpUnderLockIsRejected) {
   }
   // Without the lock the same op is fine.
   EXPECT_NO_THROW(ch.send(Message{}));
-}
-
-TEST_F(LockdepTest, ParallelForUnderLockIsRejected) {
-  Mutex mu("test::held_over_pool");
-  ThreadPool& pool = ThreadPool::shared();
-  MutexLock lock(mu);
-  EXPECT_THROW(pool.parallel_for(8, [](std::size_t) {}), ContractViolation);
 }
 
 TEST_F(LockdepTest, AccessCanaryCatchesConcurrentEntry) {

@@ -42,6 +42,21 @@ TEST(Redist, RowToColumnBlocks) {
                pattern2d(Partition2D::kColumnBlocks, 16, 4), 256, 1);
 }
 
+TEST(Redist, RowToColumnStatsCountMessagesAndRuns) {
+  // Every row block shares one 4x4 tile with every column block: 16
+  // transfers of 16 bytes. A tile is 4 runs of 4 bytes in its row block
+  // (one per matrix row) and one 16-byte run in its column block.
+  const PartitioningPattern from = pattern2d(Partition2D::kRowBlocks, 16, 4);
+  const PartitioningPattern to = pattern2d(Partition2D::kColumnBlocks, 16, 4);
+  const Buffer image = make_pattern_buffer(256, 9);
+  std::vector<Buffer> dst;
+  const RedistStats stats =
+      redistribute(from, to, ParallelFile(from, 256).split(image), dst, 256);
+  EXPECT_EQ(stats.bytes_moved, 256);
+  EXPECT_EQ(stats.messages, 16);
+  EXPECT_EQ(stats.copy_runs, 16 * (4 + 1));
+}
+
 TEST(Redist, ColumnToSquareBlocks) {
   check_redist(pattern2d(Partition2D::kColumnBlocks, 16, 4),
                pattern2d(Partition2D::kSquareBlocks, 16, 4), 256, 2);
