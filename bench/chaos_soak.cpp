@@ -261,27 +261,6 @@ CellResult run_cell(const char* name, bool chaos, int iterations,
   return res;
 }
 
-Json counters_json(const ReliabilityCounters& r) {
-  Json j = Json::object();
-  j.set("retries", Json::integer(r.retries));
-  j.set("timeouts", Json::integer(r.timeouts));
-  j.set("stale_replies", Json::integer(r.stale_replies));
-  j.set("corruptions_detected", Json::integer(r.corruptions_detected));
-  j.set("view_reinstalls", Json::integer(r.view_reinstalls));
-  j.set("duplicates_suppressed", Json::integer(r.duplicates_suppressed));
-  j.set("failures", Json::integer(r.failures));
-  j.set("errors_sent", Json::integer(r.errors_sent));
-  j.set("failovers", Json::integer(r.failovers));
-  j.set("degraded", Json::integer(r.degraded));
-  j.set("replica_failures", Json::integer(r.replica_failures));
-  j.set("quorum_short", Json::integer(r.quorum_short));
-  j.set("repairs_started", Json::integer(r.repairs_started));
-  j.set("repairs_completed", Json::integer(r.repairs_completed));
-  j.set("repairs_failed", Json::integer(r.repairs_failed));
-  j.set("bytes_re_replicated", Json::integer(r.bytes_re_replicated));
-  return j;
-}
-
 }  // namespace
 
 int main() {

@@ -251,21 +251,6 @@ CellResult run_cell(const char* name, bool faults, int change, int foreground,
   return res;
 }
 
-Json counters_json(const ReliabilityCounters& r) {
-  Json j = Json::object();
-  j.set("retries", Json::integer(r.retries));
-  j.set("timeouts", Json::integer(r.timeouts));
-  j.set("view_reinstalls", Json::integer(r.view_reinstalls));
-  j.set("failures", Json::integer(r.failures));
-  j.set("failovers", Json::integer(r.failovers));
-  j.set("degraded", Json::integer(r.degraded));
-  j.set("quorum_short", Json::integer(r.quorum_short));
-  j.set("repairs_started", Json::integer(r.repairs_started));
-  j.set("repairs_completed", Json::integer(r.repairs_completed));
-  j.set("repairs_failed", Json::integer(r.repairs_failed));
-  return j;
-}
-
 }  // namespace
 
 int main() {

@@ -12,7 +12,6 @@ namespace pfm {
 
 const char* to_string(MsgKind k) {
   switch (k) {
-    case MsgKind::kSetView: return "SET_VIEW";
     case MsgKind::kWrite: return "WRITE";
     case MsgKind::kRead: return "READ";
     case MsgKind::kReadReply: return "READ_REPLY";
@@ -30,7 +29,6 @@ const char* to_string(MsgKind k) {
 const char* to_string(ErrCode e) {
   switch (e) {
     case ErrCode::kNone: return "NONE";
-    case ErrCode::kUnknownView: return "UNKNOWN_VIEW";
     case ErrCode::kUnknownSubfile: return "UNKNOWN_SUBFILE";
     case ErrCode::kBadChecksum: return "BAD_CHECKSUM";
     case ErrCode::kMalformed: return "MALFORMED";
@@ -103,7 +101,7 @@ Buffer encode_message(const Message& m) {
   put_le<std::int32_t>(out, m.src_node);
   put_le<std::int32_t>(out, m.dst_node);
   put_le<std::int32_t>(out, m.subfile);
-  put_le<std::int64_t>(out, m.view_id);
+  put_le<std::int64_t>(out, m.resume);
   put_le<std::int64_t>(out, m.v);
   put_le<std::int64_t>(out, m.w);
   put_le<std::uint64_t>(out, m.req_id);
@@ -148,7 +146,7 @@ Message decode_message(std::span<const std::byte> wire) {
   m.src_node = get_le<std::int32_t>(wire, 8);
   m.dst_node = get_le<std::int32_t>(wire, 12);
   m.subfile = get_le<std::int32_t>(wire, 16);
-  m.view_id = get_le<std::int64_t>(wire, 20);
+  m.resume = get_le<std::int64_t>(wire, 20);
   m.v = get_le<std::int64_t>(wire, 28);
   m.w = get_le<std::int64_t>(wire, 36);
   m.req_id = get_le<std::uint64_t>(wire, 44);

@@ -21,21 +21,20 @@
 namespace pfm {
 
 enum class MsgKind : std::uint8_t {
-  kSetView,      ///< client -> server: install PROJ_S^{V∩S} for a view
   kWrite,        ///< client -> server: write [vS, wS] of the subfile
   kRead,         ///< client -> server: read [vS, wS] of the subfile
   kReadReply,    ///< server -> client: data for a read
-  kAck,          ///< server -> client: write/view acknowledgment
+  kAck,          ///< server -> client: write acknowledgment
   kError,        ///< server -> client: request failed; meta holds the reason
   kShutdown,     ///< stop the server loop (immune to fault injection)
   kSyncRequest,  ///< server -> server: restarted or migrating replica asks a
                  ///< peer for the write ranges it missed; v carries the
                  ///< requester's epoch, w a chunk byte limit (0: unlimited),
-                 ///< view_id a full-transfer resume offset
+                 ///< resume a full-transfer offset
   kSyncReply,    ///< server -> server: missed ranges (meta "off:len;..." +
                  ///< concatenated payload); v carries the peer's — possibly
                  ///< partial — epoch, w a mode code (delta/full x
-                 ///< complete/partial), view_id the next resume offset when
+                 ///< complete/partial), resume the next offset when
                  ///< a full transfer was chunk-limited
   kPing,         ///< detector -> server: liveness probe; v carries a probe
                  ///< sequence number the pong echoes
@@ -45,15 +44,15 @@ enum class MsgKind : std::uint8_t {
 const char* to_string(MsgKind k);
 
 /// Structured reason on a kError reply: the client's reliable request layer
-/// dispatches on the code (re-install the view, resend the request, or give
-/// up) instead of parsing the human-readable meta string.
+/// dispatches on the code (resend the request, fail over, or give up)
+/// instead of parsing the human-readable meta string.
 enum class ErrCode : std::uint8_t {
   kNone = 0,
-  kUnknownView,     ///< access for a (client, view) with no registered
-                    ///< projection — recoverable: re-install and resend
   kUnknownSubfile,  ///< request routed to a node not serving that subfile
   kBadChecksum,     ///< request arrived corrupted — recoverable: resend
-  kMalformed,       ///< request failed validation; not retryable
+  kMalformed,       ///< request failed validation (bad projection meta, a
+                    ///< payload that does not match it, a read past the
+                    ///< subfile's end); not retryable on this replica
   kCorruptData,     ///< at-rest data failed its block checksum — terminal for
                     ///< this replica: re-reading cannot fix persistent rot,
                     ///< so the client fails over instead of resending
@@ -80,11 +79,15 @@ struct Message {
   int src_node = -1;
   int dst_node = -1;
   int subfile = 0;            ///< which subfile on the I/O node (demux key)
-  std::int64_t view_id = 0;   ///< which client view the request refers to
+  std::int64_t resume = 0;    ///< sync traffic: full-transfer resume offset
   std::int64_t v = 0;         ///< interval lower limit (subfile space)
   std::int64_t w = 0;         ///< interval upper limit (subfile space)
   bool contiguous = false;    ///< write fast path: payload maps contiguously
-  std::string meta;           ///< serialized FALLS for kSetView
+  /// kWrite / kRead: the target's subfile projection PROJ_S^{V∩S} as
+  /// encode_projection's "<period> <falls>" — every data request carries
+  /// its own, so servers keep no per-view state. kError: the reason.
+  /// kSyncReply: the "off:len;..." range list.
+  std::string meta;
   Buffer payload;             ///< data bytes for kWrite / kReadReply
 
   /// Request id, unique across the process; replies echo it. 0 means "no
@@ -124,7 +127,7 @@ bool verify_checksum(const Message& m);
 //        8     4  src_node    (i32)
 //       12     4  dst_node    (i32)
 //       16     4  subfile     (i32)
-//       20     8  view_id     (i64)
+//       20     8  resume      (i64)
 //       28     8  v           (i64)
 //       36     8  w           (i64)
 //       44     8  req_id      (u64)

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "falls/serialize.h"
 #include "intersect/project.h"
 #include "mapping/compose.h"
 #include "util/arith.h"
@@ -72,10 +71,9 @@ void ClusterfileClient::maybe_refresh_placement() {
     meta_.replicas[i] = snap[i];
     meta_.io_nodes[i] = snap[i][0];
   }
-  // Installed views baked the replica chain into their targets at set_view
-  // time; re-aim them. The new replica has no projections yet — the first
-  // request it sees answers kUnknownView and the transact engine
-  // re-installs the view in-band.
+  // Views baked the replica chain into their targets at set_view time;
+  // re-aim them. Requests carry their projections, so a new replica serves
+  // the first one it sees.
   for (ViewState& state : views_) {
     for (SubTarget& t : state.targets) {
       t.replicas = snap[t.subfile];
@@ -155,11 +153,9 @@ std::int64_t ClusterfileClient::set_view(FallsSet falls,
     state.replay_period = 0;
   }
 
-  Timer total;
-  std::vector<TxReq> to_send;
-  std::vector<std::size_t> req_target;  // request index -> target index
   {
-    // t_i: intersections and projections only (paper table 1).
+    // t_i: intersections and projections only (paper table 1). PROJ_S is
+    // kept in its wire form: every request to the target carries it.
     Timer t;
     for (std::size_t j = 0; j < count; ++j) {
       const Intersection x = intersect_nested(view_elem, phys.pattern_element(j));
@@ -172,38 +168,11 @@ std::int64_t ClusterfileClient::set_view(FallsSet falls,
       target.replicas = meta_.replicas[j];
       target.proj_v = IndexSet(pv.falls, pv.period);
       target.sub_period_bytes = state.replay_period > 0 ? sub_period[j] : 0;
-      target.proj_meta = serialize(ps.falls);
-      target.proj_period = ps.period;
-      // The view install fans out to every replica of the subfile, so a
-      // backup can serve reads and absorb writes without a re-install.
-      const std::size_t group = state.targets.size();
-      for (const int node : target.replicas) {
-        TxReq req;
-        req.msg = view_install(target, new_view_id);
-        req.msg.dst_node = node;
-        req.group = group;
-        to_send.push_back(std::move(req));
-        req_target.push_back(group);
-      }
+      target.proj_s = encode_projection(ps.falls, ps.period);
       state.targets.push_back(std::move(target));
     }
     t_i_us_ = t.elapsed_us();
   }
-  {
-    // Ship the projections through the reliable layer: a lost or corrupted
-    // kSetView retransmits until acknowledged (servers re-install
-    // idempotently), so a view is never half-set.
-    const std::vector<SubTarget>& targets = state.targets;
-    AccessTimings vt;
-    transact(
-        std::move(to_send), targets.size(), /*quorum=*/0,
-        /*rebuild=*/
-        [&](std::size_t i) {
-          return view_install(targets[req_target[i]], new_view_id);
-        },
-        /*reinstall=*/{}, vt, nullptr);
-  }
-  t_view_total_us_ = total.elapsed_us();
 
   views_.push_back(std::move(state));
   // Conservative invalidation: cached plans never outlive the view set
@@ -274,18 +243,6 @@ ClusterfileClient::acquire_plan(const ViewState& state, std::int64_t view_id,
   return plan;
 }
 
-Message ClusterfileClient::view_install(const SubTarget& st,
-                                        std::int64_t view_id) {
-  Message msg;
-  msg.kind = MsgKind::kSetView;
-  msg.dst_node = st.io_node;
-  msg.subfile = static_cast<int>(st.subfile);
-  msg.view_id = view_id;
-  msg.meta = st.proj_meta;
-  msg.v = st.proj_period;
-  return msg;
-}
-
 void ClusterfileClient::seal(Message& msg, std::uint64_t req_id) {
   msg.req_id = req_id;
   if (net_.checksums_enabled()) stamp_checksum(msg);
@@ -323,7 +280,6 @@ struct ClusterfileClient::Access {
   };
   int quorum = 0;
   const std::function<Message(std::size_t)>& rebuild;
-  const std::function<Message(std::size_t)>& reinstall;
   AccessTimings& t;
   std::vector<Message>* replies = nullptr;
   std::vector<Group> groups;
@@ -331,18 +287,17 @@ struct ClusterfileClient::Access {
 
 void ClusterfileClient::transact(
     std::vector<TxReq> reqs, std::size_t group_count, int quorum,
-    const std::function<Message(std::size_t)>& rebuild,
-    const std::function<Message(std::size_t)>& reinstall, AccessTimings& t,
+    const std::function<Message(std::size_t)>& rebuild, AccessTimings& t,
     std::vector<Message>* replies) {
   if (replies != nullptr) replies->assign(reqs.size(), Message{});
   t.per_subfile.assign(group_count, SubfileAccess{});
-  Access acc{quorum, rebuild, reinstall, t, replies,
+  Access acc{quorum, rebuild, t, replies,
              std::vector<Access::Group>(group_count)};
 
   // One delivery budget for the whole access: every deadline — retries,
-  // failovers, view re-installs, straggler retransmits — is clipped to
-  // `hard_deadline` (the summed backoff schedule), so a target's replica
-  // chain burns one schedule total, never chain-length × schedule.
+  // failovers, straggler retransmits — is clipped to `hard_deadline` (the
+  // summed backoff schedule), so a target's replica chain burns one
+  // schedule total, never chain-length × schedule.
   const Clock::time_point hard_deadline = Clock::now() + policy_.budget();
   try {
     for (std::size_t i = 0; i < reqs.size(); ++i) {
@@ -416,13 +371,12 @@ void ClusterfileClient::pump(Access* acc) {
   };
   Channel& inbox = net_.inbox(node_id_);
   for (;;) {
-    // The next actionable deadline. An entry paused behind a view
-    // re-install is driven by its aux entry's deadline instead.
+    // The next actionable deadline.
     Clock::time_point next = Clock::time_point::max();
     bool owned = false;
     for (const auto& [id, e] : inflight_) {
       owned = owned || !e.detached;
-      if (!e.waiting_view) next = std::min(next, e.deadline);
+      next = std::min(next, e.deadline);
     }
     if (acc != nullptr ? !owned : inflight_.empty()) return;
     const Clock::time_point now = Clock::now();
@@ -430,7 +384,7 @@ void ClusterfileClient::pump(Access* acc) {
     if (next <= now) {
       std::vector<std::uint64_t> expired;
       for (const auto& [id, e] : inflight_)
-        if (!e.waiting_view && e.deadline <= now) expired.push_back(id);
+        if (e.deadline <= now) expired.push_back(id);
       for (const std::uint64_t id : expired) {
         const auto it = inflight_.find(id);
         if (it == inflight_.end()) continue;
@@ -487,8 +441,7 @@ void ClusterfileClient::pump(Access* acc) {
       // resend right away (idempotent) instead of waiting out the timer.
       // With no attempt left the deadline gives up on it.
       ++rel.corruptions_detected;
-      if (e != nullptr && !e->waiting_view &&
-          e->attempts < policy_.max_attempts) {
+      if (e != nullptr && e->attempts < policy_.max_attempts) {
         ++rel.retries;
         resend(id, *e, acc);
       }
@@ -502,36 +455,6 @@ void ClusterfileClient::pump(Access* acc) {
     }
 
     if (msg->kind == MsgKind::kError) {
-      if (e->waiting_view) {
-        // A paused request has a re-install in flight: this error repeats
-        // the reply that started it (a duplicate, or a delayed earlier
-        // attempt), not a new verdict on the replica.
-        ++rel.stale_replies;
-        continue;
-      }
-      if (msg->err == ErrCode::kUnknownView && !e->detached && !e->is_aux &&
-          acc->reinstall && e->attempts < policy_.max_attempts) {
-        // The server lost its projections (crash/restart): re-install the
-        // view on the replica serving the request, then resend the request
-        // once the re-install is acked. A detached entry is abandoned to
-        // scrub instead: its quorum already carried the write.
-        ++rel.view_reinstalls;
-        const std::uint64_t aux_id = next_req_id();
-        e->waiting_view = true;
-        e->partner = aux_id;
-        Message setv = acc->reinstall(e->index);
-        InFlight& aux = inflight_[aux_id];
-        aux.kind = setv.kind;
-        aux.index = e->index;
-        aux.group = e->group;
-        aux.subfile = e->subfile;
-        aux.io_node = e->io_node;
-        aux.hard_deadline = e->hard_deadline;
-        aux.is_aux = true;
-        aux.partner = id;
-        transmit(aux_id, aux, std::move(setv));
-        continue;
-      }
       if ((msg->err == ErrCode::kBadChecksum ||
            msg->err == ErrCode::kIoError) &&
           e->attempts < policy_.max_attempts) {
@@ -557,16 +480,6 @@ void ClusterfileClient::pump(Access* acc) {
       ++rel.stale_replies;
       continue;
     }
-    if (e->is_aux) {
-      // View re-installed: resume the paused partner with a fresh attempt.
-      const std::uint64_t partner = e->partner;
-      inflight_.erase(it);
-      const auto pit = inflight_.find(partner);
-      if (pit == inflight_.end()) continue;
-      ++rel.retries;
-      resend(partner, pit->second, acc);
-      continue;
-    }
     if (e->detached) {
       ++stragglers_completed_;
       inflight_.erase(it);
@@ -585,20 +498,9 @@ void ClusterfileClient::pump(Access* acc) {
     // Quorum met: detach the group's outstanding fan-out requests. Each
     // keeps its req_id (a late ack still matches), its attempt count and
     // its schedule; the retransmit copy is made NOW, while the caller's
-    // buffer behind rebuild() is still alive. Re-installs of paused members
-    // are dropped with the pause.
-    std::vector<std::uint64_t> aux_ids;
+    // buffer behind rebuild() is still alive.
     for (auto& [mid, m] : inflight_) {
       if (m.detached || m.group != gi) continue;
-      if (m.is_aux) {
-        aux_ids.push_back(mid);
-        continue;
-      }
-      if (m.waiting_view) {
-        m.waiting_view = false;
-        m.deadline = std::min(Clock::now() + policy_.timeout(m.attempts),
-                              m.hard_deadline);
-      }
       if (!g.quorum_short) g.quorum_short = std::make_shared<bool>(false);
       m.group_short = g.quorum_short;
       m.sealed = acc->rebuild(m.index);
@@ -607,7 +509,6 @@ void ClusterfileClient::pump(Access* acc) {
       m.detached = true;
       ++acc->t.stragglers;
     }
-    for (const std::uint64_t aux_id : aux_ids) inflight_.erase(aux_id);
   }
 }
 
@@ -631,21 +532,12 @@ void ClusterfileClient::transmit(std::uint64_t id, InFlight& e, Message msg) {
 
 void ClusterfileClient::resend(std::uint64_t id, InFlight& e, Access* acc) {
   ++e.attempts;
-  e.waiting_view = false;
-  Message msg = e.detached ? e.sealed
-                : e.is_aux ? acc->reinstall(e.index)
-                           : acc->rebuild(e.index);
-  transmit(id, e, std::move(msg));
+  transmit(id, e, e.detached ? e.sealed : acc->rebuild(e.index));
 }
 
 void ClusterfileClient::give_up(std::uint64_t id, const std::string& why,
                                 bool timed_out, Access* acc) {
-  auto it = inflight_.find(id);
-  if (it != inflight_.end() && it->second.is_aux) {
-    const std::uint64_t partner = it->second.partner;
-    inflight_.erase(it);
-    it = inflight_.find(partner);
-  }
+  const auto it = inflight_.find(id);
   if (it == inflight_.end()) return;
   InFlight& e = it->second;
   if (e.detached) {
@@ -717,7 +609,7 @@ ClusterfileClient::AccessTimings ClusterfileClient::write(
     msg.kind = MsgKind::kWrite;
     msg.dst_node = pt.io_node;
     msg.subfile = pt.subfile;
-    msg.view_id = view_id;
+    msg.meta = state.targets[pt.target_index].proj_s;
     msg.v = pt.base_vs + shift * pt.sub_period_bytes;
     msg.w = pt.base_ws + shift * pt.sub_period_bytes;
     msg.contiguous = pt.runs.contiguous;
@@ -770,12 +662,6 @@ ClusterfileClient::AccessTimings ClusterfileClient::write(
           gather_runs(msg.payload, data, pt.runs);
           return msg;
         },
-        /*reinstall=*/
-        [&](std::size_t i) {
-          return view_install(
-              state.targets[plan->targets[req_target[i]].target_index],
-              view_id);
-        },
         out, nullptr);
     out.t_w_us = t.elapsed_us();
   }
@@ -807,7 +693,7 @@ ClusterfileClient::AccessTimings ClusterfileClient::read(
     msg.kind = MsgKind::kRead;
     msg.dst_node = pt.io_node;
     msg.subfile = pt.subfile;
-    msg.view_id = view_id;
+    msg.meta = state.targets[pt.target_index].proj_s;
     msg.v = pt.base_vs + shift * pt.sub_period_bytes;
     msg.w = pt.base_ws + shift * pt.sub_period_bytes;
     return msg;
@@ -836,11 +722,6 @@ ClusterfileClient::AccessTimings ClusterfileClient::read(
         std::move(reqs), plan->targets.size(), /*quorum=*/0,
         /*rebuild=*/
         [&](std::size_t i) { return make_read(plan->targets[i]); },
-        /*reinstall=*/
-        [&](std::size_t i) {
-          return view_install(state.targets[plan->targets[i].target_index],
-                              view_id);
-        },
         out, &replies);
     out.t_w_us = t.elapsed_us();
   }

@@ -2,8 +2,10 @@
 // fragment and figure 5).
 //
 // set_view computes, for every subfile, the intersection V∩S and its two
-// projections (the t_i phase of Table 1), keeps PROJ_V^{V∩S} locally and
-// ships PROJ_S^{V∩S} to the subfile's I/O server.
+// projections (the t_i phase of Table 1), keeps PROJ_V^{V∩S} as an index
+// set and PROJ_S^{V∩S} in its wire form. It sends nothing: every write and
+// read carries its target's PROJ_S^{V∩S} in the request meta, so I/O
+// servers hold no per-view state and a view is a local computation.
 //
 // read/write go through the access-plan layer (DESIGN.md): one
 // materialization traversal per target yields an AccessPlan holding each
@@ -18,20 +20,20 @@
 // must echo, replies are matched by id (stale duplicates and late replies
 // are counted and discarded, never fatal), lost messages surface as
 // receive_for timeouts and are retransmitted with bounded exponential
-// backoff, corrupted traffic is caught by checksums and resent, and a
-// server that lost its projections (crash/restart) answers kUnknownView,
-// which transparently re-installs the view and resends. A target that
-// stays unresponsive past RetryPolicy::max_attempts either fails the
-// access with a TimeoutError naming the node (default) or, with
-// set_allow_partial(true), degrades to a per-subfile kFailed status.
+// backoff, and corrupted traffic is caught by checksums and resent. A
+// restarted server needs nothing re-sent: each request carries its
+// projection. A target that stays unresponsive past
+// RetryPolicy::max_attempts either fails the access with a TimeoutError
+// naming the node (default) or, with set_allow_partial(true), degrades to a
+// per-subfile kFailed status.
 //
 // Replication (DESIGN.md "Failure model"): when FileMeta::replicas places a
-// subfile on more than one I/O node, writes and view installations fan out
-// to every replica, and reads fail over along the replica chain when the
-// serving node is given up on (timeout after max_attempts, or a terminal
-// error such as kCorruptData). An access that loses replicas but keeps at
-// least one healthy copy per target completes with AccessStatus::kDegraded
-// — degraded-but-correct, never an exception — and the failover/degraded/
+// subfile on more than one I/O node, writes fan out to every replica, and
+// reads fail over along the replica chain when the serving node is given up
+// on (timeout after max_attempts, or a terminal error such as
+// kCorruptData). An access that loses replicas but keeps at least one
+// healthy copy per target completes with AccessStatus::kDegraded —
+// degraded-but-correct, never an exception — and the failover/degraded/
 // replica_failures counters record the cost. One delivery budget (the sum
 // of the RetryPolicy backoff schedule) covers a target's *whole* replica
 // chain: attempts carry across failovers, so a dead chain costs one
@@ -169,11 +171,11 @@ class ClusterfileClient {
   /// the view set they were derived under). last_view_set_us() reports t_i.
   std::int64_t set_view(FallsSet falls, std::int64_t view_pattern_size);
 
-  /// t_i of the most recent set_view: pure computation time.
+  /// t_i of the most recent set_view: the intersections and projections.
   double last_view_set_us() const { return t_i_us_; }
-  /// Wall time of the most recent set_view including shipping the
-  /// projections and waiting for acknowledgments.
-  double last_view_total_us() const { return t_view_total_us_; }
+  /// Same as last_view_set_us(): set_view sends nothing, so no ship time
+  /// follows t_i. Kept for callers that report the two separately.
+  double last_view_total_us() const { return t_i_us_; }
 
   /// Writes the contiguous view range [v, w] (view linear space) of `view`
   /// from `data` (data[0] is view byte v).
@@ -259,10 +261,9 @@ class ClusterfileClient {
     /// shifting an access by one replay period shifts its subfile interval
     /// by exactly this many bytes.
     std::int64_t sub_period_bytes = 0;
-    /// Serialized PROJ_S^{V∩S} and its period, kept so the view can be
-    /// re-installed when a restarted server answers kUnknownView.
-    std::string proj_meta;
-    std::int64_t proj_period = 0;
+    /// encode_projection(PROJ_S^{V∩S}): the meta of every request to this
+    /// target, built once per view.
+    std::string proj_s;
   };
   struct ViewState {
     FallsSet falls;
@@ -327,9 +328,9 @@ class ClusterfileClient {
 
   /// One request offered to transact: the built message, the replica group
   /// (target) it belongs to, and — for single-shot requests such as reads —
-  /// the chain of backup nodes to fail over to. Fan-out requests (writes,
-  /// view installs) carry no backups: each replica is its own destination,
-  /// and losing one degrades the group instead of failing it.
+  /// the chain of backup nodes to fail over to. Fan-out requests (writes)
+  /// carry no backups: each replica is its own destination, and losing one
+  /// degrades the group instead of failing it.
   struct TxReq {
     Message msg;
     std::size_t group = 0;
@@ -343,9 +344,7 @@ class ClusterfileClient {
   /// then *detached* (a straggler): it keeps its req_id, attempts and
   /// deadlines plus a sealed retransmit copy, made while the caller's
   /// buffer behind the access's rebuild() was still alive. Retransmits
-  /// reuse the req_id, so servers dedup a late original crossing one. An
-  /// `is_aux` entry is a kSetView re-install recovering its `partner` from
-  /// kUnknownView; the partner is paused (`waiting_view`) meanwhile.
+  /// reuse the req_id, so servers dedup a late original crossing one.
   struct InFlight {
     MsgKind kind = MsgKind::kWrite;  ///< the request's kind
     std::size_t index = 0;  ///< request index within its access
@@ -356,32 +355,25 @@ class ClusterfileClient {
     int attempts = 1;
     Clock::time_point deadline;       ///< next retransmit fires here
     Clock::time_point hard_deadline;  ///< the access's delivery budget end
-    bool is_aux = false;
-    bool waiting_view = false;
-    std::uint64_t partner = 0;
     bool detached = false;
     Message sealed;  ///< detached: the retransmit copy
     /// Detached: shared by the group's stragglers so the first abandonment
     /// — and only the first — counts quorum_short.
     std::shared_ptr<bool> group_short;
   };
-  /// The running access's callbacks and per-group outcomes (client.cpp).
+  /// The running access's rebuild callback and per-group outcomes
+  /// (client.cpp).
   struct Access;
-
-  /// kSetView installing `st`'s projection of view `view_id` on st.io_node.
-  static Message view_install(const SubTarget& st, std::int64_t view_id);
 
   /// The reliable request engine. Sends every request (already built —
   /// payload gathering stays outside the t_w window), matches replies by
   /// req_id, retransmits on timeout via `rebuild(i)` (which regenerates
   /// request i, payload included; the engine retargets it to the replica
-  /// currently serving the request), recovers from kUnknownView via
-  /// `reinstall(i)` (a kSetView for request i's target; empty when the
-  /// access cannot re-install), and fails over along a request's backup
-  /// chain when its current node is given up on. One delivery budget —
-  /// RetryPolicy::budget(), the summed backoff schedule — spans a request's
-  /// whole replica chain: attempts never reset on failover and every
-  /// deadline is clipped to the budget's end. With `quorum` > 0, a group
+  /// currently serving the request), and fails over along a request's
+  /// backup chain when its current node is given up on. One delivery
+  /// budget — RetryPolicy::budget(), the summed backoff schedule — spans a
+  /// request's whole replica chain: attempts never reset on failover and
+  /// every deadline is clipped to the budget's end. With `quorum` > 0, a group
   /// whose ok count reaches min(quorum, fan-out) detaches its remaining
   /// requests instead of waiting them out. Fills `t.per_subfile` with one
   /// status per *group* (group_count entries): kFailed only when every
@@ -391,7 +383,6 @@ class ClusterfileClient {
   /// closes.
   void transact(std::vector<TxReq> reqs, std::size_t group_count, int quorum,
                 const std::function<Message(std::size_t)>& rebuild,
-                const std::function<Message(std::size_t)>& reinstall,
                 AccessTimings& t, std::vector<Message>* replies);
   /// The one event loop: waits until the earliest deadline, then handles
   /// timeouts and replies for every entry of inflight_. With an access it
@@ -406,18 +397,18 @@ class ClusterfileClient {
   void transmit(std::uint64_t id, InFlight& e, Message msg);
   /// Sends entry `id`'s next attempt.
   void resend(std::uint64_t id, InFlight& e, Access* acc);
-  /// Terminal outcome for entry `id` on its current node (an aux entry
-  /// hands it to its partner): fail over to the next backup while attempts
-  /// and budget remain, otherwise record the loss in the access's group —
-  /// or, detached, abandon it. A lost write owes its subfile to scrub.
+  /// Terminal outcome for entry `id` on its current node: fail over to the
+  /// next backup while attempts and budget remain, otherwise record the loss
+  /// in the access's group — or, detached, abandon it. A lost write owes its
+  /// subfile to scrub.
   void give_up(std::uint64_t id, const std::string& why, bool timed_out,
                Access* acc);
   /// Stamps req_id (and the checksum when the network asks for it).
   void seal(Message& msg, std::uint64_t req_id);
   /// Re-snapshots replica targets from the placement directory when its
-  /// epoch moved: meta_, every installed view's SubTargets and the plan
-  /// cache (PlanTarget caches io_node). Called at the start of every
-  /// access, under the canary.
+  /// epoch moved: meta_, every view's SubTargets and the plan cache
+  /// (PlanTarget caches io_node). Called at the start of every access,
+  /// under the canary.
   void maybe_refresh_placement();
 
   Network& net_;
@@ -431,7 +422,6 @@ class ClusterfileClient {
   std::int64_t plan_hits_ = 0;
   std::int64_t plan_misses_ = 0;
   double t_i_us_ = 0;
-  double t_view_total_us_ = 0;
   RetryPolicy policy_;
   bool allow_partial_ = false;
   int write_quorum_ = 0;

@@ -195,8 +195,8 @@ class Clusterfile {
   /// loop stops. Subfile storage survives, as a dead node's disks do.
   void crash_server(std::size_t io_index);
   /// Restarts a crashed I/O node over its surviving storage and reconnects
-  /// it. The new server has no projections and an empty dedup cache;
-  /// clients transparently re-install views on the first kUnknownView.
+  /// it. The new server starts with empty projection and dedup caches;
+  /// requests carry their projections, so clients resend nothing.
   /// With replication, each hosted subfile then pulls the writes it missed
   /// from its live peer replicas, highest write epoch first
   /// (kSyncRequest/kSyncReply), before returning; callers must not race
@@ -216,7 +216,7 @@ class Clusterfile {
   void disarm_storage_faults();
 
   /// Cluster-wide reliability counters: the sum over every client (retries,
-  /// timeouts, re-installs...) and every live server (duplicates
+  /// timeouts, failovers...) and every live server (duplicates
   /// suppressed, corruptions caught, errors sent).
   ReliabilityCounters client_reliability() const;
   ReliabilityCounters server_reliability() const;

@@ -6,9 +6,7 @@
 #include <stdexcept>
 #include <system_error>
 
-#include "falls/serialize.h"
 #include "util/arith.h"
-#include "util/check.h"
 #include "util/log.h"
 
 namespace pfm {
@@ -33,7 +31,7 @@ constexpr int kSyncFullDone = 1;   ///< full, complete: adopt (capped) epoch
 constexpr int kSyncDeltaPart = 2;  ///< delta, chunk-limited: adopt the
                                    ///< partial epoch, pull again to continue
 constexpr int kSyncFullPart = 3;   ///< full, chunk-limited: apply bytes but
-                                   ///< do NOT adopt; resume at view_id
+                                   ///< do NOT adopt; continue at resume
 
 /// Sorts and coalesces overlapping or adjacent (offset, length) ranges.
 Ranges merge_ranges(Ranges ranges) {
@@ -181,9 +179,15 @@ ReliabilityCounters IoServer::reliability() const {
   return rel_;
 }
 
+std::size_t IoServer::projection_cache_size() const {
+  MutexLock lock(mu_);
+  return projections_.size();
+}
+
 void IoServer::handle(Message&& msg) {
   // Corruption gate: nothing downstream may touch a payload or projection
-  // the wire damaged. The client resends on kBadChecksum.
+  // the wire damaged (the checksum covers meta, where the projection
+  // rides). The client resends on kBadChecksum.
   if (!verify_checksum(msg)) {
     {
       MutexLock lock(mu_);
@@ -194,13 +198,12 @@ void IoServer::handle(Message&& msg) {
     reply_error(msg, ErrCode::kBadChecksum, "payload checksum mismatch");
     return;
   }
-  // Retransmit dedup: a write or set-view already executed is answered from
-  // the reply cache, never re-applied — the idempotent-replay half of the
+  // Retransmit dedup: a write already executed is answered from the reply
+  // cache, never re-applied — the idempotent-replay half of the
   // exactly-once story (reads re-execute instead; they are idempotent and
   // their payloads are too large to cache). req_id 0 marks raw traffic
   // outside the reliability protocol.
-  if (msg.req_id != 0 &&
-      (msg.kind == MsgKind::kWrite || msg.kind == MsgKind::kSetView)) {
+  if (msg.req_id != 0 && msg.kind == MsgKind::kWrite) {
     Message replay;
     bool hit = false;
     {
@@ -219,7 +222,6 @@ void IoServer::handle(Message&& msg) {
   }
   try {
     switch (msg.kind) {
-      case MsgKind::kSetView: handle_set_view(std::move(msg)); return;
       case MsgKind::kWrite: handle_write(std::move(msg)); return;
       case MsgKind::kRead: handle_read(std::move(msg)); return;
       case MsgKind::kSyncRequest: handle_sync_request(std::move(msg)); return;
@@ -231,13 +233,9 @@ void IoServer::handle(Message&& msg) {
                  to_string(msg.kind));
     }
   } catch (const ProtocolError& e) {
-    // kUnknownView is routine: the client re-installs its view and counts
-    // it as a view_reinstall. Every other protocol error is a real fault.
-    if (e.code() == ErrCode::kUnknownView) {
-      PFM_DEBUG("IoServer ", node_id_, ": ", e.what());
-    } else {
-      PFM_ERROR("IoServer ", node_id_, ": ", e.what());
-    }
+    // A refused request: the server is healthy and says why; the client
+    // decides whether to fail over.
+    PFM_WARN("IoServer ", node_id_, ": ", e.what());
     reply_error(msg, e.code(), e.what());
   } catch (const StorageCorruptionError& e) {
     // At-rest corruption (torn write, bit rot) caught by the integrity
@@ -279,37 +277,30 @@ IoServer::Subfile& IoServer::subfile_for(const Message& msg) {
   return it->second;
 }
 
-const IndexSet& IoServer::projection_for(Subfile& sub, const Message& msg) {
-  MutexLock lock(mu_);
-  const auto it = sub.projections.find({msg.src_node, msg.view_id});
-  if (it == sub.projections.end())
-    throw ProtocolError(ErrCode::kUnknownView,
-                        "IoServer: access without a registered view");
-  return it->second;
-}
-
-void IoServer::handle_set_view(Message&& msg) {
-  Subfile& sub = subfile_for(msg);
-  // meta carries the serialized PROJ_S^{V∩S}; v carries its period.
-  // parse_falls_set revalidates the set structurally after the wire
-  // crossing; the IndexSet constructor then confines it to the period. What
-  // neither can see is an empty projection: a client never ships one (it
-  // skips subfiles with an empty intersection), so receiving it means the
-  // view protocol itself went wrong.
-  PFM_CHECK(!msg.meta.empty(), "IoServer: set-view without a projection");
-  IndexSet proj(parse_falls_set(msg.meta), msg.v);
-  PFM_CHECK(proj.size() > 0, "IoServer: empty projection for subfile ",
-            msg.subfile, ", view ", msg.view_id);
+const IndexSet& IoServer::projection(const Message& msg) {
   {
     MutexLock lock(mu_);
-    sub.projections.insert_or_assign({msg.src_node, msg.view_id}, std::move(proj));
+    if (const IndexSet* hit = projections_.get(msg.meta)) return *hit;
   }
-  reply_ack(msg);
+  // A miss parses outside the lock. decode_projection revalidates the FALLS
+  // after the wire crossing, confines them to the period and rejects an
+  // empty set (a client never sends one: it skips subfiles its view misses).
+  IndexSet proj;
+  try {
+    proj = decode_projection(msg.meta);
+  } catch (const std::invalid_argument& e) {
+    throw ProtocolError(
+        ErrCode::kMalformed,
+        std::string("IoServer: bad projection meta: ") + e.what());
+  }
+  MutexLock lock(mu_);
+  projections_.put(msg.meta, std::move(proj));
+  return *projections_.get(msg.meta);
 }
 
 void IoServer::handle_write(Message&& msg) {
   Subfile& sub = subfile_for(msg);
-  const IndexSet& proj = projection_for(sub, msg);
+  const IndexSet& proj = projection(msg);
   // Paper server pseudocode: the decision is based on PROJ_S — the
   // *server-side* projection. The client's `contiguous` flag only records
   // that PROJ_V was contiguous (no gather happened there); the payload is
@@ -317,10 +308,12 @@ void IoServer::handle_write(Message&& msg) {
   // does not imply contiguity in subfile space.
   // The payload must hold exactly the member bytes of [vS, wS]: a mismatch
   // would silently shear every later run of the scatter loop.
-  PFM_CHECK(static_cast<std::int64_t>(msg.payload.size()) ==
-                proj.count_in(msg.v, msg.w),
-            "IoServer: write payload of ", msg.payload.size(),
-            " bytes, projection selects ", proj.count_in(msg.v, msg.w));
+  const std::int64_t n = proj.count_in(msg.v, msg.w);
+  if (static_cast<std::int64_t>(msg.payload.size()) != n)
+    throw ProtocolError(ErrCode::kMalformed,
+                        "IoServer: write payload of " +
+                            std::to_string(msg.payload.size()) +
+                            " bytes, projection selects " + std::to_string(n));
   {
     Timer t;
     // One vectorized scatter: the run walk yields ascending maximal runs (a
@@ -358,17 +351,23 @@ void IoServer::handle_write(Message&& msg) {
 
 void IoServer::handle_read(Message&& msg) {
   Subfile& sub = subfile_for(msg);
-  const IndexSet& proj = projection_for(sub, msg);
+  const IndexSet& proj = projection(msg);
+  // Bound the read before allocating for it: storage would refuse a member
+  // byte past the subfile's end anyway, but only after the reply buffer and
+  // one IoVec per period were built — gigabytes for a hostile interval.
+  const std::int64_t n = proj.count_in(msg.v, msg.w);
+  if (n != proj.count_in(msg.v, std::min(msg.w, sub.storage->size() - 1)))
+    throw ProtocolError(ErrCode::kMalformed,
+                        "IoServer: read past the end of subfile " +
+                            std::to_string(msg.subfile));
   Message reply;
   reply.kind = MsgKind::kReadReply;
   reply.dst_node = msg.src_node;
   reply.subfile = msg.subfile;
-  reply.view_id = msg.view_id;
   reply.v = msg.v;
   reply.w = msg.w;
   {
     Timer t;
-    const std::int64_t n = proj.count_in(msg.v, msg.w);
     reply.payload.resize(static_cast<std::size_t>(n));
     // Vectorized gather, mirroring handle_write: one readv verifies each
     // touched integrity block once rather than once per run.
@@ -385,14 +384,14 @@ void IoServer::handle_read(Message&& msg) {
 
 void IoServer::handle_sync_request(Message&& msg) {
   // Wire format: v = requester epoch, w = chunk byte limit (0: unlimited),
-  // view_id = full-transfer resume offset. The reply's w is a mode code —
+  // resume = full-transfer resume offset. The reply's w is a mode code —
   // kSyncDeltaDone / kSyncFullDone complete the pull, kSyncDeltaPart /
   // kSyncFullPart mean "pull again" (the *Part modes exist so a migration
   // can be chunked against foreground traffic and resumed after a crash).
   Subfile& sub = subfile_for(msg);
   const std::int64_t their_epoch = msg.v;
   const std::int64_t chunk = msg.w;
-  const std::int64_t resume = msg.view_id;
+  const std::int64_t resume = msg.resume;
   if (chunk < 0 || resume < 0)
     throw ProtocolError(ErrCode::kMalformed,
                         "IoServer: negative sync chunk or resume offset");
@@ -459,7 +458,7 @@ void IoServer::handle_sync_request(Message&& msg) {
   reply.subfile = msg.subfile;
   reply.v = reply_epoch;
   reply.w = mode;
-  reply.view_id = next_offset;
+  reply.resume = next_offset;
   if (!ranges.empty()) {
     if (mode == kSyncDeltaDone || mode == kSyncDeltaPart)
       ranges = merge_ranges(std::move(ranges));
@@ -508,7 +507,7 @@ void IoServer::handle_sync_reply(Message&& msg) {
             : throw std::runtime_error("sync reply with an unknown mode");
     out.full = mode == kSyncFullDone || mode == kSyncFullPart;
     out.more = mode == kSyncDeltaPart || mode == kSyncFullPart;
-    out.next_offset = mode == kSyncFullPart ? msg.view_id : 0;
+    out.next_offset = mode == kSyncFullPart ? msg.resume : 0;
     out.peer_epoch = msg.v;
     // Apply only when the peer is strictly ahead of our *current* epoch:
     // a stale duplicate reply (an abandoned earlier attempt arriving late)
@@ -592,7 +591,7 @@ IoServer::SyncOutcome IoServer::sync_subfile(
   req.subfile = subfile_id;
   req.req_id = id;
   req.w = chunk_bytes;
-  req.view_id = resume_offset;
+  req.resume = resume_offset;
   {
     MutexLock lock(mu_);
     const auto it = subfiles_.find(subfile_id);
@@ -632,7 +631,6 @@ void IoServer::reply_ack(const Message& req) {
   ack.kind = MsgKind::kAck;
   ack.dst_node = req.src_node;
   ack.subfile = req.subfile;
-  ack.view_id = req.view_id;
   finish_reply(req, std::move(ack), /*cacheable=*/true);
 }
 
@@ -642,7 +640,6 @@ void IoServer::reply_error(const Message& req, ErrCode code,
   err.kind = MsgKind::kError;
   err.dst_node = req.src_node;
   err.subfile = req.subfile;
-  err.view_id = req.view_id;
   err.err = code;
   err.meta = what;
   {

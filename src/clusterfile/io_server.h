@@ -3,20 +3,23 @@
 // One server runs on one I/O node and owns every subfile assigned there
 // (the paper's cluster has one subfile per node in the evaluation, but the
 // file model allows any number; requests carry the subfile id and the
-// server demultiplexes). At view-set time it receives and stores the
-// projection PROJ_S^{V∩S} for each (client, view, subfile); on a write it
-// receives the interval [vS, wS] and the data, writes contiguously when the
-// projection is contiguous in that interval, and scatters otherwise. Reads
-// are the reverse. The scatter time t_s of Table 2 is measured here.
+// server demultiplexes). Every write and read also carries its target's
+// projection PROJ_S^{V∩S} (computed once by the client at view setting,
+// paper section 8) in its meta, so the server keeps no per-view state: it
+// resolves the meta through a small bounded cache of parsed projections.
+// On a write it receives the interval [vS, wS] and the data, writes
+// contiguously when the projection is contiguous in that interval, and
+// scatters otherwise. Reads are the reverse. The scatter time t_s of
+// Table 2 is measured here.
 //
 // Reliability (DESIGN.md "Failure model"): checksummed requests are
 // verified before any state changes (corruption answers kBadChecksum);
-// write/set-view retransmits are deduplicated by (client, req_id) and the
-// cached acknowledgment replayed, making the effective semantics
-// exactly-once on top of at-least-once client retries; reads are
-// re-executed (idempotent). Failures answer with structured kError codes —
-// notably kUnknownView after a crash/restart lost the in-memory
-// projections, which clients recover from by re-installing the view.
+// write retransmits are deduplicated by (client, req_id) and the cached
+// acknowledgment replayed, making the effective semantics exactly-once on
+// top of at-least-once client retries; reads are re-executed (idempotent).
+// Failures answer with structured kError codes; a request the server
+// refuses (malformed projection meta, a payload that does not match it, a
+// read past the subfile's end) answers kMalformed.
 //
 // Replication (DESIGN.md "Failure model"): with epoch tracking on, every
 // applied write bumps the subfile's monotonic epoch (persisted in the
@@ -37,13 +40,13 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "cluster/node.h"
 #include "clusterfile/storage.h"
 #include "redist/gather_scatter.h"
+#include "util/lru.h"
 #include "util/mutex.h"
 #include "util/stats.h"
 #include "util/thread_annotations.h"
@@ -71,10 +74,9 @@ class IoServer {
   bool has_subfile(int subfile_id) const;
   /// Starts serving a new subfile over the given storage while the loop is
   /// live — the self-heal path placing a replacement replica here. The
-  /// subfile begins with no projections (clients re-install on the first
-  /// kUnknownView) and at the storage's own epoch (0 for fresh storage, so
-  /// the first sync pull is a full transfer). False when the subfile is
-  /// already served here.
+  /// subfile begins at the storage's own epoch (0 for fresh storage, so the
+  /// first sync pull is a full transfer). False when the subfile is already
+  /// served here.
   bool adopt_subfile(int subfile_id, std::unique_ptr<SubfileStorage> storage);
   const SubfileStorage& storage(int subfile_id) const;
   /// Mutable storage access for scrub/repair. The caller must ensure the
@@ -97,12 +99,18 @@ class IoServer {
   /// failures caught, error replies issued.
   ReliabilityCounters reliability() const;
 
+  /// Parsed projections cached by their meta bytes, never more than
+  /// kProjectionCacheCapacity however many views clients set.
+  static constexpr std::size_t kProjectionCacheCapacity = 64;
+  std::size_t projection_cache_size() const;
+
   void stop() { loop_.stop(); }
 
   /// Stops the loop and releases the subfile storages, exactly as a crashed
   /// node leaves its disks behind: Clusterfile::restart_server builds a new
-  /// IoServer over them. In-memory state (projections, the dedup cache) is
-  /// lost — clients re-install views on the resulting kUnknownView errors.
+  /// IoServer over them. In-memory state (the projection and dedup caches)
+  /// is lost; requests carry their projections, so the new server serves
+  /// them as they come.
   SubfileStorages take_storages();
 
   /// Outcome of one re-sync pull (see sync_subfile).
@@ -154,8 +162,6 @@ class IoServer {
   };
   struct Subfile {
     std::unique_ptr<SubfileStorage> storage;
-    /// PROJ_S^{V∩S} per (client node, view id).
-    std::map<std::pair<int, std::int64_t>, IndexSet> projections;
     /// Recent writes by epoch (contiguous, ascending), bounded: a peer
     /// whose epoch predates the log's reach gets a full transfer instead.
     std::deque<LogEntry> write_log;
@@ -163,7 +169,6 @@ class IoServer {
 
   void handle(Message&& msg);
   void handle_ping(const Message& msg);
-  void handle_set_view(Message&& msg);
   void handle_write(Message&& msg);
   void handle_read(Message&& msg);
   void handle_sync_request(Message&& msg);
@@ -173,7 +178,10 @@ class IoServer {
   void reply_error(const Message& req, ErrCode code, const std::string& what);
   void finish_reply(const Message& req, Message reply, bool cacheable);
   Subfile& subfile_for(const Message& msg);
-  const IndexSet& projection_for(Subfile& sub, const Message& msg);
+  /// The projection a data request carries, from the cache or parsed on a
+  /// miss (kMalformed when the meta does not parse). Only the loop thread
+  /// inserts, so the reference stays valid for the request being served.
+  const IndexSet& projection(const Message& msg);
 
   Network& net_;
   int node_id_;
@@ -184,9 +192,9 @@ class IoServer {
   /// Entries are never erased while the loop runs (take_storages stops it
   /// first) and std::map nodes are stable, so a Subfile& obtained under
   /// the lock stays valid afterwards: the loop thread owns storage data
-  /// and projections between requests, while the nested projections /
-  /// write_log containers and the storage epoch are touched under mu_
-  /// (the annotation cannot reach nested members, only the map itself).
+  /// between requests, while the nested write_log containers and the
+  /// storage epoch are touched under mu_ (the annotation cannot reach
+  /// nested members, only the map itself).
   std::map<int, Subfile> subfiles_ PFM_GUARDED_BY(mu_);
   /// Pending sync_subfile calls by req_id, filled by the loop thread.
   struct SyncWait {
@@ -203,6 +211,8 @@ class IoServer {
   PhaseAccumulator gather_ PFM_GUARDED_BY(mu_);
   std::int64_t writes_ PFM_GUARDED_BY(mu_) = 0;
   ReliabilityCounters rel_ PFM_GUARDED_BY(mu_);
+  LruCache<std::string, IndexSet> projections_ PFM_GUARDED_BY(mu_){
+      kProjectionCacheCapacity};
   /// Replay cache for idempotent retransmit handling: the acknowledgment
   /// sent for each recent (client, req_id), bounded FIFO.
   static constexpr std::size_t kReplyCacheCapacity = 256;

@@ -7,8 +7,8 @@
 // placement epoch (persisted as the manifest's `placement` line);
 // clients compare the epoch at the start of every access and re-snapshot
 // their targets when it moved — the in-band analogue of a metadata-server
-// round trip, after which the first request to a fresh replica answers
-// kUnknownView and the PR-3 re-install path ships it the projections.
+// round trip. A fresh replica needs nothing else: every request carries its
+// own projection.
 #pragma once
 
 #include <atomic>

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "falls/serialize.h"
 #include "falls/set_ops.h"
 #include "util/arith.h"
 #include "util/check.h"
@@ -57,6 +58,20 @@ RunList IndexSet::materialize_in(std::int64_t v, std::int64_t w) const {
     rl.bytes += len;
   });
   return rl;
+}
+
+std::string encode_projection(const FallsSet& falls, std::int64_t period) {
+  return std::to_string(period) + ' ' + serialize(falls);
+}
+
+IndexSet decode_projection(std::string_view text) {
+  const std::size_t sep = text.find(' ');
+  if (sep == std::string_view::npos)
+    throw std::invalid_argument("projection meta is not '<period> <falls>'");
+  IndexSet proj(parse_falls_set(text.substr(sep + 1)),
+                parse_i64(text.substr(0, sep)));
+  if (proj.size() == 0) throw std::invalid_argument("empty projection");
+  return proj;
 }
 
 void gather_runs(std::span<std::byte> dest, std::span<const std::byte> src,

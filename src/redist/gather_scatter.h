@@ -7,6 +7,8 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "falls/falls.h"
@@ -85,6 +87,18 @@ class IndexSet {
   std::int64_t size_ = 0;
   std::vector<LineSegment> runs_;
 };
+
+/// Wire form of a subfile projection, "<period> <falls>": the period in
+/// decimal, one space, then the FALLS in the tuple notation of
+/// falls/serialize.h. Every Clusterfile kWrite and kRead carries its
+/// target's PROJ_S^{V∩S} this way (Message::meta).
+std::string encode_projection(const FallsSet& falls, std::int64_t period);
+
+/// Parses encode_projection's output into the index set it describes.
+/// Throws std::invalid_argument on anything else: no separator, a period
+/// that is not a positive integer, FALLS that fail to parse or exceed the
+/// period, or an empty set (a projection always selects some bytes).
+IndexSet decode_projection(std::string_view text);
 
 /// GATHER (paper section 8): copies the bytes of `src` at the member
 /// positions of `idx` within [v, w] — `src` backs positions [v, w], i.e.

@@ -1,10 +1,12 @@
 // Bounded least-recently-used cache, the backing store of the Clusterfile
-// client's access-plan cache (DESIGN.md, "The access-plan layer"). Not
-// internally synchronized: each client owns one instance and is, like the
-// rest of the client, single-threaded per instance; callers that share one
-// must lock around it. Lockdep builds enforce that contract with an
-// AccessCanary — two threads inside a mutating operation at once fail a
-// PFM_CHECK instead of silently corrupting the list/index pair.
+// client's access-plan cache (DESIGN.md, "The access-plan layer") and of
+// the I/O server's cache of parsed projections. Not internally
+// synchronized: each client owns one instance and is, like the rest of the
+// client, single-threaded per instance; callers that share one must lock
+// around it, as IoServer does under its mutex. Lockdep builds enforce that
+// contract with an AccessCanary — two threads inside a mutating operation
+// at once fail a PFM_CHECK instead of silently corrupting the list/index
+// pair.
 #pragma once
 
 #include <cstddef>

@@ -13,7 +13,6 @@ ReliabilityCounters& ReliabilityCounters::operator+=(
   timeouts += o.timeouts;
   stale_replies += o.stale_replies;
   corruptions_detected += o.corruptions_detected;
-  view_reinstalls += o.view_reinstalls;
   duplicates_suppressed += o.duplicates_suppressed;
   failures += o.failures;
   errors_sent += o.errors_sent;
@@ -30,12 +29,11 @@ ReliabilityCounters& ReliabilityCounters::operator+=(
 
 bool ReliabilityCounters::all_zero() const {
   return retries == 0 && timeouts == 0 && stale_replies == 0 &&
-         corruptions_detected == 0 && view_reinstalls == 0 &&
-         duplicates_suppressed == 0 && failures == 0 && errors_sent == 0 &&
-         failovers == 0 && degraded == 0 && replica_failures == 0 &&
-         quorum_short == 0 && repairs_started == 0 &&
-         repairs_completed == 0 && repairs_failed == 0 &&
-         bytes_re_replicated == 0;
+         corruptions_detected == 0 && duplicates_suppressed == 0 &&
+         failures == 0 && errors_sent == 0 && failovers == 0 &&
+         degraded == 0 && replica_failures == 0 && quorum_short == 0 &&
+         repairs_started == 0 && repairs_completed == 0 &&
+         repairs_failed == 0 && bytes_re_replicated == 0;
 }
 
 double Stats::mean() const {

@@ -20,7 +20,6 @@ struct ReliabilityCounters {
   std::int64_t timeouts = 0;              ///< reply deadlines that expired
   std::int64_t stale_replies = 0;         ///< duplicate/late replies discarded
   std::int64_t corruptions_detected = 0;  ///< checksum mismatches caught
-  std::int64_t view_reinstalls = 0;       ///< views re-shipped after recovery
   std::int64_t duplicates_suppressed = 0; ///< retransmits answered from cache
   std::int64_t failures = 0;              ///< targets failed after all retries
   std::int64_t errors_sent = 0;           ///< kError replies a server issued

@@ -125,7 +125,7 @@ TEST(NodeLoop, StopIsIdempotent) {
 }
 
 TEST(MsgKind, Names) {
-  EXPECT_STREQ(to_string(MsgKind::kSetView), "SET_VIEW");
+  EXPECT_STREQ(to_string(MsgKind::kWrite), "WRITE");
   EXPECT_STREQ(to_string(MsgKind::kShutdown), "SHUTDOWN");
 }
 

@@ -3,6 +3,7 @@
 // path, and multi-client parallel writes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "clusterfile/fs.h"
@@ -170,6 +171,44 @@ TEST(Clusterfile, ViewSetTimeIsRecorded) {
   client.set_view(views[0], n * n);
   EXPECT_GT(client.last_view_set_us(), 0.0);
   EXPECT_GE(client.last_view_total_us(), client.last_view_set_us());
+}
+
+// One long-lived cluster through 10^4 set_view + read pairs that cycle over
+// far more distinct subfile projections than a server's cache holds:
+// set_view sends nothing, every read returns the file's bytes, and no
+// server keeps more than its fixed number of parsed projections.
+TEST(Clusterfile, ViewChurnLeavesServerStateBounded) {
+  const std::int64_t n = 16;
+  const std::int64_t size = n * n;
+  Clusterfile fs(ClusterConfig{}, pattern2d(Partition2D::kSquareBlocks, n, 4));
+  auto& client = fs.client(0);
+  const Buffer image = make_pattern_buffer(static_cast<std::size_t>(size), 77);
+  client.write(client.set_view({make_falls(0, size - 1, size, 1)}, size), 0,
+               size - 1, image);
+
+  Buffer back(static_cast<std::size_t>(size));
+  for (std::int64_t i = 0; i < 10000; ++i) {
+    // A run of 1..13 bytes whose start walks the whole matrix: 3328
+    // distinct views, hundreds of distinct projections per subfile.
+    const std::int64_t lo = (i * 37) % size;
+    const std::int64_t len = std::min<std::int64_t>(1 + i % 13, size - lo);
+    const std::int64_t sent = fs.network().messages_sent();
+    const std::int64_t vid =
+        client.set_view({make_falls(lo, lo + len - 1, size, 1)}, size);
+    ASSERT_EQ(fs.network().messages_sent(), sent) << "set_view sent messages";
+    ASSERT_TRUE(client.read(vid, 0, len - 1, back).ok());
+    ASSERT_TRUE(std::equal(back.begin(), back.begin() + len, image.begin() + lo))
+        << "view " << i;
+  }
+  std::size_t full = 0;
+  for (std::size_t s = 0; s < fs.subfile_count(); ++s) {
+    const std::size_t cached = fs.server_for(s).projection_cache_size();
+    EXPECT_LE(cached, IoServer::kProjectionCacheCapacity) << "subfile " << s;
+    if (cached == IoServer::kProjectionCacheCapacity) ++full;
+  }
+  EXPECT_GT(full, 0u);  // the churn overflowed the caches
+  EXPECT_TRUE(fs.client_reliability().all_zero());
+  EXPECT_TRUE(fs.server_reliability().all_zero());
 }
 
 TEST(Clusterfile, ServerScatterAccounting) {

@@ -19,13 +19,15 @@ PartitioningPattern pattern2d(Partition2D p, std::int64_t n, std::int64_t parts)
   return make_pattern({elems.begin(), elems.end()});
 }
 
-TEST(Failure, WriteWithoutViewGetsErrorReply) {
+/// Sends a raw 4-byte write with the given projection meta to the first
+/// I/O node (bypassing the client), then checks that the server refuses it
+/// as malformed and keeps serving good requests afterwards.
+void expect_write_refused(const std::string& meta) {
   Clusterfile fs(ClusterConfig{}, pattern2d(Partition2D::kRowBlocks, 8, 4));
-  // Bypass the client: send a raw write for a view that was never set.
   Message msg;
   msg.kind = MsgKind::kWrite;
   msg.dst_node = 4;  // first I/O node
-  msg.view_id = 99;
+  msg.meta = meta;
   msg.v = 0;
   msg.w = 3;
   msg.payload.resize(4);
@@ -33,28 +35,25 @@ TEST(Failure, WriteWithoutViewGetsErrorReply) {
   const auto reply = fs.network().inbox(0).receive();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->kind, MsgKind::kError);
-  EXPECT_NE(reply->meta.find("without a registered view"), std::string::npos)
+  EXPECT_EQ(reply->err, ErrCode::kMalformed);
+  EXPECT_NE(reply->meta.find("bad projection meta"), std::string::npos)
       << reply->meta;
+  EXPECT_EQ(fs.subfile_storage(0).size(), 0);
   // The server survived and still handles good requests afterwards.
   auto& client = fs.client(1);
   const auto views = partition2d_all(Partition2D::kRowBlocks, 8, 8, 4);
-  const std::int64_t vid = client.set_view(views[1], 64);
+  const std::int64_t vid = client.set_view(views[0], 64);
   const Buffer data = make_pattern_buffer(16, 1);
+  Buffer back(16);
   EXPECT_NO_THROW(client.write(vid, 0, 15, data));
+  EXPECT_NO_THROW(client.read(vid, 0, 15, back));
+  EXPECT_EQ(back, data);
 }
 
-TEST(Failure, MalformedSetViewGetsErrorReply) {
-  Clusterfile fs(ClusterConfig{}, pattern2d(Partition2D::kRowBlocks, 8, 4));
-  Message msg;
-  msg.kind = MsgKind::kSetView;
-  msg.dst_node = 4;
-  msg.view_id = 0;
-  msg.meta = "{(not falls";  // unparseable projection
-  msg.v = 8;
-  ASSERT_TRUE(fs.network().send(0, std::move(msg)));
-  const auto reply = fs.network().inbox(0).receive();
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->kind, MsgKind::kError);
+TEST(Failure, WriteWithoutProjectionGetsMalformed) { expect_write_refused(""); }
+
+TEST(Failure, UnparseableProjectionGetsMalformed) {
+  expect_write_refused("8 {(not falls");
 }
 
 TEST(Failure, ClientSurfacesServerErrors) {

@@ -1,12 +1,11 @@
 // Raw protocol unit tests for the I/O server: drive it with hand-built
 // messages (no client) to pin down the wire contract — demultiplexing,
-// projection registration, contiguous vs scatter writes, reads, errors —
+// per-request projections, contiguous vs scatter writes, reads, errors —
 // plus the overlapping-node-set network accounting.
 #include <gtest/gtest.h>
 
 #include "clusterfile/fs.h"
 #include "clusterfile/io_server.h"
-#include "falls/serialize.h"
 #include "layout/partitions2d.h"
 #include "tests/test_util.h"
 
@@ -33,43 +32,36 @@ struct ServerFixture {
     EXPECT_TRUE(reply.has_value());
     return std::move(*reply);
   }
-
-  void set_view(int subfile, const FallsSet& proj, std::int64_t period,
-                std::int64_t view_id = 0) {
-    Message msg;
-    msg.kind = MsgKind::kSetView;
-    msg.subfile = subfile;
-    msg.view_id = view_id;
-    msg.meta = serialize(proj);
-    msg.v = period;
-    const Message reply = request(std::move(msg));
-    ASSERT_EQ(reply.kind, MsgKind::kAck);
-  }
 };
+
+/// A data request for [v, w] of `subfile` carrying its projection, as the
+/// client builds one.
+Message data_request(MsgKind kind, int subfile, const FallsSet& proj,
+                     std::int64_t period, std::int64_t v, std::int64_t w,
+                     Buffer payload = {}) {
+  Message msg;
+  msg.kind = kind;
+  msg.subfile = subfile;
+  msg.meta = encode_projection(proj, period);
+  msg.v = v;
+  msg.w = w;
+  msg.payload = std::move(payload);
+  return msg;
+}
 
 TEST(IoServerRaw, DemultiplexesBySubfileId) {
   ServerFixture fx;
-  fx.set_view(0, {make_falls(0, 3, 4, 1)}, 4);
-  fx.set_view(7, {make_falls(0, 1, 4, 2)}, 8);
-
   // Write 4 bytes to subfile 0 and 4 scattered bytes to subfile 7.
-  Message w0;
-  w0.kind = MsgKind::kWrite;
-  w0.subfile = 0;
-  w0.v = 0;
-  w0.w = 3;
-  w0.payload = make_pattern_buffer(4, 1);
-  const Buffer p0 = w0.payload;
-  EXPECT_EQ(fx.request(std::move(w0)).kind, MsgKind::kAck);
-
-  Message w7;
-  w7.kind = MsgKind::kWrite;
-  w7.subfile = 7;
-  w7.v = 0;
-  w7.w = 7;
-  w7.payload = make_pattern_buffer(4, 2);
-  const Buffer p7 = w7.payload;
-  EXPECT_EQ(fx.request(std::move(w7)).kind, MsgKind::kAck);
+  const Buffer p0 = make_pattern_buffer(4, 1);
+  EXPECT_EQ(fx.request(data_request(MsgKind::kWrite, 0,
+                                    {make_falls(0, 3, 4, 1)}, 4, 0, 3, p0))
+                .kind,
+            MsgKind::kAck);
+  const Buffer p7 = make_pattern_buffer(4, 2);
+  EXPECT_EQ(fx.request(data_request(MsgKind::kWrite, 7,
+                                    {make_falls(0, 1, 4, 2)}, 8, 0, 7, p7))
+                .kind,
+            MsgKind::kAck);
 
   Buffer s0(4);
   fx.server.storage(0).read(0, s0);
@@ -86,58 +78,91 @@ TEST(IoServerRaw, DemultiplexesBySubfileId) {
 
 TEST(IoServerRaw, UnknownSubfileYieldsError) {
   ServerFixture fx;
-  Message msg;
-  msg.kind = MsgKind::kSetView;
-  msg.subfile = 3;  // not served here
-  msg.meta = "{(0,1,2,1)}";
-  msg.v = 2;
-  const Message reply = fx.request(std::move(msg));
+  const Message reply = fx.request(data_request(
+      MsgKind::kRead, /*subfile=*/3, {make_falls(0, 1, 2, 1)}, 2, 0, 1));
   EXPECT_EQ(reply.kind, MsgKind::kError);
+  EXPECT_EQ(reply.err, ErrCode::kUnknownSubfile);
   EXPECT_NE(reply.meta.find("not served here"), std::string::npos);
 }
 
-TEST(IoServerRaw, ViewsAreKeyedByClientAndViewId) {
+TEST(IoServerRaw, EachRequestCarriesItsProjection) {
   ServerFixture fx;
-  // Two views on the same subfile with different projections.
-  fx.set_view(0, {make_falls(0, 1, 4, 1)}, 4, /*view_id=*/1);
-  fx.set_view(0, {make_falls(2, 3, 4, 1)}, 4, /*view_id=*/2);
-
-  Message w;
-  w.kind = MsgKind::kWrite;
-  w.subfile = 0;
-  w.view_id = 2;
-  w.v = 2;
-  w.w = 3;
-  w.payload = make_pattern_buffer(2, 3);
-  const Buffer p = w.payload;
-  EXPECT_EQ(fx.request(std::move(w)).kind, MsgKind::kAck);
+  // Two requests on the same subfile and interval with different
+  // projections: each lands where its own projection says.
+  const Buffer a = make_pattern_buffer(2, 3);
+  const Buffer b = make_pattern_buffer(2, 4);
+  EXPECT_EQ(fx.request(data_request(MsgKind::kWrite, 0,
+                                    {make_falls(0, 1, 4, 1)}, 4, 0, 3, a))
+                .kind,
+            MsgKind::kAck);
+  EXPECT_EQ(fx.request(data_request(MsgKind::kWrite, 0,
+                                    {make_falls(2, 3, 4, 1)}, 4, 0, 3, b))
+                .kind,
+            MsgKind::kAck);
   Buffer s(4);
   fx.server.storage(0).read(0, s);
-  EXPECT_EQ(s[2], p[0]);
-  EXPECT_EQ(s[3], p[1]);
+  EXPECT_EQ(s[0], a[0]);
+  EXPECT_EQ(s[1], a[1]);
+  EXPECT_EQ(s[2], b[0]);
+  EXPECT_EQ(s[3], b[1]);
+  EXPECT_EQ(fx.server.projection_cache_size(), 2u);
+}
+
+TEST(IoServerRaw, MalformedProjectionIsRefused) {
+  ServerFixture fx;
+  for (const char* meta : {"", "{(0,3,4,1)}", "x {(0,3,4,1)}", "0 {(0,3,4,1)}",
+                           "2 {(0,3,4,1)}", "4 {}", "4 {(0,3,4,1"}) {
+    Message w;
+    w.kind = MsgKind::kWrite;
+    w.subfile = 0;
+    w.meta = meta;
+    w.v = 0;
+    w.w = 3;
+    w.payload = make_pattern_buffer(4, 5);
+    const Message reply = fx.request(std::move(w));
+    EXPECT_EQ(reply.kind, MsgKind::kError) << "meta '" << meta << "'";
+    EXPECT_EQ(reply.err, ErrCode::kMalformed) << "meta '" << meta << "'";
+  }
+  EXPECT_EQ(fx.server.storage(0).size(), 0);
+  EXPECT_EQ(fx.server.projection_cache_size(), 0u);
+}
+
+TEST(IoServerRaw, ReadPastTheEndIsRefusedBeforeAllocating) {
+  ServerFixture fx;
+  const FallsSet whole = {make_falls(0, 1023, 1024, 1)};
+  EXPECT_EQ(fx.request(data_request(MsgKind::kWrite, 0, whole, 1024, 0, 3,
+                                    make_pattern_buffer(4, 6)))
+                .kind,
+            MsgKind::kAck);
+  // 64 MiB of member bytes asked of a 4-byte subfile: refused with
+  // kMalformed (so a client fails over) before any reply buffer exists.
+  const Message refused = fx.request(
+      data_request(MsgKind::kRead, 0, whole, 1024, 0, (std::int64_t{1} << 26) - 1));
+  EXPECT_EQ(refused.kind, MsgKind::kError);
+  EXPECT_EQ(refused.err, ErrCode::kMalformed);
+  EXPECT_NE(refused.meta.find("past the end"), std::string::npos) << refused.meta;
+  // An interval may reach past the end as long as its member bytes don't.
+  const Message tail = fx.request(
+      data_request(MsgKind::kRead, 0, {make_falls(0, 1, 8, 1)}, 8, 0, 7));
+  ASSERT_EQ(tail.kind, MsgKind::kReadReply);
+  EXPECT_EQ(tail.payload.size(), 2u);
+  // The server keeps serving in-bounds reads.
+  const Message ok = fx.request(data_request(MsgKind::kRead, 0, whole, 1024, 0, 3));
+  ASSERT_EQ(ok.kind, MsgKind::kReadReply);
+  EXPECT_TRUE(equal_bytes(ok.payload, make_pattern_buffer(4, 6)));
 }
 
 TEST(IoServerRaw, ReadReturnsGatheredProjection) {
   ServerFixture fx;
-  fx.set_view(7, {make_falls(0, 1, 4, 2)}, 8);
+  const FallsSet proj = {make_falls(0, 1, 4, 2)};
   // Preload storage directly: bytes 0..5 identifiable.
   Buffer init(6);
   for (std::size_t i = 0; i < init.size(); ++i) init[i] = static_cast<std::byte>(i);
   // Write through the protocol to fill projected positions {0,1,4,5}.
-  Message w;
-  w.kind = MsgKind::kWrite;
-  w.subfile = 7;
-  w.v = 0;
-  w.w = 7;
-  w.payload = {init[0], init[1], init[4], init[5]};
-  fx.request(std::move(w));
+  fx.request(data_request(MsgKind::kWrite, 7, proj, 8, 0, 7,
+                          {init[0], init[1], init[4], init[5]}));
 
-  Message r;
-  r.kind = MsgKind::kRead;
-  r.subfile = 7;
-  r.v = 0;
-  r.w = 7;
-  const Message reply = fx.request(std::move(r));
+  const Message reply = fx.request(data_request(MsgKind::kRead, 7, proj, 8, 0, 7));
   ASSERT_EQ(reply.kind, MsgKind::kReadReply);
   ASSERT_EQ(reply.payload.size(), 4u);
   EXPECT_EQ(reply.payload[0], init[0]);
@@ -148,15 +173,11 @@ TEST(IoServerRaw, ReadReturnsGatheredProjection) {
 
 TEST(IoServerRaw, PayloadShorterThanProjectionIsAnError) {
   ServerFixture fx;
-  fx.set_view(7, {make_falls(0, 1, 4, 2)}, 8);
-  Message w;
-  w.kind = MsgKind::kWrite;
-  w.subfile = 7;
-  w.v = 0;
-  w.w = 7;
-  w.payload.resize(2);  // projection selects 4 bytes
-  const Message reply = fx.request(std::move(w));
+  // The projection selects 4 bytes; the payload holds 2.
+  const Message reply = fx.request(data_request(
+      MsgKind::kWrite, 7, {make_falls(0, 1, 4, 2)}, 8, 0, 7, Buffer(2)));
   EXPECT_EQ(reply.kind, MsgKind::kError);
+  EXPECT_EQ(reply.err, ErrCode::kMalformed);
 }
 
 TEST(OverlapNodes, ColocatedMessagesCostNoWireTime) {

@@ -19,7 +19,7 @@ Message sample_message() {
   m.src_node = 3;
   m.dst_node = 7;
   m.subfile = 2;
-  m.view_id = 11;
+  m.resume = 11;
   m.v = 4096;
   m.w = 8191;
   m.contiguous = true;
@@ -34,7 +34,7 @@ void expect_equal(const Message& a, const Message& b) {
   EXPECT_EQ(a.src_node, b.src_node);
   EXPECT_EQ(a.dst_node, b.dst_node);
   EXPECT_EQ(a.subfile, b.subfile);
-  EXPECT_EQ(a.view_id, b.view_id);
+  EXPECT_EQ(a.resume, b.resume);
   EXPECT_EQ(a.v, b.v);
   EXPECT_EQ(a.w, b.w);
   EXPECT_EQ(a.contiguous, b.contiguous);
@@ -73,7 +73,7 @@ TEST(WireFormat, RoundTripEveryKindAndErr) {
 
 TEST(WireFormat, RoundTripEmptyAndExtremes) {
   Message m;
-  m.view_id = INT64_MIN;
+  m.resume = INT64_MIN;
   m.v = INT64_MAX;
   m.w = -1;
   m.req_id = UINT64_MAX;
