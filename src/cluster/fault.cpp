@@ -21,7 +21,9 @@ void FaultInjector::flip_random_bit(Message& msg) {
   // Header fields are treated as reliable (the wire model's 64-byte header
   // stands in for a protected transport header); corruption hits the data
   // bytes the checksum covers. A message with neither meta nor payload has
-  // nothing to corrupt.
+  // nothing to corrupt. The payload may be shared with the sender's
+  // retained request and sibling replicas' requests: mutable_bytes() flips
+  // the bit in this message's own copy only.
   const std::size_t meta_bits = msg.meta.size() * 8;
   const std::size_t payload_bits = msg.payload.size() * 8;
   const std::size_t total = meta_bits + payload_bits;
@@ -33,7 +35,8 @@ void FaultInjector::flip_random_bit(Message& msg) {
         static_cast<unsigned char>(msg.meta[bit / 8]) ^ (1u << (bit % 8)));
   } else {
     const std::size_t b = bit - meta_bits;
-    msg.payload[b / 8] ^= static_cast<std::byte>(1u << (b % 8));
+    msg.payload.mutable_bytes()[b / 8] ^=
+        static_cast<std::byte>(1u << (b % 8));
   }
   ++counters_.corrupted;
 }

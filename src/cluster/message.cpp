@@ -38,9 +38,35 @@ const char* to_string(ErrCode e) {
   return "?";
 }
 
+Payload::Payload(Buffer bytes)
+    : bytes_(bytes.empty() ? nullptr
+                           : std::make_shared<Buffer>(std::move(bytes))) {}
+
+Buffer& Payload::own() {
+  if (!bytes_)
+    bytes_ = std::make_shared<Buffer>();
+  else if (bytes_.use_count() > 1)
+    bytes_ = std::make_shared<Buffer>(*bytes_);
+  return *bytes_;
+}
+
+std::span<std::byte> Payload::mutable_bytes() {
+  if (empty()) return {};
+  return own();
+}
+
+void Payload::resize(std::size_t n) {
+  if (n != size()) own().resize(n);
+}
+
+bool Payload::operator==(const Payload& other) const {
+  return size() == other.size() &&
+         (empty() || std::memcmp(data(), other.data(), size()) == 0);
+}
+
 std::uint32_t message_checksum(const Message& m) {
-  std::uint32_t c = crc32(m.meta.data(), m.meta.size());
-  return crc32(m.payload.data(), m.payload.size(), c);
+  std::uint32_t c = crc32c(m.meta.data(), m.meta.size());
+  return crc32c(m.payload.data(), m.payload.size(), c);
 }
 
 void stamp_checksum(Message& m) {
@@ -154,7 +180,7 @@ Message decode_message(std::span<const std::byte> wire) {
   m.meta.assign(reinterpret_cast<const char*>(wire.data()) + kWireHeaderSize,
                 meta_len);
   const std::byte* payload = wire.data() + kWireHeaderSize + meta_len;
-  m.payload.assign(payload, payload + payload_len);
+  m.payload = Buffer(payload, payload + payload_len);
   return m;
 }
 

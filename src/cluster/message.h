@@ -8,11 +8,13 @@
 // retransmits by (client, req_id), and stale or duplicated replies are
 // discarded instead of crashing the await loop. When the network has
 // checksums enabled (any installed fault plan enables them), meta and
-// payload are covered by a CRC-32 so injected bit flips are detected at the
-// receiver rather than silently scattered into subfiles.
+// payload are covered by a CRC-32C so injected bit flips are detected at
+// the receiver rather than silently scattered into subfiles.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -74,6 +76,42 @@ class ProtocolError : public std::runtime_error {
   ErrCode code_;
 };
 
+/// The data bytes of a message, reference-counted and copy-on-write.
+/// Copying a Payload — and so a Message — shares the bytes instead of
+/// copying them: a replicated write's fan-out requests, their retransmits
+/// and its detached stragglers all carry the one buffer the client
+/// gathered. mutable_bytes() and resize() copy the bytes first when
+/// another Payload still shares them, so a writer never changes what a
+/// sharer sees.
+class Payload {
+ public:
+  Payload() = default;
+  Payload(Buffer bytes);  // implicit: `payload = buffer` takes it over
+
+  std::size_t size() const { return bytes_ ? bytes_->size() : 0; }
+  bool empty() const { return size() == 0; }
+  const std::byte* data() const { return bytes_ ? bytes_->data() : nullptr; }
+  const std::byte* begin() const { return data(); }
+  const std::byte* end() const { return data() + size(); }
+  const std::byte& operator[](std::size_t i) const { return (*bytes_)[i]; }
+
+  /// Writable bytes, made this Payload's own first.
+  std::span<std::byte> mutable_bytes();
+  /// Buffer::resize (new bytes zeroed), made this Payload's own first.
+  void resize(std::size_t n);
+
+  bool operator==(const Payload& other) const;
+
+ private:
+  /// The buffer, copied first when another Payload shares it. Testing
+  /// use_count() is safe because only one thread uses a given Payload at a
+  /// time: the count rises only when a sharing Payload is copied, and at a
+  /// count of 1 the only sharer is this one, on the calling thread.
+  Buffer& own();
+
+  std::shared_ptr<Buffer> bytes_;  ///< null: empty
+};
+
 struct Message {
   MsgKind kind = MsgKind::kAck;
   int src_node = -1;
@@ -88,12 +126,12 @@ struct Message {
   /// its own, so servers keep no per-view state. kError: the reason.
   /// kSyncReply: the "off:len;..." range list.
   std::string meta;
-  Buffer payload;             ///< data bytes for kWrite / kReadReply
+  Payload payload;            ///< data bytes for kWrite / kReadReply
 
   /// Request id, unique across the process; replies echo it. 0 means "no
   /// reliability protocol" (raw test traffic) — servers skip dedup for it.
   std::uint64_t req_id = 0;
-  /// CRC-32 over meta then payload; valid only when `checksummed` is set.
+  /// CRC-32C over meta then payload; valid only when `checksummed` is set.
   std::uint32_t checksum = 0;
   bool checksummed = false;
   ErrCode err = ErrCode::kNone;  ///< reason on kError replies
@@ -105,7 +143,8 @@ struct Message {
   }
 };
 
-/// CRC-32 over the message's meta and payload bytes.
+/// CRC-32C over the message's meta and payload bytes. Routing fields are
+/// not covered, so a request sealed once can be re-aimed at any replica.
 std::uint32_t message_checksum(const Message& m);
 /// Computes and stores the checksum, marking the message checksummed.
 void stamp_checksum(Message& m);

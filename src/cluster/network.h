@@ -69,7 +69,7 @@ class Network {
   /// Force checksums on even without an injector (benchmarks measuring the
   /// checksum overhead in isolation).
   void set_checksums(bool enabled) { explicit_checksums_.store(enabled); }
-  /// Senders stamp and receivers verify CRC-32 checksums when true: an
+  /// Senders stamp and receivers verify CRC-32C checksums when true: an
   /// injector is installed or set_checksums(true) was called.
   bool checksums_enabled() const {
     return explicit_checksums_.load(std::memory_order_relaxed) ||

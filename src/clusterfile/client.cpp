@@ -97,7 +97,7 @@ void ClusterfileClient::maybe_refresh_placement() {
   });
   // Between accesses every in-flight entry is a detached straggler.
   std::erase_if(inflight_, [&](const auto& entry) {
-    return retired(entry.second.subfile, entry.second.io_node);
+    return retired(entry.second.request.subfile, entry.second.io_node);
   });
   placement_seen_ = epoch;
 }
@@ -243,11 +243,6 @@ ClusterfileClient::acquire_plan(const ViewState& state, std::int64_t view_id,
   return plan;
 }
 
-void ClusterfileClient::seal(Message& msg, std::uint64_t req_id) {
-  msg.req_id = req_id;
-  if (net_.checksums_enabled()) stamp_checksum(msg);
-}
-
 std::chrono::nanoseconds RetryPolicy::timeout(int attempt) const {
   double ms = static_cast<double>(base_timeout.count()) *
               std::pow(backoff, attempt - 1);
@@ -279,20 +274,18 @@ struct ClusterfileClient::Access {
     std::shared_ptr<bool> quorum_short;  ///< made when the group detaches
   };
   int quorum = 0;
-  const std::function<Message(std::size_t)>& rebuild;
   AccessTimings& t;
   std::vector<Message>* replies = nullptr;
   std::vector<Group> groups;
 };
 
-void ClusterfileClient::transact(
-    std::vector<TxReq> reqs, std::size_t group_count, int quorum,
-    const std::function<Message(std::size_t)>& rebuild, AccessTimings& t,
-    std::vector<Message>* replies) {
+void ClusterfileClient::transact(std::vector<TxReq> reqs,
+                                 std::size_t group_count, int quorum,
+                                 AccessTimings& t,
+                                 std::vector<Message>* replies) {
   if (replies != nullptr) replies->assign(reqs.size(), Message{});
   t.per_subfile.assign(group_count, SubfileAccess{});
-  Access acc{quorum, rebuild, t, replies,
-             std::vector<Access::Group>(group_count)};
+  Access acc{quorum, t, replies, std::vector<Access::Group>(group_count)};
 
   // One delivery budget for the whole access: every deadline — retries,
   // failovers, straggler retransmits — is clipped to `hard_deadline` (the
@@ -303,18 +296,19 @@ void ClusterfileClient::transact(
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       const std::uint64_t id = next_req_id();
       InFlight& e = inflight_[id];
-      e.kind = reqs[i].msg.kind;
       e.index = i;
       e.group = reqs[i].group;
-      e.subfile = reqs[i].msg.subfile;
       e.io_node = reqs[i].msg.dst_node;
       e.backups = std::move(reqs[i].backups);
       e.hard_deadline = hard_deadline;
+      e.request = std::move(reqs[i].msg);
+      e.request.req_id = id;
+      if (net_.checksums_enabled()) stamp_checksum(e.request);
       SubfileAccess& s = t.per_subfile[e.group];
-      s.subfile = e.subfile;
+      s.subfile = e.request.subfile;
       // The primary names the group.
       if (++acc.groups[e.group].total == 1) s.io_node = e.io_node;
-      transmit(id, e, std::move(reqs[i].msg));
+      transmit(id, e);
     }
     pump(&acc);
   } catch (...) {
@@ -414,7 +408,7 @@ void ClusterfileClient::pump(Access* acc) {
         } else {
           ++rel.retries;
         }
-        resend(id, e, acc);
+        resend(id, e);
       }
       continue;
     }
@@ -443,7 +437,7 @@ void ClusterfileClient::pump(Access* acc) {
       ++rel.corruptions_detected;
       if (e != nullptr && e->attempts < policy_.max_attempts) {
         ++rel.retries;
-        resend(id, *e, acc);
+        resend(id, *e);
       }
       continue;
     }
@@ -463,7 +457,7 @@ void ClusterfileClient::pump(Access* acc) {
         // re-executes).
         if (msg->err == ErrCode::kBadChecksum) ++rel.corruptions_detected;
         ++rel.retries;
-        resend(id, *e, acc);
+        resend(id, *e);
         continue;
       }
       // Terminal for this replica — including kCorruptData, where a resend
@@ -475,8 +469,8 @@ void ClusterfileClient::pump(Access* acc) {
       continue;
     }
 
-    if (msg->kind != (e->kind == MsgKind::kRead ? MsgKind::kReadReply
-                                                : MsgKind::kAck)) {
+    if (msg->kind != (e->request.kind == MsgKind::kRead ? MsgKind::kReadReply
+                                                        : MsgKind::kAck)) {
       ++rel.stale_replies;
       continue;
     }
@@ -496,31 +490,26 @@ void ClusterfileClient::pump(Access* acc) {
     if (acc->quorum == 0 || g.ok < std::min(acc->quorum, g.total)) continue;
 
     // Quorum met: detach the group's outstanding fan-out requests. Each
-    // keeps its req_id (a late ack still matches), its attempt count and
-    // its schedule; the retransmit copy is made NOW, while the caller's
-    // buffer behind rebuild() is still alive.
+    // keeps its req_id (a late ack still matches), its attempt count, its
+    // schedule and its sealed request, whose payload it owns a share of —
+    // the caller's buffer may be gone before the straggler resolves.
     for (auto& [mid, m] : inflight_) {
       if (m.detached || m.group != gi) continue;
       if (!g.quorum_short) g.quorum_short = std::make_shared<bool>(false);
       m.group_short = g.quorum_short;
-      m.sealed = acc->rebuild(m.index);
-      m.sealed.dst_node = m.io_node;
-      seal(m.sealed, mid);
       m.detached = true;
       ++acc->t.stragglers;
     }
   }
 }
 
-void ClusterfileClient::transmit(std::uint64_t id, InFlight& e, Message msg) {
-  if (!e.detached) {
-    // The engine owns routing: after a failover the regenerated message
-    // goes to the replica now serving the request. Every attempt carries
-    // the same req_id, so the server replays instead of re-applying and a
-    // late reply from an earlier attempt is stale.
-    msg.dst_node = e.io_node;
-    seal(msg, id);
-  }
+void ClusterfileClient::transmit(std::uint64_t id, InFlight& e) {
+  // The engine owns routing: after a failover the copy goes to the replica
+  // now serving the request. Every attempt carries the same req_id, so the
+  // server replays instead of re-applying and a late reply from an earlier
+  // attempt is stale. The copy shares the sealed request's payload.
+  Message msg = e.request;
+  msg.dst_node = e.io_node;
   e.deadline = std::min(Clock::now() + policy_.timeout(e.attempts),
                         e.hard_deadline);
   if (net_.send(node_id_, std::move(msg))) return;
@@ -530,9 +519,9 @@ void ClusterfileClient::transmit(std::uint64_t id, InFlight& e, Message msg) {
   give_up(id, {}, false, nullptr);
 }
 
-void ClusterfileClient::resend(std::uint64_t id, InFlight& e, Access* acc) {
+void ClusterfileClient::resend(std::uint64_t id, InFlight& e) {
   ++e.attempts;
-  transmit(id, e, e.detached ? e.sealed : acc->rebuild(e.index));
+  transmit(id, e);
 }
 
 void ClusterfileClient::give_up(std::uint64_t id, const std::string& why,
@@ -557,7 +546,7 @@ void ClusterfileClient::give_up(std::uint64_t id, const std::string& why,
       ++acc->t.rel.failovers;
       e.io_node = e.backups.front();
       e.backups.erase(e.backups.begin());
-      resend(it->first, e, acc);
+      resend(it->first, e);
       return;
     }
     ++g.failed;
@@ -569,8 +558,8 @@ void ClusterfileClient::give_up(std::uint64_t id, const std::string& why,
   // Deduplicated: the same (subfile, node) abandoned across many retries
   // (or many groups) owes exactly one scrub, and the debt set stays bounded
   // by subfiles × replicas instead of growing with the failure rate.
-  const std::pair<int, int> owed{e.subfile, e.io_node};
-  if (e.kind == MsgKind::kWrite &&
+  const std::pair<int, int> owed{e.request.subfile, e.io_node};
+  if (e.request.kind == MsgKind::kWrite &&
       std::find(scrub_debt_.begin(), scrub_debt_.end(), owed) ==
           scrub_debt_.end())
     scrub_debt_.push_back(owed);
@@ -604,36 +593,28 @@ ClusterfileClient::AccessTimings ClusterfileClient::write(
     out.t_m_us = t.elapsed_us();
   }
 
-  const auto make_write = [&](const PlanTarget& pt) {
-    Message msg;
-    msg.kind = MsgKind::kWrite;
-    msg.dst_node = pt.io_node;
-    msg.subfile = pt.subfile;
-    msg.meta = state.targets[pt.target_index].proj_s;
-    msg.v = pt.base_vs + shift * pt.sub_period_bytes;
-    msg.w = pt.base_ws + shift * pt.sub_period_bytes;
-    msg.contiguous = pt.runs.contiguous;
-    msg.payload.resize(static_cast<std::size_t>(pt.runs.bytes));
-    return msg;
-  };
-
   // Build the requests; gathering is the t_g phase (a single untimed
   // memcpy on the contiguous fast path, as in the paper). Writes fan out to
-  // every replica of their target: each gathers once, backups reuse the
-  // primary's payload by copy.
+  // every replica of their target: each target gathers once, and its
+  // replicas' requests share that one payload.
   std::vector<TxReq> reqs;
-  std::vector<std::size_t> req_target;  // request index -> plan target index
   reqs.reserve(plan->targets.size());
   for (std::size_t k = 0; k < plan->targets.size(); ++k) {
     const PlanTarget& pt = plan->targets[k];
     const std::vector<int>& reps =
         state.targets[pt.target_index].replicas;
-    Message msg = make_write(pt);
+    Message msg;
+    msg.kind = MsgKind::kWrite;
+    msg.subfile = pt.subfile;
+    msg.meta = state.targets[pt.target_index].proj_s;
+    msg.v = pt.base_vs + shift * pt.sub_period_bytes;
+    msg.w = pt.base_ws + shift * pt.sub_period_bytes;
+    msg.contiguous = pt.runs.contiguous;
     if (pt.runs.contiguous) {
-      gather_runs(msg.payload, data, pt.runs);
+      msg.payload = gather_runs(data, pt.runs);
     } else {
       Timer t;
-      gather_runs(msg.payload, data, pt.runs);
+      msg.payload = gather_runs(data, pt.runs);
       out.t_g_us += t.elapsed_us();
     }
     out.bytes += pt.runs.bytes;
@@ -643,26 +624,15 @@ ClusterfileClient::AccessTimings ClusterfileClient::write(
       req.msg.dst_node = reps[r];
       req.group = k;
       reqs.push_back(std::move(req));
-      req_target.push_back(k);
     }
   }
   out.messages = static_cast<std::int64_t>(reqs.size());
 
   {
-    // t_w: first request sent -> last acknowledgment received. Retransmits
-    // re-gather from the caller's buffer (still live for the whole call) so
-    // the fault-free path never copies a payload it doesn't have to.
+    // t_w: first request sent -> last acknowledgment received.
     Timer t;
-    transact(
-        std::move(reqs), plan->targets.size(), /*quorum=*/write_quorum_,
-        /*rebuild=*/
-        [&](std::size_t i) {
-          const PlanTarget& pt = plan->targets[req_target[i]];
-          Message msg = make_write(pt);
-          gather_runs(msg.payload, data, pt.runs);
-          return msg;
-        },
-        out, nullptr);
+    transact(std::move(reqs), plan->targets.size(), write_quorum_, out,
+             nullptr);
     out.t_w_us = t.elapsed_us();
   }
   return out;
@@ -688,17 +658,6 @@ ClusterfileClient::AccessTimings ClusterfileClient::read(
     out.t_m_us = t.elapsed_us();
   }
 
-  const auto make_read = [&](const PlanTarget& pt) {
-    Message msg;
-    msg.kind = MsgKind::kRead;
-    msg.dst_node = pt.io_node;
-    msg.subfile = pt.subfile;
-    msg.meta = state.targets[pt.target_index].proj_s;
-    msg.v = pt.base_vs + shift * pt.sub_period_bytes;
-    msg.w = pt.base_ws + shift * pt.sub_period_bytes;
-    return msg;
-  };
-
   // One request per target, aimed at the primary, with the remaining
   // replicas as the failover chain: a read retargets to a backup when its
   // current node is given up on, completing kDegraded instead of kFailed.
@@ -708,7 +667,12 @@ ClusterfileClient::AccessTimings ClusterfileClient::read(
     const PlanTarget& pt = plan->targets[k];
     const std::vector<int>& reps = state.targets[pt.target_index].replicas;
     TxReq req;
-    req.msg = make_read(pt);
+    req.msg.kind = MsgKind::kRead;
+    req.msg.dst_node = pt.io_node;
+    req.msg.subfile = pt.subfile;
+    req.msg.meta = state.targets[pt.target_index].proj_s;
+    req.msg.v = pt.base_vs + shift * pt.sub_period_bytes;
+    req.msg.w = pt.base_ws + shift * pt.sub_period_bytes;
     req.group = k;
     req.backups.assign(reps.begin() + 1, reps.end());
     reqs.push_back(std::move(req));
@@ -718,11 +682,8 @@ ClusterfileClient::AccessTimings ClusterfileClient::read(
   std::vector<Message> replies;
   {
     Timer t;
-    transact(
-        std::move(reqs), plan->targets.size(), /*quorum=*/0,
-        /*rebuild=*/
-        [&](std::size_t i) { return make_read(plan->targets[i]); },
-        out, &replies);
+    transact(std::move(reqs), plan->targets.size(), /*quorum=*/0, out,
+             &replies);
     out.t_w_us = t.elapsed_us();
   }
 

@@ -341,48 +341,44 @@ class ClusterfileClient {
 
   /// One in-flight request of the client-wide table, keyed by req_id. The
   /// running access owns it until its group meets the write quorum; it is
-  /// then *detached* (a straggler): it keeps its req_id, attempts and
-  /// deadlines plus a sealed retransmit copy, made while the caller's
-  /// buffer behind the access's rebuild() was still alive. Retransmits
-  /// reuse the req_id, so servers dedup a late original crossing one.
+  /// then *detached* (a straggler) and keeps its req_id, attempts,
+  /// deadlines and sealed request. Every attempt sends a copy of that one
+  /// request, sharing its payload, so a straggler never needs the caller's
+  /// buffer. Retransmits reuse the req_id, so servers dedup a late original
+  /// crossing one.
   struct InFlight {
-    MsgKind kind = MsgKind::kWrite;  ///< the request's kind
     std::size_t index = 0;  ///< request index within its access
     std::size_t group = 0;  ///< replica group (target) within its access
-    int subfile = 0;
     int io_node = -1;  ///< the node serving the request right now
     std::vector<int> backups;  ///< failover chain (single-shot requests)
     int attempts = 1;
     Clock::time_point deadline;       ///< next retransmit fires here
     Clock::time_point hard_deadline;  ///< the access's delivery budget end
     bool detached = false;
-    Message sealed;  ///< detached: the retransmit copy
+    Message request;  ///< sealed once (req_id, checksum); transmit routes it
     /// Detached: shared by the group's stragglers so the first abandonment
     /// — and only the first — counts quorum_short.
     std::shared_ptr<bool> group_short;
   };
-  /// The running access's rebuild callback and per-group outcomes
-  /// (client.cpp).
+  /// The running access's per-group outcomes (client.cpp).
   struct Access;
 
-  /// The reliable request engine. Sends every request (already built —
-  /// payload gathering stays outside the t_w window), matches replies by
-  /// req_id, retransmits on timeout via `rebuild(i)` (which regenerates
-  /// request i, payload included; the engine retargets it to the replica
-  /// currently serving the request), and fails over along a request's
-  /// backup chain when its current node is given up on. One delivery
-  /// budget — RetryPolicy::budget(), the summed backoff schedule — spans a
-  /// request's whole replica chain: attempts never reset on failover and
-  /// every deadline is clipped to the budget's end. With `quorum` > 0, a group
-  /// whose ok count reaches min(quorum, fan-out) detaches its remaining
-  /// requests instead of waiting them out. Fills `t.per_subfile` with one
-  /// status per *group* (group_count entries): kFailed only when every
-  /// replica of the group was lost; kDegraded when data survived but a
-  /// replica didn't. Throws TimeoutError / runtime_error only for kFailed
-  /// groups unless allow_partial is set; always throws if the network
-  /// closes.
+  /// The reliable request engine. Seals every request once (already built —
+  /// payload gathering stays outside the t_w window) and sends it, matches
+  /// replies by req_id, retransmits on timeout a copy of the sealed request
+  /// aimed at the replica currently serving it, and fails over along a
+  /// request's backup chain when its current node is given up on. One
+  /// delivery budget — RetryPolicy::budget(), the summed backoff schedule —
+  /// spans a request's whole replica chain: attempts never reset on
+  /// failover and every deadline is clipped to the budget's end. With
+  /// `quorum` > 0, a group whose ok count reaches min(quorum, fan-out)
+  /// detaches its remaining requests instead of waiting them out. Fills
+  /// `t.per_subfile` with one status per *group* (group_count entries):
+  /// kFailed only when every replica of the group was lost; kDegraded when
+  /// data survived but a replica didn't. Throws TimeoutError /
+  /// runtime_error only for kFailed groups unless allow_partial is set;
+  /// always throws if the network closes.
   void transact(std::vector<TxReq> reqs, std::size_t group_count, int quorum,
-                const std::function<Message(std::size_t)>& rebuild,
                 AccessTimings& t, std::vector<Message>* replies);
   /// The one event loop: waits until the earliest deadline, then handles
   /// timeouts and replies for every entry of inflight_. With an access it
@@ -390,21 +386,19 @@ class ClusterfileClient {
   /// table is empty. Detached entries' counters go to rel_, never to an
   /// access's share (see AccessTimings::rel).
   void pump(Access* acc);
-  /// Routes and seals `msg` for entry `id` (a detached entry's sealed copy
-  /// is sent as is), arms the deadline of its current attempt and sends
-  /// it. A closed destination inbox throws for an access's entry and
-  /// abandons a detached one: no reply can ever arrive.
-  void transmit(std::uint64_t id, InFlight& e, Message msg);
+  /// Sends entry `id`'s sealed request to the node serving it now and arms
+  /// the deadline of its current attempt. A closed destination inbox
+  /// throws for an access's entry and abandons a detached one: no reply can
+  /// ever arrive.
+  void transmit(std::uint64_t id, InFlight& e);
   /// Sends entry `id`'s next attempt.
-  void resend(std::uint64_t id, InFlight& e, Access* acc);
+  void resend(std::uint64_t id, InFlight& e);
   /// Terminal outcome for entry `id` on its current node: fail over to the
   /// next backup while attempts and budget remain, otherwise record the loss
   /// in the access's group — or, detached, abandon it. A lost write owes its
   /// subfile to scrub.
   void give_up(std::uint64_t id, const std::string& why, bool timed_out,
                Access* acc);
-  /// Stamps req_id (and the checksum when the network asks for it).
-  void seal(Message& msg, std::uint64_t req_id);
   /// Re-snapshots replica targets from the placement directory when its
   /// epoch moved: meta_, every view's SubTargets and the plan cache
   /// (PlanTarget caches io_node). Called at the start of every access,

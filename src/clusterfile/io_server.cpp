@@ -368,14 +368,15 @@ void IoServer::handle_read(Message&& msg) {
   reply.w = msg.w;
   {
     Timer t;
-    reply.payload.resize(static_cast<std::size_t>(n));
+    Buffer bytes(static_cast<std::size_t>(n));
     // Vectorized gather, mirroring handle_write: one readv verifies each
     // touched integrity block once rather than once per run.
     std::vector<IoVec> runs;
     proj.for_each_run_in(msg.v, msg.w, [&](std::int64_t lo, std::int64_t hi) {
       runs.push_back({lo, hi - lo + 1});
     });
-    if (!runs.empty()) sub.storage->readv(runs, reply.payload);
+    if (!runs.empty()) sub.storage->readv(runs, bytes);
+    reply.payload = std::move(bytes);
     MutexLock lock(mu_);
     gather_.add_us(t.elapsed_us());
   }
@@ -464,12 +465,14 @@ void IoServer::handle_sync_request(Message&& msg) {
       ranges = merge_ranges(std::move(ranges));
     // Reads go through the full storage stack: corruption on this peer
     // surfaces as kCorruptData (via handle's catch) instead of spreading.
+    Buffer bytes;
     for (const auto& [off, len] : ranges) {
-      const std::size_t at = reply.payload.size();
-      reply.payload.resize(at + static_cast<std::size_t>(len));
-      sub.storage->read(off, std::span<std::byte>(reply.payload)
-                                 .subspan(at, static_cast<std::size_t>(len)));
+      const std::size_t at = bytes.size();
+      bytes.resize(at + static_cast<std::size_t>(len));
+      sub.storage->read(off, std::span<std::byte>(bytes).subspan(
+                                 at, static_cast<std::size_t>(len)));
     }
+    reply.payload = std::move(bytes);
     reply.meta = format_ranges(ranges);
   }
   finish_reply(msg, std::move(reply), /*cacheable=*/false);

@@ -6,7 +6,7 @@
 // monotonic write epoch — the I/O server bumps it once per applied write, and
 // the re-sync protocol uses the epoch gap to decide which ranges a restarted
 // replica missed. Decorators wrap a backend without changing its address
-// space: IntegrityStorage records a CRC-32 per fixed-size block so torn
+// space: IntegrityStorage records a CRC-32C per fixed-size block so torn
 // writes and at-rest bit rot surface as StorageCorruptionError instead of
 // silently wrong bytes; FaultyStorage (storage_fault.h) injects exactly
 // those faults deterministically.

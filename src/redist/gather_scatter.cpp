@@ -74,20 +74,19 @@ IndexSet decode_projection(std::string_view text) {
   return proj;
 }
 
-void gather_runs(std::span<std::byte> dest, std::span<const std::byte> src,
-                 const RunList& rl) {
-  if (rl.bytes == 0) return;
-  PFM_CHECK(static_cast<std::int64_t>(dest.size()) >= rl.bytes,
-            "gather_runs: dest holds ", dest.size(), " of ", rl.bytes,
-            " bytes");
+Buffer gather_runs(std::span<const std::byte> src, const RunList& rl) {
+  if (rl.bytes == 0) return {};
   if (rl.contiguous) {
-    std::memcpy(dest.data(), src.data() + rl.runs.front().rel_lo,
-                static_cast<std::size_t>(rl.bytes));
-    return;
+    const std::byte* from = src.data() + rl.runs.front().rel_lo;
+    return Buffer(from, from + rl.bytes);
   }
-  for (const MaterializedRun& run : rl.runs)
-    std::memcpy(dest.data() + run.dest_off, src.data() + run.rel_lo,
-                static_cast<std::size_t>(run.len));
+  Buffer out;
+  out.reserve(static_cast<std::size_t>(rl.bytes));
+  for (const MaterializedRun& run : rl.runs) {
+    const std::byte* from = src.data() + run.rel_lo;
+    out.insert(out.end(), from, from + run.len);
+  }
+  return out;
 }
 
 void scatter_runs(std::span<std::byte> dest, std::span<const std::byte> src,

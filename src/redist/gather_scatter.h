@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "falls/falls.h"
+#include "util/buffer.h"
 
 namespace pfm {
 
@@ -113,11 +114,11 @@ std::int64_t gather(std::span<std::byte> dest, std::span<const std::byte> src,
 std::int64_t scatter(std::span<std::byte> dest, std::span<const std::byte> src,
                      std::int64_t v, std::int64_t w, const IndexSet& idx);
 
-/// GATHER replayed from a materialized run list: copies rl.bytes bytes from
-/// `src` (src[0] is the access interval's lower extremity — rel_lo 0) into
-/// the contiguous `dest`. The contiguous case degenerates to one memcpy.
-void gather_runs(std::span<std::byte> dest, std::span<const std::byte> src,
-                 const RunList& rl);
+/// GATHER replayed from a materialized run list: the rl.bytes bytes of
+/// `src` (src[0] is the access interval's lower extremity — rel_lo 0) the
+/// runs select, as one new buffer. Each byte is copied once, with no
+/// zero-fill first; the contiguous case is one copy of one span.
+Buffer gather_runs(std::span<const std::byte> src, const RunList& rl);
 
 /// SCATTER replayed from a materialized run list: the reverse copy, from
 /// contiguous `src` into `dest` at the runs' relative positions.

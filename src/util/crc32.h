@@ -1,7 +1,8 @@
-// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) for message payload integrity
-// in the Clusterfile protocol. Slice-by-4 table lookup: fast enough that a
-// checksummed message costs a few cycles per byte, and checksumming is only
-// enabled at all when a fault plan is installed (see Network::checksums_enabled).
+// CRC-32 (IEEE 802.3) and CRC-32C (Castagnoli). CRC-32C checks Clusterfile
+// messages (meta and payload; checksumming is only enabled at all when a
+// fault plan is installed, see Network::checksums_enabled) and integrity
+// blocks at rest. The IEEE CRC-32 stays in two on-disk formats, the
+// metadata journal and the epoch sidecar.
 #pragma once
 
 #include <cstddef>
@@ -9,15 +10,15 @@
 
 namespace pfm {
 
-/// CRC-32 of `n` bytes at `data`, continuing from `crc` (pass 0 to start a
-/// fresh checksum; feed the previous return value to chain buffers).
+/// CRC-32 (polynomial 0xEDB88320) of `n` bytes at `data`, continuing from
+/// `crc` (pass 0 to start a fresh checksum; feed the previous return value
+/// to chain buffers). Slice-by-4 table lookup.
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc = 0);
 
 /// CRC-32C (Castagnoli, polynomial 0x82F63B78), same chaining convention.
-/// Hardware-accelerated via the SSE4.2 CRC32 instruction when the CPU has
-/// it (runtime-detected; the table fallback is bit-identical). Used for
-/// storage block checksums, which are process-internal and never cross the
-/// wire — the message protocol stays on the IEEE crc32 above.
+/// Uses the SSE4.2 CRC32 instruction, three chains at a time, when the CPU
+/// has it (runtime-detected; the slice-by-4 table fallback is
+/// bit-identical).
 std::uint32_t crc32c(const void* data, std::size_t n, std::uint32_t crc = 0);
 
 }  // namespace pfm

@@ -8,6 +8,7 @@
 
 #include "cluster/network.h"
 #include "cluster/node.h"
+#include "util/buffer.h"
 
 namespace pfm {
 namespace {
@@ -122,6 +123,23 @@ TEST(NodeLoop, StopIsIdempotent) {
   NodeLoop loop(net, 0, [](Message&&) {});
   loop.stop();
   loop.stop();  // must not hang or crash
+}
+
+TEST(Message, CopiesSharePayloadUntilOneWrites) {
+  Message a;
+  a.payload = make_pattern_buffer(64, 3);
+  const Message b = a;
+  EXPECT_EQ(b.payload.data(), a.payload.data());  // shared, not copied
+  a.payload.mutable_bytes()[0] ^= std::byte{0xFF};
+  EXPECT_NE(b.payload.data(), a.payload.data());
+  EXPECT_TRUE(equal_bytes(b.payload, make_pattern_buffer(64, 3)));
+  EXPECT_EQ(a.payload[0], b.payload[0] ^ std::byte{0xFF});
+  EXPECT_FALSE(a.payload == b.payload);
+
+  // An unshared payload is written in place.
+  const std::byte* own = a.payload.data();
+  a.payload.mutable_bytes()[1] ^= std::byte{0xFF};
+  EXPECT_EQ(a.payload.data(), own);
 }
 
 TEST(MsgKind, Names) {

@@ -90,6 +90,23 @@ TEST(FaultInjector, SameSeedSameFaults) {
   EXPECT_GT(ca.delayed, 0);
 }
 
+// A corrupted message must not damage the copies that share its payload:
+// the sender's retained request (what it retransmits) and the requests to
+// sibling replicas.
+TEST(FaultInjector, CorruptionLeavesSharedPayloadCopiesIntact) {
+  FaultPlan plan;
+  plan.rules.push_back(make_rule(0.0, 0.0, /*corrupt=*/1.0));
+  FaultInjector inj(plan);
+  Message retained = make_msg(0, 1, MsgKind::kWrite, 256);
+  stamp_checksum(retained);
+  const auto out = inj.process(retained);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(inj.counters().corrupted, 1);
+  EXPECT_FALSE(verify_checksum(out[0]));
+  EXPECT_TRUE(verify_checksum(retained));
+  EXPECT_TRUE(equal_bytes(retained.payload, make_pattern_buffer(256, 7)));
+}
+
 TEST(FaultInjector, FirstMatchingRuleApplies) {
   FaultPlan plan;
   FaultRule to_one = make_rule(1.0);  // everything to node 1 dies
@@ -1703,6 +1720,36 @@ TEST(Quorum, AbandonedStragglerScrubDebtIsDeduplicated) {
   EXPECT_EQ(debt, std::vector<int>{0});
   EXPECT_TRUE(client.take_scrub_debt().empty());  // take = transfer, once
   fs.faults().restore(5);
+}
+
+// A straggler owns its payload: the caller may reuse its buffer as soon as
+// write() returns, and the retransmit that finally reaches the backup still
+// carries the bytes that were written.
+TEST(Quorum, StragglerOutlivesTheCallersBuffer) {
+  ClusterConfig cfg;
+  cfg.replication = 2;
+  cfg.write_quorum = 1;
+  Clusterfile fs(cfg, pattern2d(Partition2D::kRowBlocks, 16, 4));
+  auto& client = fs.client(0);
+  client.set_retry_policy(soak_policy());
+  // A row-block view congruent with the physical partition: the write
+  // touches subfile 0 only, whose replicas live on nodes 4 and 5.
+  const auto views = partition2d_all(Partition2D::kRowBlocks, 16, 16, 4);
+  const std::int64_t vid = client.set_view(views[0], 256);
+  fs.faults().isolate(5);  // the straggler's first attempt is lost
+  const Buffer written = make_pattern_buffer(64, 106);
+  Buffer data = written;
+  ASSERT_TRUE(client.write(vid, 0, 63, data).ok());
+  ASSERT_EQ(client.stragglers_pending(), 1u);
+  std::fill(data.begin(), data.end(), std::byte{0xEE});
+
+  fs.faults().restore(5);
+  client.drain_stragglers();
+  EXPECT_EQ(client.stragglers_completed(), 1);
+  EXPECT_EQ(client.stragglers_abandoned(), 0);
+  EXPECT_EQ(replica_image(fs, 0, 0), written);
+  EXPECT_EQ(replica_image(fs, 0, 1), written);
+  EXPECT_TRUE(fs.scrub().clean());
 }
 
 // ---------------------------------------------------------------------------

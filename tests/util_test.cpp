@@ -1,8 +1,11 @@
-// Tests for arithmetic, statistics and buffer utilities.
+// Tests for arithmetic, statistics, buffer and checksum utilities.
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "util/arith.h"
 #include "util/buffer.h"
+#include "util/crc32.h"
 #include "util/stats.h"
 
 namespace pfm {
@@ -90,6 +93,58 @@ TEST(Buffer, EqualBytesChecksSizes) {
   EXPECT_TRUE(equal_bytes(a, b));
   b.pop_back();
   EXPECT_FALSE(equal_bytes(a, b));
+}
+
+/// CRC-32C one bit at a time, with crc32c's chaining convention: the
+/// definition the table and instruction paths must reproduce.
+std::uint32_t crc32c_bitwise(const std::byte* p, std::size_t n,
+                             std::uint32_t crc) {
+  crc = ~crc;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= std::to_integer<std::uint32_t>(p[i]);
+    for (int k = 0; k < 8; ++k)
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0x82F63B78u : 0u);
+  }
+  return ~crc;
+}
+
+TEST(Crc, KnownAnswers) {
+  const char* check = "123456789";
+  EXPECT_EQ(crc32(check, std::strlen(check)), 0xCBF43926u);
+  EXPECT_EQ(crc32c(check, std::strlen(check)), 0xE3069283u);
+  EXPECT_EQ(crc32c(check, 0), 0u);
+}
+
+// Every length across the 3-chain stretches (3 x 256 and 3 x 1024 bytes),
+// their serial tail and the byte tail, at every alignment: bit-identical
+// to the bitwise definition.
+TEST(Crc, Crc32cMatchesBitwiseAtEveryLengthAndAlignment) {
+  constexpr std::size_t kMaxLen = 3 * 4096 + 17;
+  const Buffer buf = make_pattern_buffer(kMaxLen + 8, 11);
+  for (std::size_t off = 0; off < 8; ++off) {
+    const std::byte* p = buf.data() + off;
+    std::uint32_t want = 0;  // bitwise CRC of the first `len` bytes
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(crc32c(p, len), want) << "offset " << off << " length " << len;
+      want = crc32c_bitwise(p + len, 1, want);
+    }
+  }
+}
+
+TEST(Crc, Crc32cChainsAcrossStretchBoundaries) {
+  constexpr std::size_t kLen = 3 * 4096 + 17;
+  const Buffer buf = make_pattern_buffer(kLen, 12);
+  for (const std::uint32_t init : {0u, 0xDEADBEEFu}) {
+    const std::uint32_t whole = crc32c(buf.data(), kLen, init);
+    ASSERT_EQ(whole, crc32c_bitwise(buf.data(), kLen, init));
+    for (const std::size_t m : {767u, 768u, 769u, 3071u, 3072u, 3073u}) {
+      for (const std::size_t split : {m, kLen - m}) {
+        const std::uint32_t head = crc32c(buf.data(), split, init);
+        EXPECT_EQ(crc32c(buf.data() + split, kLen - split, head), whole)
+            << "init " << init << " split " << split;
+      }
+    }
+  }
 }
 
 }  // namespace
