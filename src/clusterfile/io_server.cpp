@@ -21,7 +21,7 @@ std::uint64_t next_sync_req_id() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-using Ranges = std::vector<std::pair<std::int64_t, std::int64_t>>;
+using Ranges = std::vector<IoVec>;
 
 /// kSyncReply mode codes, carried in the reply's w field. The *Done modes
 /// are the pre-chunking protocol (0 = delta, 1 = full) so an unchunked pull
@@ -35,15 +35,16 @@ constexpr int kSyncFullPart = 3;   ///< full, chunk-limited: apply bytes but
 
 /// Sorts and coalesces overlapping or adjacent (offset, length) ranges.
 Ranges merge_ranges(Ranges ranges) {
-  std::sort(ranges.begin(), ranges.end());
+  std::sort(ranges.begin(), ranges.end(), [](const IoVec& a, const IoVec& b) {
+    return a.offset < b.offset;
+  });
   Ranges out;
   for (const auto& [off, len] : ranges) {
     if (len <= 0) continue;
-    if (!out.empty() && off <= out.back().first + out.back().second) {
-      out.back().second =
-          std::max(out.back().second, off + len - out.back().first);
+    if (!out.empty() && off <= out.back().offset + out.back().len) {
+      out.back().len = std::max(out.back().len, off + len - out.back().offset);
     } else {
-      out.emplace_back(off, len);
+      out.push_back({off, len});
     }
   }
   return out;
@@ -70,7 +71,7 @@ Ranges parse_ranges(const std::string& text) {
     const std::int64_t len = parse_i64(tok.substr(colon + 1));
     if (off < 0 || len <= 0)
       throw std::invalid_argument("IoServer: bad sync range '" + tok + "'");
-    out.emplace_back(off, len);
+    out.push_back({off, len});
   }
   return out;
 }
@@ -324,23 +325,17 @@ void IoServer::handle_write(Message&& msg) {
     proj.for_each_run_in(msg.v, msg.w, [&](std::int64_t lo, std::int64_t hi) {
       runs.push_back({lo, hi - lo + 1});
     });
-    if (!runs.empty() && !msg.payload.empty())
-      sub.storage->writev(runs, msg.payload);
-    // Ranges actually written, recorded for the replication write log.
-    std::vector<std::pair<std::int64_t, std::int64_t>> written;
-    if (track_epochs_ && !msg.payload.empty()) {
-      written.reserve(runs.size());
-      for (const IoVec& r : runs) written.emplace_back(r.offset, r.len);
-    }
+    if (!runs.empty()) sub.storage->writev(runs, msg.payload);
     sub.storage->flush();
     MutexLock lock(mu_);
-    if (track_epochs_ && !written.empty()) {
+    if (track_epochs_ && !runs.empty()) {
       // The epoch bumps only after the whole write applied: a write that
       // failed partway (injected fault) leaves the epoch behind, so a peer
       // comparison later flags this replica as stale rather than current.
       const std::int64_t e = sub.storage->epoch() + 1;
       sub.storage->set_epoch(e);
-      sub.write_log.push_back({e, std::move(written)});
+      // The runs are the ranges written, kept for incremental re-sync.
+      sub.write_log.push_back({e, std::move(runs)});
       if (sub.write_log.size() > kWriteLogCapacity) sub.write_log.pop_front();
     }
     scatter_.add_us(t.elapsed_us());
@@ -443,7 +438,7 @@ void IoServer::handle_sync_request(Message&& msg) {
         const std::int64_t lo = std::min(resume, size);
         const std::int64_t hi =
             chunk > 0 ? std::min(size, lo + chunk) : size;
-        if (hi > lo) ranges.emplace_back(lo, hi - lo);
+        if (hi > lo) ranges.push_back({lo, hi - lo});
         if (hi < size) {
           mode = kSyncFullPart;
           next_offset = hi;
@@ -463,15 +458,13 @@ void IoServer::handle_sync_request(Message&& msg) {
   if (!ranges.empty()) {
     if (mode == kSyncDeltaDone || mode == kSyncDeltaPart)
       ranges = merge_ranges(std::move(ranges));
-    // Reads go through the full storage stack: corruption on this peer
-    // surfaces as kCorruptData (via handle's catch) instead of spreading.
-    Buffer bytes;
-    for (const auto& [off, len] : ranges) {
-      const std::size_t at = bytes.size();
-      bytes.resize(at + static_cast<std::size_t>(len));
-      sub.storage->read(off, std::span<std::byte>(bytes).subspan(
-                                 at, static_cast<std::size_t>(len)));
-    }
+    // One vectored read through the full storage stack: corruption on this
+    // peer surfaces as kCorruptData (via handle's catch) instead of
+    // spreading, and a block several ranges share is read and checked once.
+    std::int64_t total = 0;
+    for (const IoVec& r : ranges) total += r.len;
+    Buffer bytes(static_cast<std::size_t>(total));
+    sub.storage->readv(ranges, bytes);
     reply.payload = std::move(bytes);
     reply.meta = format_ranges(ranges);
   }
@@ -516,18 +509,27 @@ void IoServer::handle_sync_reply(Message&& msg) {
     // a stale duplicate reply (an abandoned earlier attempt arriving late)
     // must not overwrite newer content.
     if (!msg.meta.empty() && msg.v > my_epoch) {
+      // The whole range list is validated before storage sees any of it:
+      // ascending and disjoint (the writev contract), lengths summing to
+      // exactly the payload. The bound reads `len > size - off` so a length
+      // near INT64_MAX cannot overflow past it.
       const Ranges ranges = parse_ranges(msg.meta);
+      const auto size = static_cast<std::int64_t>(msg.payload.size());
       std::int64_t off = 0;
+      std::int64_t prev_end = 0;
       for (const auto& [lo, len] : ranges) {
-        if (off + len > static_cast<std::int64_t>(msg.payload.size()))
+        if (lo < prev_end)
+          throw std::runtime_error("sync ranges not ascending and disjoint");
+        if (len > size - off)
           throw std::runtime_error("sync payload shorter than its ranges");
-        sub.storage->write(lo, std::span<const std::byte>(msg.payload)
-                                   .subspan(static_cast<std::size_t>(off),
-                                            static_cast<std::size_t>(len)));
         off += len;
-        out.bytes += len;
-        ++out.ranges;
+        prev_end = add_checked(lo, len);
       }
+      if (off != size)
+        throw std::runtime_error("sync payload longer than its ranges");
+      sub.storage->writev(ranges, msg.payload);
+      out.bytes = size;
+      out.ranges = static_cast<std::int64_t>(ranges.size());
       sub.storage->flush();
       MutexLock lock(mu_);
       if (mode != kSyncFullPart) {

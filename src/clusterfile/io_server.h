@@ -157,8 +157,8 @@ class IoServer {
  private:
   struct LogEntry {
     std::int64_t epoch = 0;
-    /// (offset, length) byte ranges the write touched.
-    std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
+    /// Byte ranges the write touched, ascending.
+    std::vector<IoVec> ranges;
   };
   struct Subfile {
     std::unique_ptr<SubfileStorage> storage;

@@ -217,54 +217,104 @@ void FileStorage::set_epoch(std::int64_t e) {
     throw_errno("FileStorage: pwrite epoch sidecar");
 }
 
-IntegrityStorage::IntegrityStorage(std::unique_ptr<SubfileStorage> inner,
-                                   std::int64_t block_bytes)
-    : inner_(std::move(inner)), block_(block_bytes) {
-  if (block_ <= 0)
-    throw std::invalid_argument("IntegrityStorage: block_bytes must be > 0");
-  // Adopt whatever the inner backend already holds as the intended content.
-  // Those ranges carry no recorded coverage (nothing was acknowledged
-  // through this layer yet), so an unreadable backend here just leaves the
-  // mirror zeroed — exactly as unverified as before.
-  mirror_.resize(static_cast<std::size_t>(inner_->size()));
-  if (!mirror_.empty()) {
-    try {
-      inner_->read(0, mirror_);
-    } catch (const std::exception&) {
-      std::fill(mirror_.begin(), mirror_.end(), std::byte{0});
+namespace {
+
+// One block's share of a vectored call: subfile bytes [at, at + len) of
+// block b, found at `pos` in the concatenated payload or output buffer.
+struct Piece {
+  std::int64_t b = 0;
+  std::int64_t at = 0;
+  std::int64_t len = 0;
+  std::size_t pos = 0;
+};
+
+// Cuts ascending runs at block boundaries. The pieces stay ascending, so one
+// block's pieces are consecutive, and they are adjacent in the concatenated
+// buffer as well: a run that shares a block with the next one ends in it.
+// A run that starts in the last piece's block takes its index without a
+// division: strided runs put dozens of pieces in one block, and 64-bit
+// divisions were most of this function's cost.
+std::vector<Piece> split_at_blocks(std::span<const IoVec> runs,
+                                   std::int64_t block) {
+  std::vector<Piece> out;
+  out.reserve(runs.size() + static_cast<std::size_t>(
+                                (runs.back().offset + runs.back().len -
+                                 runs.front().offset) / block + 1));
+  std::size_t pos = 0;
+  for (const IoVec& r : runs) {
+    const std::int64_t last = out.empty() ? -1 : out.back().b;
+    std::int64_t b = last >= 0 && r.offset >= last * block &&
+                             r.offset < (last + 1) * block
+                         ? last
+                         : r.offset / block;
+    for (std::int64_t at = r.offset, end = r.offset + r.len; at < end; ++b) {
+      const std::int64_t stop = std::min(end, (b + 1) * block);
+      out.push_back({b, at, stop - at, pos});
+      pos += static_cast<std::size_t>(stop - at);
+      at = stop;
     }
   }
+  return out;
 }
 
-std::int64_t IntegrityStorage::verify_block(std::int64_t b,
-                                            Buffer& scratch) const {
-  const auto it = sums_.find(b);
-  if (it == sums_.end()) return 0;
-  const BlockSum& sum = it->second;
-  scratch.resize(static_cast<std::size_t>(sum.len));
-  try {
-    inner_->read(b * block_, scratch);
-  } catch (const std::out_of_range&) {
-    // The inner backend is shorter than the coverage we recorded: a torn
-    // write dropped the tail of this block.
-    throw StorageCorruptionError(
-        "IntegrityStorage: block " + std::to_string(b) +
-        " shorter than recorded coverage (torn write)");
+// True when one block's pieces hold [lo, lo + len) as one unbroken stretch,
+// which then starts at pieces.front().pos in the concatenated buffer.
+bool supplies(std::span<const Piece> pieces, std::int64_t lo,
+              std::int64_t len) {
+  std::int64_t end = lo;
+  for (const Piece& p : pieces) {
+    if (p.at != end) return false;
+    end += p.len;
+    if (end >= lo + len) return true;
   }
-  if (crc32c(scratch.data(), scratch.size()) != sum.crc)
-    throw StorageCorruptionError("IntegrityStorage: checksum mismatch in block " +
-                                 std::to_string(b));
-  return sum.len;
+  return false;
 }
 
-void IntegrityStorage::update_sum(std::int64_t b, std::int64_t end) {
-  const std::int64_t block_lo = b * block_;
-  const auto it = sums_.find(b);
-  const std::int64_t old_len = it == sums_.end() ? 0 : it->second.len;
-  const std::int64_t len =
-      std::max(old_len, std::min(end, block_lo + block_) - block_lo);
-  sums_[b] = BlockSum{
-      crc32c(mirror_.data() + block_lo, static_cast<std::size_t>(len)), len};
+// Index one past the last of the pieces that share pieces[i]'s block.
+std::size_t block_end(const std::vector<Piece>& pieces, std::size_t i) {
+  std::size_t j = i + 1;
+  while (j < pieces.size() && pieces[j].b == pieces[i].b) ++j;
+  return j;
+}
+
+StorageCorruptionError corrupt_block(std::int64_t b, const char* why) {
+  return StorageCorruptionError("IntegrityStorage: block " +
+                                std::to_string(b) + " " + why);
+}
+
+}  // namespace
+
+IntegrityStorage::IntegrityStorage(std::unique_ptr<SubfileStorage> inner,
+                                   std::int64_t block_bytes)
+    : inner_(std::move(inner)), block_(block_bytes), size_(inner_->size()) {
+  if (block_ <= 0)
+    throw std::invalid_argument("IntegrityStorage: block_bytes must be > 0");
+}
+
+IntegrityStorage::BlockSum IntegrityStorage::sum_of(std::int64_t b) const {
+  return b < static_cast<std::int64_t>(sums_.size())
+             ? sums_[static_cast<std::size_t>(b)]
+             : BlockSum{};
+}
+
+bool IntegrityStorage::load_block(std::int64_t b, std::int64_t len,
+                                  Buffer& buf) const {
+  const BlockSum sum = sum_of(b);
+  const std::int64_t lo = b * block_;
+  const std::int64_t have =
+      std::clamp<std::int64_t>(inner_->size() - lo, 0, len);
+  buf.assign(static_cast<std::size_t>(len), std::byte{0});
+  // An inner storage shorter than the coverage lost the tail of a write.
+  if (have < sum.len) return false;
+  try {
+    if (have > 0)
+      inner_->read(lo, std::span<std::byte>(buf).first(
+                           static_cast<std::size_t>(have)));
+  } catch (const std::out_of_range&) {
+    return false;
+  }
+  return sum.len == 0 ||
+         crc32c(buf.data(), static_cast<std::size_t>(sum.len)) == sum.crc;
 }
 
 void IntegrityStorage::write(std::int64_t offset,
@@ -272,29 +322,79 @@ void IntegrityStorage::write(std::int64_t offset,
   if (offset < 0)
     throw std::invalid_argument("IntegrityStorage::write: bad offset");
   if (data.empty()) return;
+  const IoVec run{offset, static_cast<std::int64_t>(data.size())};
+  write_runs({&run, 1}, data);
+}
+
+void IntegrityStorage::writev(std::span<const IoVec> runs,
+                              std::span<const std::byte> payload) {
+  checked_total(runs, payload.size());
+  if (payload.empty()) return;
+  write_runs(runs, payload);
+}
+
+void IntegrityStorage::write_runs(std::span<const IoVec> runs,
+                                  std::span<const std::byte> payload) {
   MutexLock lock(mu_);
-  const std::int64_t end = offset + static_cast<std::int64_t>(data.size());
-  // Intended content lands in the mirror first and the checksums are
-  // derived from it; only then do the bytes go to the inner backend. If the
-  // write tears below us, the recorded CRC disagrees with what actually
-  // landed and the next read detects it.
-  if (static_cast<std::size_t>(end) > mirror_.size())
-    mirror_.resize(static_cast<std::size_t>(end));
-  std::memcpy(mirror_.data() + offset, data.data(), data.size());
-  for (std::int64_t b = offset / block_; b <= (end - 1) / block_; ++b)
-    update_sum(b, end);
-  inner_->write(offset, data);
+  // Every touched block's next sum first, with any old bytes read and
+  // checked; the inner write second; the commit last, so a throw anywhere
+  // before it leaves the sums and the size as they were.
+  const std::vector<Piece> pieces = split_at_blocks(runs, block_);
+  std::vector<std::pair<std::int64_t, BlockSum>> next;
+  next.reserve(pieces.size());
+  Buffer block;
+  for (std::size_t i = 0, j = 0; i < pieces.size(); i = j) {
+    j = block_end(pieces, i);
+    const std::span<const Piece> in(pieces.data() + i, j - i);
+    const std::int64_t b = in.front().b;
+    const std::int64_t lo = b * block_;
+    BlockSum sum = sum_of(b);
+    sum.len = std::max(sum.len, in.back().at + in.back().len - lo);
+    if (supplies(in, lo, sum.len)) {
+      // Whole new coverage in the payload: this also repairs a poisoned
+      // block, because nothing of the damaged old bytes survives.
+      sum.crc = crc32c(payload.data() + in.front().pos,
+                       static_cast<std::size_t>(sum.len));
+      sum.poisoned = false;
+    } else if (!sum.poisoned) {
+      sum.poisoned = !load_block(b, sum.len, block);
+      if (!sum.poisoned) {
+        for (const Piece& p : in)
+          std::memcpy(block.data() + (p.at - lo), payload.data() + p.pos,
+                      static_cast<std::size_t>(p.len));
+        sum.crc = crc32c(block.data(), block.size());
+      }
+    }
+    next.emplace_back(b, sum);
+  }
+  inner_->writev(runs, payload);
+  if (next.back().first >= static_cast<std::int64_t>(sums_.size()))
+    sums_.resize(static_cast<std::size_t>(next.back().first) + 1);
+  for (const auto& [b, sum] : next) sums_[static_cast<std::size_t>(b)] = sum;
+  size_ = std::max(size_, runs.back().offset + runs.back().len);
 }
 
 void IntegrityStorage::read(std::int64_t offset,
                             std::span<std::byte> out) const {
+  const IoVec run{offset, static_cast<std::int64_t>(out.size())};
+  read_runs({&run, 1}, out);
+}
+
+void IntegrityStorage::readv(std::span<const IoVec> runs,
+                             std::span<std::byte> out) const {
+  checked_total(runs, out.size());
+  read_runs(runs, out);
+}
+
+void IntegrityStorage::read_runs(std::span<const IoVec> runs,
+                                 std::span<std::byte> out) const {
   MutexLock lock(mu_);
-  if (offset < 0 || offset + static_cast<std::int64_t>(out.size()) >
-                        static_cast<std::int64_t>(mirror_.size()))
-    throw std::out_of_range("IntegrityStorage::read: range beyond subfile");
+  for (const IoVec& r : runs)
+    if (r.offset < 0 || r.len > size_ - r.offset)
+      throw std::out_of_range("IntegrityStorage::read: range beyond subfile");
   if (out.empty()) return;
   try {
-    inner_->read(offset, out);
+    inner_->readv(runs, out);
   } catch (const std::out_of_range&) {
     // Bounds were checked against the intended size above, so an inner
     // range error means the backend is shorter than what was acknowledged.
@@ -302,84 +402,39 @@ void IntegrityStorage::read(std::int64_t offset,
         "IntegrityStorage: stored data shorter than acknowledged writes "
         "(torn write)");
   }
-  // Verify after the data read: any rot injected while reading is in the
-  // store by now, so the per-block pass below sees it and throws rather
-  // than letting silently wrong bytes escape.
-  const std::int64_t end = offset + static_cast<std::int64_t>(out.size());
-  Buffer scratch;
-  for (std::int64_t b = offset / block_; b <= (end - 1) / block_; ++b)
-    verify_block(b, scratch);
-}
-
-void IntegrityStorage::writev(std::span<const IoVec> runs,
-                              std::span<const std::byte> payload) {
-  checked_total(runs, payload.size());
-  if (runs.empty() || payload.empty()) return;
-  MutexLock lock(mu_);
-  // Apply every run to the mirror, then checksum each touched block once.
-  // A strided FALLS projection puts dozens of small runs in one 4 KiB
-  // block; the per-run write() path would re-checksum the block for each
-  // of them, this override does it once — that is the whole point.
-  const std::int64_t total_end = runs.back().offset + runs.back().len;
-  if (static_cast<std::size_t>(total_end) > mirror_.size())
-    mirror_.resize(static_cast<std::size_t>(total_end));
-  std::size_t off = 0;
-  for (const IoVec& r : runs) {
-    std::memcpy(mirror_.data() + r.offset, payload.data() + off,
-                static_cast<std::size_t>(r.len));
-    off += static_cast<std::size_t>(r.len);
-  }
-  // Runs are ascending, so touched blocks come out ascending too. A block
-  // shared by several runs is summed once, with the furthest-reaching
-  // (latest) run's end as its coverage extent.
-  std::vector<std::pair<std::int64_t, std::int64_t>> touched;
-  for (const IoVec& r : runs) {
-    const std::int64_t end = r.offset + r.len;
-    for (std::int64_t b = r.offset / block_; b <= (end - 1) / block_; ++b) {
-      if (!touched.empty() && touched.back().first == b)
-        touched.back().second = end;
-      else
-        touched.emplace_back(b, end);
+  // Check after the data read, on the bytes it returned: rot injected while
+  // reading is in `out` or, for a block read again below, in the store.
+  const std::vector<Piece> pieces = split_at_blocks(runs, block_);
+  Buffer block;
+  for (std::size_t i = 0, j = 0; i < pieces.size(); i = j) {
+    j = block_end(pieces, i);
+    const std::span<const Piece> in(pieces.data() + i, j - i);
+    const std::int64_t b = in.front().b;
+    const std::int64_t lo = b * block_;
+    const BlockSum sum = sum_of(b);
+    if (sum.len == 0) continue;  // a hole: nothing was written to check
+    if (sum.poisoned)
+      throw corrupt_block(b, "was damaged before a partial overwrite");
+    if (supplies(in, lo, sum.len)) {
+      if (crc32c(out.data() + in.front().pos,
+                 static_cast<std::size_t>(sum.len)) != sum.crc)
+        throw corrupt_block(b, "fails its checksum");
+      continue;
     }
-  }
-  for (const auto& [b, end] : touched) update_sum(b, end);
-  // Checksums recorded first (torn-write detection), then the data. The
-  // inner default loops one write() per run, preserving FaultyStorage's
-  // per-range injection underneath.
-  inner_->writev(runs, payload);
-}
-
-void IntegrityStorage::readv(std::span<const IoVec> runs,
-                             std::span<std::byte> out) const {
-  checked_total(runs, out.size());
-  if (runs.empty()) return;
-  MutexLock lock(mu_);
-  for (const IoVec& r : runs)
-    if (r.offset < 0 ||
-        r.offset + r.len > static_cast<std::int64_t>(mirror_.size()))
-      throw std::out_of_range("IntegrityStorage::readv: range beyond subfile");
-  try {
-    inner_->readv(runs, out);
-  } catch (const std::out_of_range&) {
-    throw StorageCorruptionError(
-        "IntegrityStorage: stored data shorter than acknowledged writes "
-        "(torn write)");
-  }
-  // Verify each touched block once (runs ascending => blocks ascending).
-  Buffer scratch;
-  std::int64_t prev = -1;
-  for (const IoVec& r : runs) {
-    const std::int64_t end = r.offset + r.len;
-    for (std::int64_t b = std::max(prev + 1, r.offset / block_);
-         b <= (end - 1) / block_; ++b)
-      verify_block(b, scratch);
-    prev = std::max(prev, (end - 1) / block_);
+    if (!load_block(b, sum.len, block))
+      throw corrupt_block(b, "fails its checksum or is torn");
+    for (const Piece& p : in) {
+      const std::int64_t n = std::min(p.len, lo + sum.len - p.at);
+      if (n > 0)
+        std::memcpy(out.data() + p.pos, block.data() + (p.at - lo),
+                    static_cast<std::size_t>(n));
+    }
   }
 }
 
 std::int64_t IntegrityStorage::size() const {
   MutexLock lock(mu_);
-  return static_cast<std::int64_t>(mirror_.size());
+  return size_;
 }
 
 std::unique_ptr<SubfileStorage> make_storage(const std::filesystem::path& dir,

@@ -6,10 +6,13 @@
 // monotonic write epoch — the I/O server bumps it once per applied write, and
 // the re-sync protocol uses the epoch gap to decide which ranges a restarted
 // replica missed. Decorators wrap a backend without changing its address
-// space: IntegrityStorage records a CRC-32C per fixed-size block so torn
-// writes and at-rest bit rot surface as StorageCorruptionError instead of
-// silently wrong bytes; FaultyStorage (storage_fault.h) injects exactly
-// those faults deterministically.
+// space. IntegrityStorage keeps a CRC-32C per fixed-size block over the bytes
+// written into it, and no copy of them: a partial write checks the block's
+// old bytes before splicing into them and poisons a damaged block rather
+// than re-summing it, reads check the bytes they return, and holes never
+// written stay unverified. Torn writes and at-rest bit rot thus surface as
+// StorageCorruptionError instead of silently wrong bytes; FaultyStorage
+// (storage_fault.h) injects exactly those faults deterministically.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +21,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "util/buffer.h"
 #include "util/mutex.h"
@@ -145,26 +148,37 @@ class FileStorage final : public SubfileStorage {
                              ///< per bounds-checked read)
 };
 
-/// Integrity decorator: records a CRC-32C per `block_bytes` block covering
-/// the content each write intended, and verifies every block a read touches
-/// against the bytes the inner storage actually holds. A mismatch — or an
-/// inner file shorter than the recorded coverage (torn write) — throws
-/// StorageCorruptionError. Holes never written through this layer are
-/// unverified (they read as zeros by the storage growth contract).
+/// Integrity decorator: a CRC-32C per `block_bytes` block over its coverage
+/// (block start to the furthest byte written into it through this layer),
+/// and no copy of the subfile's bytes.
 ///
-/// Writes apply to an in-memory mirror of the intended content first; block
-/// checksums are computed from the mirror and only then are the bytes
-/// handed to the inner backend. That keeps the write path O(touched bytes)
-/// — no read-verify-rebuild of every touched block — while preserving the
-/// detection guarantee: anything the backend drops or rots disagrees with a
-/// mirror-derived checksum on the next verified read. Corruption is thus
-/// reported at read/scrub time; an overwrite of a rotten block succeeds but
-/// never launders the damage into a fresh checksum. The price is one
-/// in-memory copy of the subfile.
+/// Writes. A touched block whose new coverage the payload supplies whole gets
+/// its CRC straight from the payload. Any other touched block has its new
+/// coverage read once from the inner storage (zeros past the inner end): the
+/// old coverage is checked against its CRC, the new bytes are spliced in and
+/// the result is summed. All of that happens before anything is
+/// committed: the inner write follows, and the sums and size change only
+/// when it returns. An injected EIO thus leaves the old, consistent state;
+/// a tear the inner storage reports as success leaves sums that disagree
+/// with the stored bytes, and the next read detects it.
 ///
-/// size() reports the *intended* logical size (max end offset ever written
-/// plus the construction-time inner size), which stays honest even when a
-/// torn write left the inner backend short.
+/// Poisoned blocks. When that check fails (bit rot, or a tear left the inner
+/// storage short of the coverage), the write still succeeds but the block is
+/// poisoned: reads of it throw StorageCorruptionError until a write that
+/// supplies its whole coverage (scrub's repair) replaces it. A partial write
+/// never launders damage into a fresh CRC.
+///
+/// Reads verify the bytes they return. readv makes one inner readv into the
+/// caller's buffer and checks every block a single run covers on those
+/// bytes. A block the runs cover only in part is read whole once, checked,
+/// and the requested bytes are copied from that checked copy. An inner
+/// storage shorter than an acknowledged write, a CRC mismatch or a poisoned
+/// block throws StorageCorruptionError. Holes never written through this
+/// layer carry no CRC and are returned unverified (zeros by the storage
+/// growth contract).
+///
+/// size() is the intended size: the inner size at construction grown by
+/// every acknowledged write, honest even when a tear left the inner short.
 class IntegrityStorage final : public SubfileStorage {
  public:
   static constexpr std::int64_t kDefaultBlock = 4096;
@@ -188,36 +202,29 @@ class IntegrityStorage final : public SubfileStorage {
   void set_epoch(std::int64_t e) override { inner_->set_epoch(e); }
   void disarm_faults() override { inner_->disarm_faults(); }
 
-  std::int64_t block_bytes() const { return block_; }
-  SubfileStorage& inner() { return *inner_; }
-  const SubfileStorage& inner() const { return *inner_; }
-
  private:
   struct BlockSum {
     std::uint32_t crc = 0;
-    std::int64_t len = 0;  ///< bytes of the block the crc covers
+    bool poisoned = false;  ///< a write found the old bytes damaged
+    std::int64_t len = 0;   ///< coverage in bytes; 0: never written
   };
 
-  /// Reads the recorded coverage of block `b` from the inner storage into
-  /// `scratch` and checks its CRC. Returns the covered length (0 when the
-  /// block was never written through this layer).
-  std::int64_t verify_block(std::int64_t b, Buffer& scratch) const
+  void write_runs(std::span<const IoVec> runs,
+                  std::span<const std::byte> payload);
+  void read_runs(std::span<const IoVec> runs, std::span<std::byte> out) const;
+  BlockSum sum_of(std::int64_t b) const PFM_REQUIRES(mu_);
+  /// Reads the first `len` bytes of block `b` (at least its coverage) into
+  /// `buf`, zeros past the inner end, and returns whether the coverage
+  /// matches the recorded CRC.
+  bool load_block(std::int64_t b, std::int64_t len, Buffer& buf) const
       PFM_REQUIRES(mu_);
-
-  /// Recomputes block `b`'s checksum from the mirror, extending its
-  /// recorded coverage to `end` (an absolute offset) if that reaches
-  /// further than what was covered before.
-  void update_sum(std::int64_t b, std::int64_t end) PFM_REQUIRES(mu_);
 
   mutable Mutex mu_{"IntegrityStorage::mu"};
   std::unique_ptr<SubfileStorage> inner_;
   std::int64_t block_;
-  /// Intended content: every byte acknowledged through this layer (holes
-  /// zero-filled), sized to the logical subfile size. Checksums are derived
-  /// from here, never from inner reads, so a backend that tears or rots can
-  /// not influence what the checksum claims the bytes should be.
-  Buffer mirror_ PFM_GUARDED_BY(mu_);
-  std::unordered_map<std::int64_t, BlockSum> sums_ PFM_GUARDED_BY(mu_);
+  std::int64_t size_ PFM_GUARDED_BY(mu_);
+  /// Indexed by block number; blocks past the end were never written.
+  std::vector<BlockSum> sums_ PFM_GUARDED_BY(mu_);
 };
 
 /// Reads a crash-safe `.epoch` sidecar written by FileStorage::set_epoch:

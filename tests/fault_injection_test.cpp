@@ -839,9 +839,10 @@ TEST(Replication, SingleCopyCorruptionIsDetectedNeverSilent) {
   auto& client = fs.client(0);
   client.set_retry_policy(fast_policy());
   // View = the physical layout, so the write is one contiguous run per
-  // subfile: the integrity layer records it without re-reading old content
-  // (a scatter write would verify prior block bytes through the rotting
-  // disk and fail the *write*; here the read path alone must catch it).
+  // subfile covering its block whole: the integrity layer sums it straight
+  // from the payload (a scatter write would read the old block bytes
+  // through the rotting disk and poison the block; here the read path alone
+  // must catch the rot, on the bytes it returns).
   const auto views = partition2d_all(Partition2D::kRowBlocks, 16, 16, 4);
   const std::int64_t vid = client.set_view(views[0], 256);
   const Buffer data = make_pattern_buffer(64, 95);

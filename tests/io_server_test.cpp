@@ -4,6 +4,9 @@
 // plus the overlapping-node-set network accounting.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "clusterfile/fs.h"
 #include "clusterfile/io_server.h"
 #include "layout/partitions2d.h"
@@ -178,6 +181,49 @@ TEST(IoServerRaw, PayloadShorterThanProjectionIsAnError) {
       MsgKind::kWrite, 7, {make_falls(0, 1, 4, 2)}, 8, 0, 7, Buffer(2)));
   EXPECT_EQ(reply.kind, MsgKind::kError);
   EXPECT_EQ(reply.err, ErrCode::kMalformed);
+}
+
+// The test plays the peer of a sync_subfile pull and answers with a
+// kSyncReply at epoch 1 whose range list does not describe its payload. The
+// server must refuse it before storage sees a byte: the pull fails and the
+// subfile keeps size 0 and epoch 0.
+TEST(IoServerRaw, MalformedSyncReplyIsRefusedBeforeStorage) {
+  struct Reply {
+    const char* ranges;
+    std::size_t payload;
+  };
+  for (const Reply& bad : {
+           // The second length passes a naive `off + len > size` bound by
+           // overflowing it.
+           Reply{"0:4;8:9223372036854775807;", 4},
+           Reply{"8:2;0:2;", 4},  // descending
+           Reply{"0:4;", 8},      // payload longer than its ranges
+       }) {
+    SCOPED_TRACE(bad.ranges);
+    ServerFixture fx;
+    IoServer::SyncOutcome out;
+    std::thread puller([&] {
+      out = fx.server.sync_subfile(0, /*peer_node=*/0, std::chrono::seconds(5),
+                                   0, 0, -1);
+    });
+    auto req = fx.net.inbox(0).receive();
+    ASSERT_TRUE(req.has_value());
+    ASSERT_EQ(req->kind, MsgKind::kSyncRequest);
+    Message reply;
+    reply.kind = MsgKind::kSyncReply;
+    reply.dst_node = 1;
+    reply.subfile = 0;
+    reply.req_id = req->req_id;
+    reply.v = 1;  // the peer claims epoch 1
+    reply.w = 0;  // a complete delta
+    reply.meta = bad.ranges;
+    reply.payload = make_pattern_buffer(bad.payload, 7);
+    EXPECT_TRUE(fx.net.send(0, std::move(reply)));
+    puller.join();
+    EXPECT_FALSE(out.ok);
+    EXPECT_EQ(fx.server.storage(0).size(), 0);
+    EXPECT_EQ(fx.server.subfile_epoch(0), 0);
+  }
 }
 
 TEST(OverlapNodes, ColocatedMessagesCostNoWireTime) {

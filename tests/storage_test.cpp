@@ -2,16 +2,21 @@
 // the deterministic storage fault injector.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <span>
 #include <system_error>
+#include <thread>
 #include <vector>
 
 #include "clusterfile/storage.h"
 #include "clusterfile/storage_fault.h"
 #include "util/buffer.h"
+#include "util/rng.h"
 
 namespace pfm {
 namespace {
@@ -334,10 +339,9 @@ TEST(IntegrityStorage, PartialOverwriteOfCorruptBlockIsNotLaundered) {
   raw->read(40, one);
   one[0] ^= std::byte{0x80};
   raw->write(40, one);
-  // A partial overwrite succeeds (checksums come from the intent mirror,
-  // not from re-reading the backend) but must not quietly launder the
-  // rotten remainder into a fresh checksum: the stored byte still
-  // disagrees with the recorded sum, so the next read reports it.
+  // A partial overwrite succeeds, but it reads the block's old bytes to
+  // splice into, finds them rotten and poisons the block instead of
+  // laundering the damage into a fresh checksum: the next read reports it.
   EXPECT_NO_THROW(st.write(0, make_pattern_buffer(8, 14)));
   Buffer back(64);
   EXPECT_THROW(st.read(0, back), StorageCorruptionError);
@@ -411,6 +415,288 @@ TEST(IntegrityStorage, VectoredTornWriteIsDetected) {
   EXPECT_EQ(torn.size(), 128);  // intended size stays honest
   Buffer back(128);
   EXPECT_THROW(torn.read(0, back), StorageCorruptionError);
+}
+
+// A partial write over a torn block (the inner storage ends inside the
+// block's coverage) poisons it; only a write supplying the whole coverage
+// makes it readable again.
+TEST(IntegrityStorage, TornBlockIsPoisonedUntilWholeCoverageRewrite) {
+  StorageFaultRule rule;
+  rule.op = StorageFaultRule::Op::kWrite;
+  rule.torn_write = 1.0;
+  StorageFaultPlan plan;
+  plan.seed = 8;
+  plan.rules.push_back(rule);
+  auto faulty =
+      std::make_unique<FaultyStorage>(std::make_unique<MemoryStorage>(), plan);
+  FaultyStorage* disk = faulty.get();
+  IntegrityStorage st(std::move(faulty), 64);
+  st.write(0, make_pattern_buffer(64, 21));  // torn: a strict prefix lands
+  disk->disarm_faults();
+  EXPECT_NO_THROW(st.write(8, make_pattern_buffer(4, 22)));
+  Buffer back(64);
+  EXPECT_THROW(st.read(0, back), StorageCorruptionError);
+  Buffer part(4);
+  EXPECT_THROW(st.read(8, part), StorageCorruptionError);
+  const Buffer fresh = make_pattern_buffer(64, 23);
+  st.write(0, fresh);
+  st.read(0, back);
+  EXPECT_TRUE(equal_bytes(back, fresh));
+}
+
+/// A MemoryStorage that counts the calls reaching it and fails reads or
+/// writes with EIO on request: the inner storage of the IntegrityStorage
+/// tests that pin inner I/O counts and fault atomicity.
+class ProbeStorage final : public SubfileStorage {
+ public:
+  struct Probe {
+    int reads = 0;   ///< read() and readv() calls
+    int writes = 0;  ///< write() and writev() calls
+    bool fail_reads = false;
+    bool fail_writes = false;
+  };
+
+  explicit ProbeStorage(Probe& probe) : probe_(probe) {}
+
+  void write(std::int64_t offset, std::span<const std::byte> data) override {
+    on_write();
+    mem_.write(offset, data);
+  }
+  void writev(std::span<const IoVec> runs,
+              std::span<const std::byte> payload) override {
+    on_write();
+    mem_.writev(runs, payload);
+  }
+  void read(std::int64_t offset, std::span<std::byte> out) const override {
+    on_read();
+    mem_.read(offset, out);
+  }
+  void readv(std::span<const IoVec> runs,
+             std::span<std::byte> out) const override {
+    on_read();
+    mem_.readv(runs, out);
+  }
+  std::int64_t size() const override { return mem_.size(); }
+  void flush() override {}
+  std::string kind() const override { return "probe"; }
+
+ private:
+  void on_read() const {
+    ++probe_.reads;
+    if (probe_.fail_reads)
+      throw std::system_error(EIO, std::generic_category(), "probe read");
+  }
+  void on_write() {
+    ++probe_.writes;
+    if (probe_.fail_writes)
+      throw std::system_error(EIO, std::generic_category(), "probe write");
+  }
+
+  Probe& probe_;
+  MemoryStorage mem_;
+};
+
+// An injected EIO, whether it hits reading a partial block's old bytes or
+// the inner write itself, fails the write and leaves the sums and the size
+// as they were: the old bytes still read back verified, and the same write
+// lands once the disk recovers.
+TEST(IntegrityStorage, InjectedEioLeavesNothingHalfApplied) {
+  ProbeStorage::Probe probe;
+  IntegrityStorage st(std::make_unique<ProbeStorage>(probe), 64);
+  const Buffer old = make_pattern_buffer(100, 24);
+  st.write(0, old);
+  const Buffer patch = make_pattern_buffer(20, 25);  // inside block 1
+  probe.fail_reads = true;
+  EXPECT_THROW(st.write(70, patch), std::system_error);
+  probe.fail_reads = false;
+  probe.fail_writes = true;
+  EXPECT_THROW(st.write(70, patch), std::system_error);
+  EXPECT_THROW(st.write(64, make_pattern_buffer(100, 26)), std::system_error);
+  probe.fail_writes = false;
+  EXPECT_EQ(st.size(), 100);
+  Buffer back(100);
+  st.read(0, back);
+  EXPECT_TRUE(equal_bytes(back, old));
+  st.write(70, patch);
+  Buffer again(20);
+  st.read(70, again);
+  EXPECT_TRUE(equal_bytes(again, patch));
+}
+
+// Inner I/O the design promises: a write that supplies whole blocks reads
+// nothing back, a readv of whole blocks is one inner call however many runs
+// it has (a block the runs share costs one more, whole-block read), and
+// wrapping a non-empty storage reads none of it.
+TEST(IntegrityStorage, WholeBlockWritevReadsNothing) {
+  ProbeStorage::Probe probe;
+  IntegrityStorage st(std::make_unique<ProbeStorage>(probe), 64);
+  st.write(0, make_pattern_buffer(256, 27));
+  probe = {};
+  const std::vector<IoVec> runs = {{0, 64}, {128, 128}};
+  st.writev(runs, make_pattern_buffer(192, 28));
+  EXPECT_EQ(probe.reads, 0);
+  EXPECT_EQ(probe.writes, 1);
+}
+
+TEST(IntegrityStorage, WholeBlockReadvMakesOneInnerCall) {
+  ProbeStorage::Probe probe;
+  IntegrityStorage st(std::make_unique<ProbeStorage>(probe), 64);
+  const Buffer data = make_pattern_buffer(256, 29);
+  st.write(0, data);
+  probe = {};
+  const std::vector<IoVec> runs = {{0, 64}, {128, 128}};
+  Buffer out(192);
+  st.readv(runs, out);
+  EXPECT_EQ(probe.reads, 1);
+  EXPECT_TRUE(equal_bytes(std::span<const std::byte>(out).first(64),
+                          std::span<const std::byte>(data).first(64)));
+  EXPECT_TRUE(equal_bytes(std::span<const std::byte>(out).subspan(64),
+                          std::span<const std::byte>(data).subspan(128)));
+
+  probe = {};
+  const std::vector<IoVec> shared = {{8, 8}, {24, 8}};  // both in block 0
+  Buffer part(16);
+  st.readv(shared, part);
+  EXPECT_EQ(probe.reads, 2);
+}
+
+TEST(IntegrityStorage, ConstructionReadsNothing) {
+  ProbeStorage::Probe probe;
+  auto inner = std::make_unique<ProbeStorage>(probe);
+  inner->write(0, make_pattern_buffer(300, 30));
+  probe = {};
+  IntegrityStorage st(std::move(inner), 64);
+  EXPECT_EQ(probe.reads, 0);
+  EXPECT_EQ(st.size(), 300);
+}
+
+/// Ascending, disjoint runs inside [0, limit) in the shapes that stress the
+/// per-block bookkeeping: whole aligned blocks, short runs that share a
+/// block, runs that start mid-block or straddle a block edge, neighbours
+/// that touch, and gaps.
+std::vector<IoVec> random_runs(Rng& rng, std::int64_t block,
+                               std::int64_t limit) {
+  std::vector<IoVec> runs;
+  std::int64_t at = rng.uniform(0, limit / 2);
+  const std::int64_t n = rng.uniform(1, 6);
+  for (std::int64_t i = 0; i < n && at < limit; ++i) {
+    std::int64_t off = at;
+    std::int64_t len = 1;
+    switch (rng.uniform(0, 3)) {
+      case 0:  // whole aligned blocks
+        off = (at + block - 1) / block * block;
+        len = block * rng.uniform(1, 2);
+        break;
+      case 1:  // short: may share its block with its neighbours
+        len = rng.uniform(1, std::max<std::int64_t>(1, block / 4));
+        break;
+      case 2: {  // straddles the next block edge
+        const std::int64_t edge = (at / block + 1) * block;
+        off = std::max(at, edge - rng.uniform(1, block));
+        len = edge - off + rng.uniform(1, block);
+        break;
+      }
+      default:  // up to two blocks from wherever the last run ended
+        len = rng.uniform(1, 2 * block);
+    }
+    if (off >= limit) break;
+    len = std::min(len, limit - off);
+    runs.push_back({off, len});
+    at = off + len + (rng.chance(0.5) ? 0 : rng.uniform(1, block));
+  }
+  return runs;
+}
+
+// Oracle: the same seeded write/writev/read/readv sequence through an
+// IntegrityStorage and a plain MemoryStorage returns the same bytes on every
+// read, and both refuse the same out-of-range reads.
+TEST(IntegrityStorage, MatchesPlainStorageOnRandomRunLists) {
+  for (const std::int64_t block : {1, 7, 64, 4096}) {
+    SCOPED_TRACE("block " + std::to_string(block));
+    Rng rng(static_cast<std::uint64_t>(block) * 7919 + 3);
+    IntegrityStorage checked(std::make_unique<MemoryStorage>(), block);
+    MemoryStorage plain;
+    const std::int64_t limit = std::max<std::int64_t>(5 * block, 96);
+    for (int step = 0; step < 400; ++step) {
+      const std::int64_t op = rng.uniform(0, 3);
+      const std::vector<IoVec> runs = random_runs(rng, block, limit);
+      std::int64_t total = 0;
+      for (const IoVec& r : runs) total += r.len;
+      if (op <= 1) {
+        const Buffer payload = make_pattern_buffer(
+            static_cast<std::size_t>(total), static_cast<std::uint64_t>(step));
+        if (op == 1) {
+          checked.writev(runs, payload);
+          plain.writev(runs, payload);
+        } else {
+          std::size_t pos = 0;
+          for (const IoVec& r : runs) {
+            const auto part = std::span<const std::byte>(payload).subspan(
+                pos, static_cast<std::size_t>(r.len));
+            checked.write(r.offset, part);
+            plain.write(r.offset, part);
+            pos += static_cast<std::size_t>(r.len);
+          }
+        }
+        ASSERT_EQ(checked.size(), plain.size());
+        continue;
+      }
+      Buffer want(static_cast<std::size_t>(total));
+      Buffer got(static_cast<std::size_t>(total));
+      if (runs.back().offset + runs.back().len > plain.size()) {
+        EXPECT_THROW(plain.readv(runs, want), std::out_of_range);
+        EXPECT_THROW(checked.readv(runs, got), std::out_of_range);
+        continue;
+      }
+      if (op == 3) {
+        plain.readv(runs, want);
+        checked.readv(runs, got);
+      } else {
+        std::size_t pos = 0;
+        for (const IoVec& r : runs) {
+          const auto n = static_cast<std::size_t>(r.len);
+          plain.read(r.offset, std::span<std::byte>(want).subspan(pos, n));
+          checked.read(r.offset, std::span<std::byte>(got).subspan(pos, n));
+          pos += n;
+        }
+      }
+      ASSERT_TRUE(equal_bytes(got, want)) << "step " << step;
+    }
+    Buffer want(static_cast<std::size_t>(plain.size()));
+    Buffer got(want.size());
+    plain.read(0, want);
+    checked.read(0, got);
+    EXPECT_TRUE(equal_bytes(got, want));
+  }
+}
+
+// Clusterfile::file_size_estimate polls size() on a live server's storage
+// while the server's loop thread writes and reads it.
+TEST(IntegrityStorage, SizeIsSafeToPollDuringVectoredIo) {
+  IntegrityStorage st(std::make_unique<MemoryStorage>(), 64);
+  std::atomic<bool> done{false};
+  bool monotonic = true;
+  std::int64_t last = 0;
+  std::thread poller([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const std::int64_t now = st.size();
+      monotonic = monotonic && now >= last;
+      last = now;
+    }
+  });
+  for (std::int64_t i = 0; i < 300; ++i) {
+    const std::vector<IoVec> runs = {{i * 48, 16}, {i * 48 + 24, 40}};
+    const Buffer payload =
+        make_pattern_buffer(56, static_cast<std::uint64_t>(i));
+    st.writev(runs, payload);
+    Buffer back(56);
+    st.readv(runs, back);
+    EXPECT_TRUE(equal_bytes(back, payload)) << "write " << i;
+  }
+  done.store(true, std::memory_order_release);
+  poller.join();
+  EXPECT_TRUE(monotonic);
+  EXPECT_EQ(st.size(), 299 * 48 + 64);
 }
 
 // ---------------------------------------------------------------------------
