@@ -2,14 +2,21 @@
 // One channel is one node's inbox; senders block when the channel is full
 // (back-pressure stands in for finite network buffers).
 //
-// Locking: every member is guarded by mu_ (pfm::Mutex, so the guards are
-// compiler-enforced under -Wthread-safety and ordered by lockdep). The
-// blocking entry points assert via lockdep that the calling thread holds no
-// pfm::Mutex — a thread that blocks on a full/empty channel while holding a
-// lock stalls every thread needing that lock for an unbounded time, and
-// deadlocks outright when the lock-holder is what drains the channel.
+// Locking: every member but the notifier count is guarded by mu_
+// (pfm::Mutex, so the guards are compiler-enforced under -Wthread-safety and
+// ordered by lockdep). The blocking entry points assert via lockdep that the
+// calling thread holds no pfm::Mutex — a thread that blocks on a full/empty
+// channel while holding a lock stalls every thread needing that lock for an
+// unbounded time, and deadlocks outright when the lock-holder is what drains
+// the channel.
+//
+// Wake rule: a handoff notifies only a parked peer (a receiver waiting on an
+// empty inbox, a sender waiting on a full one), and only after releasing
+// mu_, so the woken thread never preempts the notifier just to block on the
+// lock it still holds.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <deque>
@@ -29,7 +36,9 @@ class Channel {
   /// to leave before the mutex and queue are destroyed. Without this drain a
   /// sender blocked on a full channel races the owner's teardown: close()
   /// wakes it, but it still touches the condition variable and mutex on its
-  /// way out (the destructor-vs-in-flight-send race TSan flags).
+  /// way out (the destructor-vs-in-flight-send race TSan flags). The drain
+  /// also waits out a peer that completed a handoff and is past its unlock
+  /// but not yet done notifying.
   ~Channel();
 
   /// Blocks while the channel is full. Returns false if the channel was
@@ -58,17 +67,26 @@ class Channel {
   std::size_t pending() const PFM_EXCLUDES(mu_);
 
  private:
+  /// RAII parked count, held across a condition wait.
+  class ParkScope;
+  /// Notifies a parked peer once the caller's lock is released.
+  class DeferredWake;
+
+  /// Pops the front message (nullopt when empty) and arms `wake` for a
+  /// parked sender.
+  std::optional<Message> pop(DeferredWake& wake) PFM_REQUIRES(mu_);
+
   mutable Mutex mu_{"Channel::mu"};
   CondVar not_full_;
   CondVar not_empty_;
-  CondVar no_waiters_;  ///< signals waiters_ reaching 0
+  CondVar drained_;  ///< signals the parked counts reaching 0 once closed
   std::deque<Message> queue_ PFM_GUARDED_BY(mu_);
   std::size_t capacity_;
-  std::size_t waiters_ PFM_GUARDED_BY(mu_) = 0;  ///< blocked in send/receive
+  std::size_t parked_receivers_ PFM_GUARDED_BY(mu_) = 0;
+  std::size_t parked_senders_ PFM_GUARDED_BY(mu_) = 0;
+  /// Threads past their unlock that still have to notify; raised under mu_.
+  std::atomic<int> notifiers_{0};
   bool closed_ PFM_GUARDED_BY(mu_) = false;
-
-  /// RAII waiter count, held across a condition wait.
-  class WaiterScope;
 };
 
 }  // namespace pfm

@@ -175,8 +175,7 @@ bool FailureDetector::pump_until(std::chrono::steady_clock::time_point deadline)
       }
       return true;
     }
-    auto msg = inbox.receive_for(
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now));
+    auto msg = inbox.receive_for(deadline - now);
     if (!msg.has_value()) {
       if (inbox.closed()) return false;
       continue;  // timeout: re-check the deadline

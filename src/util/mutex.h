@@ -14,9 +14,8 @@
 //   while (!ready_) cv_.wait(lock);
 //
 // (never the predicate-lambda overloads: Clang's analysis cannot see the
-// capability inside the lambda, and condition_variable_any routes the
-// unlock/relock through Mutex, keeping the lockdep held stack exact across
-// the wait).
+// capability inside the lambda). Each CondVar waits with one Mutex, as
+// std::condition_variable requires.
 #pragma once
 
 #include <chrono>
@@ -71,6 +70,22 @@ class PFM_CAPABILITY("mutex") Mutex {
 
  private:
   friend class CondVar;
+
+  // CondVar's wait hands mu_ to std::condition_variable, which unlocks it
+  // for the sleep and re-locks it before returning. These tell lockdep the
+  // same, so the held stack stays exact across the wait.
+  void note_sleep() {
+#if PFM_LOCKDEP_ON
+    lockdep::note_release(class_);
+#endif
+  }
+  void note_wake() {
+#if PFM_LOCKDEP_ON
+    lockdep::note_acquire(class_);
+    lockdep::note_held(class_);
+#endif
+  }
+
   std::mutex mu_;  // pfm-lint: allow(raw-mutex) — the wrapper itself
 #if PFM_LOCKDEP_ON
   const lockdep::LockClass* class_ = nullptr;
@@ -92,10 +107,13 @@ class PFM_SCOPED_CAPABILITY MutexLock {
   Mutex& mu_;
 };
 
-/// Condition variable bound to pfm::Mutex. Built on
-/// std::condition_variable_any so the unlock/relock around a wait goes
-/// through Mutex::unlock/lock — lockdep's held stack stays exact while the
-/// thread sleeps.
+/// Condition variable bound to pfm::Mutex. Built on std::condition_variable
+/// over the Mutex's own std::mutex: std::condition_variable_any would take a
+/// second internal mutex on every wait and notify. A wait adopts the locked
+/// std::mutex for its duration, and lockdep sees the lock released for the
+/// sleep and re-acquired after. As std::condition_variable requires, each
+/// CondVar waits with one Mutex: every thread waiting on it at the same time
+/// holds the same Mutex.
 class CondVar {
  public:
   void notify_one() noexcept { cv_.notify_one(); }
@@ -103,22 +121,27 @@ class CondVar {
 
   /// Atomically releases `lock` and blocks; the lock is re-held on return.
   /// Use with an explicit `while (!predicate)` loop.
-  void wait(MutexLock& lock) { cv_.wait(lock.mu_); }
-
-  template <class Rep, class Period>
-  std::cv_status wait_for(MutexLock& lock,
-                          const std::chrono::duration<Rep, Period>& d) {
-    return cv_.wait_for(lock.mu_, d);
+  void wait(MutexLock& lock) {
+    std::unique_lock<std::mutex> held(lock.mu_.mu_, std::adopt_lock);
+    lock.mu_.note_sleep();
+    cv_.wait(held);
+    held.release();  // the MutexLock still owns the re-held lock
+    lock.mu_.note_wake();
   }
 
   template <class Clock, class Dur>
   std::cv_status wait_until(MutexLock& lock,
                             const std::chrono::time_point<Clock, Dur>& tp) {
-    return cv_.wait_until(lock.mu_, tp);
+    std::unique_lock<std::mutex> held(lock.mu_.mu_, std::adopt_lock);
+    lock.mu_.note_sleep();
+    const std::cv_status status = cv_.wait_until(held, tp);
+    held.release();
+    lock.mu_.note_wake();
+    return status;
   }
 
  private:
-  std::condition_variable_any cv_;  // pfm-lint: allow(raw-mutex)
+  std::condition_variable cv_;  // pfm-lint: allow(raw-mutex)
 };
 
 }  // namespace pfm

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -69,6 +71,125 @@ TEST(Channel, DrainsAfterClose) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->v, 42);
   EXPECT_FALSE(ch.receive().has_value());
+}
+
+// Polls `flag` for up to 10 s; a wake-up the channel lost leaves it unset.
+bool becomes_true(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// A handoff notifies only a parked peer, after unlocking: each way of taking
+// a message off a full channel must still wake the sender parked on it.
+void expect_pop_wakes_parked_sender(
+    const std::function<std::optional<Message>(Channel&)>& pop) {
+  Channel ch(1);
+  ASSERT_TRUE(ch.send(Message{}));
+  std::atomic<bool> sent{false};
+  std::thread sender([&] {
+    Message m;
+    m.v = 7;
+    EXPECT_TRUE(ch.send(std::move(m)));
+    sent = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it park
+  EXPECT_FALSE(sent.load());
+  EXPECT_TRUE(pop(ch).has_value());
+  EXPECT_TRUE(becomes_true(sent)) << "the parked sender was never woken";
+  ch.close();  // unblocks a sender that missed its wake-up, so join returns
+  sender.join();
+  auto m = ch.try_receive();
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->v, 7);
+}
+
+TEST(Channel, ReceiveWakesParkedSender) {
+  expect_pop_wakes_parked_sender([](Channel& ch) { return ch.receive(); });
+}
+
+TEST(Channel, ReceiveForWakesParkedSender) {
+  expect_pop_wakes_parked_sender(
+      [](Channel& ch) { return ch.receive_for(std::chrono::seconds(1)); });
+}
+
+TEST(Channel, TryReceiveWakesParkedSender) {
+  expect_pop_wakes_parked_sender([](Channel& ch) { return ch.try_receive(); });
+}
+
+TEST(Channel, SendWakesParkedReceiver) {
+  Channel ch;
+  std::atomic<bool> received{false};
+  std::thread receiver([&] {
+    auto m = ch.receive();
+    EXPECT_TRUE(m.has_value());
+    received = m.has_value();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it park
+  EXPECT_TRUE(ch.send(Message{}));
+  EXPECT_TRUE(becomes_true(received)) << "the parked receiver was never woken";
+  ch.close();
+  receiver.join();
+}
+
+TEST(Channel, SendWakesTimedReceiverBeforeItsDeadline) {
+  // A lost wake-up would still deliver the message, but only when the 10 s
+  // deadline expires; the wake must come with the send.
+  Channel ch;
+  std::chrono::steady_clock::duration waited{};
+  std::thread receiver([&] {
+    const auto start = std::chrono::steady_clock::now();
+    auto m = ch.receive_for(std::chrono::seconds(10));
+    waited = std::chrono::steady_clock::now() - start;
+    EXPECT_TRUE(m.has_value());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it park
+  EXPECT_TRUE(ch.send(Message{}));
+  receiver.join();
+  EXPECT_LT(waited, std::chrono::seconds(5));
+}
+
+TEST(Channel, ManySendersOneReceiverLoseNothing) {
+  // A small capacity keeps senders parking on a full channel and the
+  // receiver parking on an empty one, so both wake paths run thousands of
+  // times. A lost wake-up stalls the handoff until receive_for's deadline.
+  constexpr int kSenders = 4;
+  constexpr int kPerSender = 5000;
+  Channel ch(2);
+  std::vector<std::thread> senders;
+  for (int s = 0; s < kSenders; ++s)
+    senders.emplace_back([&ch, s] {
+      for (int i = 0; i < kPerSender; ++i) {
+        Message m;
+        m.src_node = s;
+        m.v = i;
+        ASSERT_TRUE(ch.send(std::move(m)));
+      }
+    });
+  std::vector<int> next(kSenders, 0);
+  int stalls = 0;
+  for (int n = 0; n < kSenders * kPerSender; ++n) {
+    const auto start = std::chrono::steady_clock::now();
+    auto m = ch.receive_for(std::chrono::seconds(10));
+    if (!m.has_value() ||
+        std::chrono::steady_clock::now() - start > std::chrono::seconds(5)) {
+      ++stalls;
+      if (!m.has_value()) break;
+    }
+    ASSERT_GE(m->src_node, 0);
+    ASSERT_LT(m->src_node, kSenders);
+    EXPECT_EQ(m->v, next[static_cast<std::size_t>(m->src_node)]++);  // FIFO
+  }
+  ch.close();  // a sender stuck on a lost wake-up leaves with false
+  for (std::thread& t : senders) t.join();
+  EXPECT_EQ(stalls, 0);
+  for (int s = 0; s < kSenders; ++s)
+    EXPECT_EQ(next[static_cast<std::size_t>(s)], kPerSender);
+  EXPECT_EQ(ch.try_receive(), std::nullopt);
 }
 
 TEST(Network, RoutesToDestinationInbox) {

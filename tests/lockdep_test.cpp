@@ -97,6 +97,65 @@ TEST_F(LockdepTest, SameClassReacquisitionIsReported) {
       ContractViolation);
 }
 
+// CondVar hands the std::mutex to std::condition_variable for the sleep;
+// lockdep must see it released and re-acquired, leaving the held stack as
+// it was.
+TEST_F(LockdepTest, NotifiedWaitKeepsTheHeldStackExact) {
+  Mutex mu("test::cv_notified");
+  CondVar cv;
+  bool ready = false;
+  std::thread notifier;
+  {
+    MutexLock lock(mu);
+    // Started under the lock, the notifier can set `ready` only once the
+    // wait below has released mu, so the loop waits at least once.
+    notifier = std::thread([&] {
+      MutexLock notifier_lock(mu);
+      ready = true;
+      cv.notify_one();
+    });
+    while (!ready) cv.wait(lock);
+    EXPECT_EQ(lockdep::held_count(), 1u);
+  }
+  EXPECT_EQ(lockdep::held_count(), 0u);
+  notifier.join();
+}
+
+TEST_F(LockdepTest, TimedOutWaitKeepsTheHeldStackExact) {
+  Mutex mu("test::cv_timeout");
+  CondVar cv;
+  {
+    MutexLock lock(mu);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+    while (cv.wait_until(lock, deadline) != std::cv_status::timeout) {
+    }
+    EXPECT_EQ(lockdep::held_count(), 1u);
+  }
+  EXPECT_EQ(lockdep::held_count(), 0u);
+}
+
+TEST_F(LockdepTest, InversionAfterAWaitIsReported) {
+  Mutex a("test::wait_inv_a"), b("test::wait_inv_b");
+  CondVar cv;
+  {
+    MutexLock la(a);
+    MutexLock lb(b);  // establishes a -> b
+  }
+  try {
+    MutexLock lb(b);
+    cv.wait_until(lb, std::chrono::steady_clock::now());
+    MutexLock la(a);  // inverts: b -> a, with b re-held by the wait
+    FAIL() << "lock-order inversion after a wait was not detected";
+  } catch (const ContractViolation& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("test::wait_inv_b -> test::wait_inv_a"),
+              std::string::npos)
+        << msg;
+  }
+  EXPECT_EQ(lockdep::held_count(), 0u);
+}
+
 TEST_F(LockdepTest, BlockingChannelOpUnderLockIsRejected) {
   Mutex mu("test::held_over_channel");
   Channel ch(4);

@@ -3,7 +3,9 @@
 // concurrent NodeLoop::stop calls. Under TSan (tsan preset) these tests are
 // the witnesses for the close/send race fix in Channel::~Channel.
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -69,6 +71,40 @@ TEST(Shutdown, CloseThenDestroyUnblocksManySenders) {
   ch.reset();
   for (std::thread& t : senders) t.join();
   EXPECT_EQ(delivered.load(), 0);
+}
+
+// A handoff notifies its parked peer after unlocking, so the peer can take
+// the message and destroy the channel while the notifier is still inside
+// its notify. The destructor must wait that notify out; TSan reports the
+// destroy-vs-notify race if it does not.
+constexpr int kHandoffRounds = 2000;
+
+TEST(Shutdown, DestroyChannelRightAfterReceivingAHandoff) {
+  for (int round = 0; round < kHandoffRounds; ++round) {
+    auto ch = std::make_unique<Channel>(1);
+    Channel* raw = ch.get();
+    // Short timed waits park the receiver, and a timeout can take the
+    // message before the sender's notify has run.
+    std::thread sender([raw] { EXPECT_TRUE(raw->send(make_msg(0))); });
+    std::optional<Message> got;
+    while (!got) got = ch->receive_for(std::chrono::microseconds(50));
+    ch.reset();  // the sender may be between its unlock and its notify
+    sender.join();
+  }
+}
+
+TEST(Shutdown, DestroyChannelRightAfterAParkedSendCompletes) {
+  for (int round = 0; round < kHandoffRounds; ++round) {
+    auto ch = std::make_unique<Channel>(1);
+    ASSERT_TRUE(ch->send(make_msg(0)));  // full: the next send parks
+    Channel* raw = ch.get();
+    std::thread receiver([raw] {
+      while (!raw->try_receive()) std::this_thread::yield();
+    });
+    EXPECT_TRUE(ch->send(make_msg(0)));  // woken by the receiver's pop
+    ch.reset();  // the receiver may still be inside its notify
+    receiver.join();
+  }
 }
 
 TEST(Shutdown, ReceiveDrainsQueuedMessagesAfterClose) {
