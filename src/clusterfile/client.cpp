@@ -198,9 +198,7 @@ ClusterfileClient::AccessPlan ClusterfileClient::build_plan(
   plan.length = w - v + 1;
   for (std::size_t k = 0; k < state.targets.size(); ++k) {
     const SubTarget& target = state.targets[k];
-    // ONE traversal per target: runs, byte count and contiguity together
-    // (formerly count_in + contiguous_in + separate run walks for the
-    // gather and the fast path's lo hunt).
+    // ONE traversal per target: runs, byte count and contiguity together.
     RunList rl = target.proj_v.materialize_in(v, w);
     if (rl.bytes == 0) continue;
     const auto iv =

@@ -321,8 +321,8 @@ class ClusterfileClient {
                                                  std::int64_t v, std::int64_t w,
                                                  std::int64_t& shift_periods,
                                                  AccessTimings& t);
-  /// The single materialization traversal per target (replaces the former
-  /// count_in / map_interval / contiguous_in / for_each_run_in passes).
+  /// The single materialization traversal per target (materialize_in,
+  /// then map_interval for the subfile extremities).
   AccessPlan build_plan(const ViewState& state, std::int64_t v,
                         std::int64_t w) const;
 

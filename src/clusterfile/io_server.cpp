@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
@@ -48,6 +49,16 @@ Ranges merge_ranges(Ranges ranges) {
     }
   }
   return out;
+}
+
+/// Refuses a data request's interval [v, w] before its projection is
+/// touched: offsets start at 0, [v, w] must not be inverted, and count_in
+/// needs w + 1.
+void check_interval(const Message& msg) {
+  if (msg.v < 0 || msg.v > msg.w || msg.w == std::numeric_limits<std::int64_t>::max())
+    throw ProtocolError(ErrCode::kMalformed, "IoServer: bad request interval [" +
+                                                 std::to_string(msg.v) + ", " +
+                                                 std::to_string(msg.w) + "]");
 }
 
 /// Wire form of a range list: "off:len;off:len;...".
@@ -301,6 +312,7 @@ const IndexSet& IoServer::projection(const Message& msg) {
 
 void IoServer::handle_write(Message&& msg) {
   Subfile& sub = subfile_for(msg);
+  check_interval(msg);
   const IndexSet& proj = projection(msg);
   // Paper server pseudocode: the decision is based on PROJ_S — the
   // *server-side* projection. The client's `contiguous` flag only records
@@ -346,6 +358,7 @@ void IoServer::handle_write(Message&& msg) {
 
 void IoServer::handle_read(Message&& msg) {
   Subfile& sub = subfile_for(msg);
+  check_interval(msg);
   const IndexSet& proj = projection(msg);
   // Bound the read before allocating for it: storage would refuse a member
   // byte past the subfile's end anyway, but only after the reply buffer and

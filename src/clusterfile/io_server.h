@@ -18,7 +18,8 @@
 // acknowledgment replayed, making the effective semantics exactly-once on
 // top of at-least-once client retries; reads are re-executed (idempotent).
 // Failures answer with structured kError codes; a request the server
-// refuses (malformed projection meta, a payload that does not match it, a
+// refuses (malformed projection meta, an interval that is inverted or
+// leaves [0, INT64_MAX), a payload that does not match the projection, a
 // read past the subfile's end) answers kMalformed.
 //
 // Replication (DESIGN.md "Failure model"): with epoch tracking on, every

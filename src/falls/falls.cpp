@@ -117,8 +117,7 @@ void validate_falls_set(const FallsSet& set) {
   }
   if (!interleaved) return;
   std::vector<std::pair<std::int64_t, std::int64_t>> runs;
-  for (const Falls& f : set)
-    for_each_run(f, [&](std::int64_t a, std::int64_t b) { runs.emplace_back(a, b); });
+  for_each_run(set, [&](std::int64_t a, std::int64_t b) { runs.emplace_back(a, b); });
   std::sort(runs.begin(), runs.end());
   for (std::size_t i = 1; i < runs.size(); ++i) {
     if (runs[i].first <= runs[i - 1].second) {
@@ -129,85 +128,30 @@ void validate_falls_set(const FallsSet& set) {
   }
 }
 
-void for_each_run(const Falls& f,
-                  const std::function<void(std::int64_t, std::int64_t)>& fn) {
-  for (std::int64_t k = 0; k < f.n; ++k) {
-    const std::int64_t base = f.l + k * f.s;
-    if (f.leaf()) {
-      fn(base, base + f.block_len() - 1);
-    } else {
-      for (const Falls& g : f.inner)
-        for_each_run(g, [&](std::int64_t a, std::int64_t b) { fn(base + a, base + b); });
-    }
+bool in_file_order(const FallsSet& set) {
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    if (i > 0 && set[i].l < falls_extent(set[i - 1])) return false;
+    if (!in_file_order(set[i].inner)) return false;
   }
+  return true;
 }
 
-void for_each_run(const FallsSet& set,
-                  const std::function<void(std::int64_t, std::int64_t)>& fn) {
-  for (const Falls& f : set) for_each_run(f, fn);
-}
-
-std::vector<std::int64_t> falls_bytes(const Falls& f) {
-  std::vector<std::int64_t> out;
-  for_each_run(f, [&](std::int64_t a, std::int64_t b) {
-    for (std::int64_t x = a; x <= b; ++x) out.push_back(x);
-  });
-  return out;
-}
+std::vector<std::int64_t> falls_bytes(const Falls& f) { return set_bytes({f}); }
 
 std::vector<std::int64_t> set_bytes(const FallsSet& set) {
   std::vector<std::int64_t> out;
-  for (const Falls& f : set) {
-    auto fb = falls_bytes(f);
-    out.insert(out.end(), fb.begin(), fb.end());
-  }
+  for_each_run(set, [&](std::int64_t a, std::int64_t b) {
+    for (std::int64_t x = a; x <= b; ++x) out.push_back(x);
+  });
   std::sort(out.begin(), out.end());
   return out;
 }
 
-namespace {
-
-/// Appends the runs of f's blocks, offset by base, to out, coalescing a run
-/// that touches the previous one; clears `ordered` on a run that starts
-/// before the previous one (members whose spans interleave).
-void append_runs(const Falls& f, std::int64_t base, std::vector<LineSegment>& out,
-                 bool& ordered) {
-  for (std::int64_t k = 0; k < f.n; ++k) {
-    const std::int64_t b = base + f.l + k * f.s;
-    if (!f.leaf()) {
-      for (const Falls& g : f.inner) append_runs(g, b, out, ordered);
-      continue;
-    }
-    const LineSegment seg{b, b + f.block_len() - 1};
-    if (out.empty() || seg.l > out.back().r + 1) {
-      out.push_back(seg);
-    } else if (seg.l >= out.back().l) {
-      out.back().r = std::max(out.back().r, seg.r);
-    } else {
-      ordered = false;
-      out.push_back(seg);
-    }
-  }
-}
-
-}  // namespace
-
 std::vector<LineSegment> set_runs(const FallsSet& set) {
   std::vector<LineSegment> out;
-  bool ordered = true;
-  for (const Falls& f : set) append_runs(f, 0, out, ordered);
-  if (ordered) return out;
-  std::sort(out.begin(), out.end(),
-            [](const LineSegment& x, const LineSegment& y) { return x.l < y.l; });
-  // Coalesce runs that touch (distinct set members may produce adjacent runs).
-  std::vector<LineSegment> merged;
-  for (const LineSegment& seg : out) {
-    if (!merged.empty() && seg.l <= merged.back().r + 1)
-      merged.back().r = std::max(merged.back().r, seg.r);
-    else
-      merged.push_back(seg);
-  }
-  return merged;
+  walk_runs(set, in_file_order(set), 0, std::numeric_limits<std::int64_t>::max(),
+            [&](std::int64_t a, std::int64_t b) { out.push_back({a, b}); });
+  return out;
 }
 
 Falls shift_falls(const Falls& f, std::int64_t delta) {

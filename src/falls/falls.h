@@ -10,8 +10,10 @@
 // of one partition element (a subfile or a view).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <limits>
+#include <utility>
 #include <vector>
 
 namespace pfm {
@@ -86,18 +88,90 @@ void validate_falls_set(const FallsSet& set);
 /// exist — validity requires l <= r — so this is just set.empty()).
 inline bool set_empty(const FallsSet& set) { return set.empty(); }
 
-/// Invokes fn(l, r) for every maximal contiguous run of bytes denoted by f,
-/// in increasing order. Runs of a nested FALLS are the leaf blocks.
-void for_each_run(const Falls& f, const std::function<void(std::int64_t, std::int64_t)>& fn);
-void for_each_run(const FallsSet& set,
-                  const std::function<void(std::int64_t, std::int64_t)>& fn);
+/// True when at every level each member starts at or past the previous
+/// member's extent, so walking the tree visits its bytes in increasing
+/// order. Intersection and projection results may interleave members.
+bool in_file_order(const FallsSet& set);
+
+namespace detail {
+
+/// One FALLS of for_each_run: f's blocks lie f.l + k*s bytes after `base`,
+/// and the window [lo, hi] is relative to `base`. Only the blocks k0..k1
+/// that intersect the window are visited (paper section 8's interval
+/// limits).
+template <typename Fn>
+void walk_falls(const Falls& f, std::int64_t base, std::int64_t lo,
+                std::int64_t hi, Fn& fn) {
+  if (hi < f.l) return;
+  const std::int64_t len = f.block_len();
+  // First block ending at or after lo, last block starting at or before hi
+  // (a single block may have any stride, even one shorter than itself).
+  const std::int64_t past = lo - f.l - len + 1;
+  const std::int64_t k0 = past <= 0 ? 0 : past / f.s + (past % f.s != 0);
+  const std::int64_t k1 = std::min(f.n - 1, (hi - f.l) / f.s);
+  for (std::int64_t k = k0; k <= k1; ++k) {
+    const std::int64_t b = f.l + k * f.s;
+    if (f.leaf()) {
+      const bool abut = f.s == len;  // then blocks k..k1 are one block
+      fn(base + std::max(b, lo),
+         base + std::min((abut ? f.l + k1 * f.s : b) + len - 1, hi));
+      if (abut) return;
+    } else {
+      for (const Falls& g : f.inner) walk_falls(g, base + b, lo - b, hi - b, fn);
+    }
+  }
+}
+
+}  // namespace detail
+
+/// The interval-limited walk of paper section 8's GATHER/SCATTER: invokes
+/// fn(a, b) for every leaf block of `set` that intersects [lo, hi] (by
+/// default, every block), clipped to it, in tree order: member by member,
+/// block by block. A leaf family whose blocks abut (s == block_len) is one
+/// block. Blocks are not joined, and come in increasing order only when
+/// in_file_order(set). Costs O(nodes + blocks intersecting the window).
+template <typename Fn>
+void for_each_run(const FallsSet& set, Fn&& fn, std::int64_t lo = 0,
+                  std::int64_t hi = std::numeric_limits<std::int64_t>::max()) {
+  for (const Falls& f : set) detail::walk_falls(f, 0, lo, hi, fn);
+}
+
+/// for_each_run joined into maximal runs: invokes fn(a, b) for every
+/// maximal run of `set` inside [lo, hi], clipped to it, in increasing order.
+/// `in_order` must be in_file_order(set); when false, the window's blocks
+/// are sorted before they are joined.
+template <typename Fn>
+void walk_runs(const FallsSet& set, bool in_order, std::int64_t lo,
+               std::int64_t hi, Fn&& fn) {
+  std::int64_t a = 0;
+  std::int64_t b = -1;  // the open run [a, b]; none while b < a
+  const auto join = [&](std::int64_t l, std::int64_t r) {
+    if (l > b + 1) {
+      if (a <= b) fn(a, b);
+      a = l;
+    }
+    b = std::max(b, r);
+  };
+  if (in_order) {
+    for_each_run(set, join, lo, hi);
+  } else {
+    std::vector<std::pair<std::int64_t, std::int64_t>> blocks;
+    for_each_run(
+        set, [&](std::int64_t l, std::int64_t r) { blocks.emplace_back(l, r); },
+        lo, hi);
+    std::sort(blocks.begin(), blocks.end());
+    for (const auto& [l, r] : blocks) join(l, r);
+  }
+  if (a <= b) fn(a, b);
+}
 
 /// Enumerates every byte index of the set in increasing order (test oracle;
 /// only sensible for small extents).
 std::vector<std::int64_t> set_bytes(const FallsSet& set);
 std::vector<std::int64_t> falls_bytes(const Falls& f);
 
-/// All maximal runs as line segments, in increasing order.
+/// All maximal runs as line segments, in increasing order (walk_runs over
+/// the whole set).
 std::vector<LineSegment> set_runs(const FallsSet& set);
 
 /// Shifts every byte of the set by delta (delta may be negative as long as

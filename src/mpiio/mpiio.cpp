@@ -1,11 +1,9 @@
 #include "mpiio/mpiio.h"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
 #include "falls/set_ops.h"
-#include "util/arith.h"
 
 namespace pfm {
 
@@ -28,9 +26,7 @@ MpiioView::MpiioView(std::shared_ptr<LinearFile> file, std::int64_t disp,
     : file_(std::move(file)),
       disp_(disp),
       etype_size_(etype_size),
-      tile_extent_(filetype.extent()),
-      falls_(filetype.falls()),
-      idx_(falls_, tile_extent_) {
+      idx_(filetype.falls(), filetype.extent()) {
   if (!file_) throw std::invalid_argument("MpiioView: null file");
   if (disp_ < 0) throw std::invalid_argument("MpiioView: negative displacement");
   if (etype_size_ < 1) throw std::invalid_argument("MpiioView: etype size < 1");
@@ -40,7 +36,7 @@ MpiioView::MpiioView(std::shared_ptr<LinearFile> file, std::int64_t disp,
 }
 
 std::int64_t MpiioView::file_offset_of(std::int64_t view_byte) const {
-  const ElementRef ref{&falls_, disp_, tile_extent_};
+  const ElementRef ref{&idx_.falls(), disp_, idx_.period()};
   return map_to_file(ref, view_byte);
 }
 
@@ -54,26 +50,15 @@ std::int64_t MpiioView::check_access(std::int64_t offset, std::int64_t bytes) co
 template <typename Fn>
 void MpiioView::for_each_file_chunk(std::int64_t first_rank, std::int64_t count,
                                     Fn&& fn) const {
-  // Walk the visible bytes by rank: every chunk is the remainder of the
-  // filetype run the current rank falls into, so the file I/O is one
-  // operation per contiguous region — the segment-wise access the paper's
-  // representation exists to enable.
-  const auto& runs = idx_.runs();
-  std::int64_t rank = first_rank;
-  std::int64_t remaining = count;
-  while (remaining > 0) {
-    const std::int64_t file_off = file_offset_of(rank);
-    const std::int64_t phase = mod_floor(file_off - disp_, tile_extent_);
-    // The run containing `phase` (ranks are member bytes, so it exists).
-    const auto it = std::upper_bound(
-        runs.begin(), runs.end(), phase,
-        [](std::int64_t p, const LineSegment& r) { return p < r.l; });
-    const LineSegment& run = *std::prev(it);
-    const std::int64_t len = std::min(remaining, run.r - phase + 1);
-    fn(file_off, len);
-    rank += len;
-    remaining -= len;
-  }
+  // The visible bytes of ranks [first_rank, first_rank + count) are the
+  // filetype runs between the file offsets of the first and the last rank,
+  // so the file I/O is one operation per contiguous region — the
+  // segment-wise access the paper's representation exists to enable.
+  const std::int64_t lo = file_offset_of(first_rank) - disp_;
+  const std::int64_t hi = file_offset_of(first_rank + count - 1) - disp_;
+  idx_.for_each_run_in(lo, hi, [&](std::int64_t a, std::int64_t b) {
+    fn(disp_ + a, b - a + 1);
+  });
 }
 
 void MpiioView::write_at(std::int64_t offset, std::span<const std::byte> data) {

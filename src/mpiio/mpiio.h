@@ -85,9 +85,7 @@ class MpiioView {
   std::shared_ptr<LinearFile> file_;
   std::int64_t disp_;
   std::int64_t etype_size_;
-  std::int64_t tile_extent_;
-  FallsSet falls_;
-  IndexSet idx_;
+  IndexSet idx_;  ///< the filetype's FALLS, tiled with its extent
 };
 
 }  // namespace pfm

@@ -19,13 +19,12 @@ IndexSet::IndexSet(FallsSet falls, std::int64_t period)
   if (set_extent(falls_) > period_)
     throw std::invalid_argument("IndexSet: set extent exceeds period");
   size_ = set_size(falls_);
-  runs_ = set_runs(falls_);
+  in_order_ = in_file_order(falls_);
 }
 
 std::int64_t IndexSet::count_in(std::int64_t v, std::int64_t w) const {
-  if (v > w || size_ == 0) return 0;
   v = std::max<std::int64_t>(v, 0);
-  if (v > w) return 0;
+  if (v > w || size_ == 0) return 0;
   // Rank of a tiled position x: full periods below plus rank within phase.
   const auto rank = [&](std::int64_t x) {  // member bytes strictly below x
     const std::int64_t p = div_floor(x, period_);
@@ -33,18 +32,6 @@ std::int64_t IndexSet::count_in(std::int64_t v, std::int64_t w) const {
     return p * size_ + set_rank(falls_, phase);
   };
   return rank(w + 1) - rank(v);
-}
-
-bool IndexSet::contiguous_in(std::int64_t v, std::int64_t w) const {
-  bool first = true;
-  std::int64_t prev_end = 0;
-  bool contiguous = true;
-  for_each_run_in(v, w, [&](std::int64_t lo, std::int64_t hi) {
-    if (!first && lo != prev_end + 1) contiguous = false;
-    prev_end = hi;
-    first = false;
-  });
-  return contiguous;
 }
 
 RunList IndexSet::materialize_in(std::int64_t v, std::int64_t w) const {

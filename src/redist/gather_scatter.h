@@ -5,6 +5,7 @@
 // same two procedures implement MPI-style pack/unpack (paper section 3).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -39,8 +40,8 @@ struct RunList {
 };
 
 /// A periodic index set: the FALLS pattern tiled with `period` (>= extent of
-/// the set). `runs` caches the maximal runs of one period — the paper's
-/// "set of indices computed at view setting", reused by every access.
+/// the set). It keeps only its FALLS: a set costs O(FALLS nodes), and a run
+/// query walks the tree over the queried interval (walk_runs).
 class IndexSet {
  public:
   IndexSet() = default;
@@ -50,9 +51,8 @@ class IndexSet {
   std::int64_t period() const { return period_; }
   /// Bytes per period.
   std::int64_t size() const { return size_; }
-  const std::vector<LineSegment>& runs() const { return runs_; }
 
-  /// Number of member bytes in [v, w] of the tiled space.
+  /// Number of member bytes in [v, w] of the tiled space (w < INT64_MAX).
   std::int64_t count_in(std::int64_t v, std::int64_t w) const;
 
   /// Invokes fn(l, r) for every maximal member run intersected with [v, w],
@@ -60,33 +60,30 @@ class IndexSet {
   /// reported separately).
   template <typename Fn>
   void for_each_run_in(std::int64_t v, std::int64_t w, Fn&& fn) const {
-    if (v > w || runs_.empty()) return;
-    const std::int64_t first_period = v >= 0 ? v / period_ : 0;
-    for (std::int64_t p = first_period; p * period_ <= w; ++p) {
+    v = std::max<std::int64_t>(v, 0);
+    if (v > w || size_ == 0) return;
+    const std::int64_t last = w / period_;
+    for (std::int64_t p = v / period_;; ++p) {
+      // The window relative to this period's origin, so the walk's
+      // arithmetic stays inside one period even next to INT64_MAX.
       const std::int64_t base = p * period_;
-      for (const LineSegment& run : runs_) {
-        const std::int64_t lo = std::max(base + run.l, v);
-        const std::int64_t hi = std::min(base + run.r, w);
-        if (lo <= hi) fn(lo, hi);
-      }
+      walk_runs(falls_, in_order_, std::max<std::int64_t>(v - base, 0),
+                std::min(w - base, period_ - 1),
+                [&](std::int64_t a, std::int64_t b) { fn(base + a, base + b); });
+      if (p == last) break;
     }
   }
 
-  /// True when the member bytes of [v, w] form one contiguous run (the
-  /// Clusterfile fast path that skips gather/scatter entirely).
-  bool contiguous_in(std::int64_t v, std::int64_t w) const;
-
   /// One materialization traversal over [v, w]: the run list with
   /// positions relative to v, the member byte count, and the contiguity
-  /// flag — everything count_in + contiguous_in + two for_each_run_in
-  /// passes used to compute separately on the access hot path.
+  /// flag.
   RunList materialize_in(std::int64_t v, std::int64_t w) const;
 
  private:
   FallsSet falls_;
   std::int64_t period_ = 1;
   std::int64_t size_ = 0;
-  std::vector<LineSegment> runs_;
+  bool in_order_ = true;  ///< in_file_order(falls_)
 };
 
 /// Wire form of a subfile projection, "<period> <falls>": the period in

@@ -86,9 +86,9 @@ void validate_plan(const RedistPlan& plan, const PartitioningPattern& from,
     PFM_CHECK(t.dst_idx.period() == dst_share, "transfer ", ti,
               ": scatter period ", t.dst_idx.period(), " != element share ",
               dst_share);
-    for (const LineSegment& run : t.src_idx.runs())
+    for (const LineSegment& run : set_runs(t.src_idx.falls()))
       src_runs[t.src_elem].emplace_back(ti, run);
-    for (const LineSegment& run : t.dst_idx.runs())
+    for (const LineSegment& run : set_runs(t.dst_idx.falls()))
       dst_runs[t.dst_elem].emplace_back(ti, run);
     total += t.bytes_per_period;
   }

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <thread>
+#include <utility>
 
 #include "clusterfile/fs.h"
 #include "clusterfile/io_server.h"
@@ -153,6 +155,67 @@ TEST(IoServerRaw, ReadPastTheEndIsRefusedBeforeAllocating) {
   const Message ok = fx.request(data_request(MsgKind::kRead, 0, whole, 1024, 0, 3));
   ASSERT_EQ(ok.kind, MsgKind::kReadReply);
   EXPECT_TRUE(equal_bytes(ok.payload, make_pattern_buffer(4, 6)));
+}
+
+TEST(IoServerRaw, BadIntervalIsRefusedBeforeTheProjection) {
+  // A negative v, an inverted interval and w = INT64_MAX (whose rank of
+  // w + 1 overflows) are refused with kMalformed; no projection is parsed
+  // and nothing is stored.
+  ServerFixture fx;
+  const FallsSet whole = {make_falls(0, 3, 4, 1)};
+  const std::int64_t top = std::numeric_limits<std::int64_t>::max();
+  for (const auto& [v, w] : {std::pair<std::int64_t, std::int64_t>{-1, 3},
+                             {4, 3},
+                             {0, top}}) {
+    for (const MsgKind kind : {MsgKind::kWrite, MsgKind::kRead}) {
+      SCOPED_TRACE(::testing::Message() << to_string(kind) << " [" << v << ", "
+                                        << w << "]");
+      const Message reply = fx.request(data_request(
+          kind, 0, whole, 4, v, w,
+          kind == MsgKind::kWrite ? make_pattern_buffer(4, 8) : Buffer{}));
+      EXPECT_EQ(reply.kind, MsgKind::kError);
+      EXPECT_EQ(reply.err, ErrCode::kMalformed);
+      EXPECT_NE(reply.meta.find("bad request interval"), std::string::npos)
+          << reply.meta;
+    }
+  }
+  EXPECT_EQ(fx.server.storage(0).size(), 0);
+  EXPECT_EQ(fx.server.projection_cache_size(), 0u);
+}
+
+TEST(IoServerRaw, HostileProjectionIsServedPromptly) {
+  // 29 bytes of meta describing 10^8 single-byte runs per period. Walking
+  // the FALLS costs the blocks a request touches, so the server answers at
+  // once; a table of the period's runs would take seconds and gigabytes.
+  ServerFixture fx;
+  const FallsSet sparse = {make_falls(0, 0, 2, 100000000)};
+  const std::int64_t period = 200000000;
+  ASSERT_EQ(encode_projection(sparse, period).size(), 29u);
+  const auto timed = [&](Message msg) {
+    const auto t0 = std::chrono::steady_clock::now();
+    Message reply = fx.request(std::move(msg));
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+    return reply;
+  };
+  // [64, 79] holds 8 member bytes, so an 8-byte payload matches count_in.
+  const Buffer payload = make_pattern_buffer(8, 9);
+  EXPECT_EQ(timed(data_request(MsgKind::kWrite, 0, sparse, period, 64, 79,
+                               payload))
+                .kind,
+            MsgKind::kAck);
+  Buffer stored(15);  // member bytes 64, 66, ..., 78
+  fx.server.storage(0).read(64, stored);
+  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(stored[2 * i], payload[i]);
+  // The whole period asks for member bytes past the subfile's end.
+  const Message refused =
+      timed(data_request(MsgKind::kRead, 0, sparse, period, 0, period - 1));
+  EXPECT_EQ(refused.kind, MsgKind::kError);
+  EXPECT_EQ(refused.err, ErrCode::kMalformed);
+  EXPECT_NE(refused.meta.find("past the end"), std::string::npos) << refused.meta;
+  const Message ok =
+      timed(data_request(MsgKind::kRead, 0, sparse, period, 64, 79));
+  ASSERT_EQ(ok.kind, MsgKind::kReadReply);
+  EXPECT_TRUE(equal_bytes(ok.payload, payload));
 }
 
 TEST(IoServerRaw, ReadReturnsGatheredProjection) {
