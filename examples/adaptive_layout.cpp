@@ -28,7 +28,7 @@ int main() {
   rec.name = "matrix.dat";
   rec.size = n * n;
   rec.subfile_falls = {col_elems.begin(), col_elems.end()};
-  rec.io_nodes = {4, 5, 6, 7};
+  rec.replica_nodes = {{4}, {5}, {6}, {7}};
   meta.create(rec);
   std::printf("created %s: %lld bytes, %zu subfiles (column blocks)\n\n",
               rec.name.c_str(), static_cast<long long>(rec.size),
@@ -86,7 +86,8 @@ int main() {
   // record updated alongside.
   auto best_elems = partition2d_all(best, n, n, 4);
   fs.relayout(PartitioningPattern({best_elems.begin(), best_elems.end()}, 0), n * n);
-  meta.update_layout("matrix.dat", {best_elems.begin(), best_elems.end()});
+  rec.subfile_falls = {best_elems.begin(), best_elems.end()};
+  meta.update(rec);
 
   const ReplayStats after = run_workload("workload on adapted layout:");
   std::printf("\nserver messages per op: %.1f -> %.1f\n",

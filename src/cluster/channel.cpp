@@ -143,4 +143,14 @@ std::size_t Channel::pending() const {
   return queue_.size();
 }
 
+std::size_t Channel::parked_senders() const {
+  MutexLock lock(mu_);
+  return parked_senders_;
+}
+
+std::size_t Channel::parked_receivers() const {
+  MutexLock lock(mu_);
+  return parked_receivers_;
+}
+
 }  // namespace pfm

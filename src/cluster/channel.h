@@ -65,6 +65,11 @@ class Channel {
 
   bool closed() const PFM_EXCLUDES(mu_);
   std::size_t pending() const PFM_EXCLUDES(mu_);
+  /// Threads blocked in send / in receive or receive_for. Read under mu_,
+  /// so a thread counted here is inside its condition wait: tests wait on
+  /// these instead of sleeping and hoping their threads have parked.
+  std::size_t parked_senders() const PFM_EXCLUDES(mu_);
+  std::size_t parked_receivers() const PFM_EXCLUDES(mu_);
 
  private:
   /// RAII parked count, held across a condition wait.

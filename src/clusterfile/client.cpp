@@ -36,22 +36,11 @@ ClusterfileClient::ClusterfileClient(
       placement_(std::move(placement)) {
   if (!meta_.physical)
     throw std::invalid_argument("ClusterfileClient: no physical pattern");
-  if (meta_.io_nodes.size() != meta_.physical->element_count())
-    throw std::invalid_argument("ClusterfileClient: io_nodes count mismatch");
-  if (meta_.replicas.empty()) {
-    // No replication: every subfile lives only on its primary.
-    meta_.replicas.reserve(meta_.io_nodes.size());
-    for (const int node : meta_.io_nodes)
-      meta_.replicas.push_back({node});
-  } else {
-    if (meta_.replicas.size() != meta_.io_nodes.size())
-      throw std::invalid_argument("ClusterfileClient: replicas count mismatch");
-    for (std::size_t i = 0; i < meta_.replicas.size(); ++i)
-      if (meta_.replicas[i].empty() ||
-          meta_.replicas[i][0] != meta_.io_nodes[i])
-        throw std::invalid_argument(
-            "ClusterfileClient: replica list must start with the primary");
-  }
+  if (meta_.replicas.size() != meta_.physical->element_count())
+    throw std::invalid_argument("ClusterfileClient: placement row count mismatch");
+  for (const std::vector<int>& row : meta_.replicas)
+    if (row.empty())
+      throw std::invalid_argument("ClusterfileClient: empty placement row");
   set_write_quorum(meta_.write_quorum);
   // A directory created before this client may already be ahead of the
   // FileMeta snapshot (repairs between cluster start and client creation):
@@ -67,19 +56,12 @@ void ClusterfileClient::maybe_refresh_placement() {
   PFM_CHECK(snap.size() == meta_.replicas.size(),
             "placement directory covers ", snap.size(), " subfiles, file has ",
             meta_.replicas.size());
-  for (std::size_t i = 0; i < snap.size(); ++i) {
-    meta_.replicas[i] = snap[i];
-    meta_.io_nodes[i] = snap[i][0];
-  }
+  meta_.replicas = snap;
   // Views baked the replica chain into their targets at set_view time;
   // re-aim them. Requests carry their projections, so a new replica serves
   // the first one it sees.
-  for (ViewState& state : views_) {
-    for (SubTarget& t : state.targets) {
-      t.replicas = snap[t.subfile];
-      t.io_node = t.replicas[0];
-    }
-  }
+  for (ViewState& state : views_)
+    for (SubTarget& t : state.targets) t.replicas = snap[t.subfile];
   // Plans cache each target's serving node; drop them so the next access
   // re-materializes against the new primaries.
   invalidate_plans();
@@ -164,7 +146,6 @@ std::int64_t ClusterfileClient::set_view(FallsSet falls,
       const Projection ps = project(x, phys.pattern_element(j));
       SubTarget target;
       target.subfile = j;
-      target.io_node = meta_.io_nodes[j];
       target.replicas = meta_.replicas[j];
       target.proj_v = IndexSet(pv.falls, pv.period);
       target.sub_period_bytes = state.replay_period > 0 ? sub_period[j] : 0;
@@ -207,7 +188,7 @@ ClusterfileClient::AccessPlan ClusterfileClient::build_plan(
     PlanTarget pt;
     pt.target_index = k;
     pt.subfile = static_cast<int>(target.subfile);
-    pt.io_node = target.io_node;
+    pt.io_node = target.replicas[0];
     pt.base_vs = iv->lo;
     pt.base_ws = iv->hi;
     pt.sub_period_bytes = target.sub_period_bytes;

@@ -72,13 +72,11 @@
 namespace pfm {
 
 /// What a client needs to know about an open file: the physical pattern and
-/// which cluster node serves each subfile.
+/// which cluster nodes serve each subfile.
 struct FileMeta {
   std::shared_ptr<const PartitioningPattern> physical;
-  std::vector<int> io_nodes;  ///< io_nodes[i] serves subfile i
-  /// Replica placement: replicas[i] lists every node holding subfile i,
-  /// primary first (replicas[i][0] == io_nodes[i]). Empty means no
-  /// replication; the client synthesizes single-node lists.
+  /// Placement: replicas[i] lists every node holding subfile i, primary
+  /// first, one non-empty row per subfile (one node when unreplicated).
   std::vector<std::vector<int>> replicas;
   /// W-of-N write acknowledgment policy: a write group returns once
   /// `write_quorum` replicas acked (remaining fan-out requests become
@@ -253,7 +251,6 @@ class ClusterfileClient {
  private:
   struct SubTarget {
     std::size_t subfile = 0;
-    int io_node = -1;
     std::vector<int> replicas;  ///< every node holding the subfile, primary
                                 ///< first (from FileMeta::replicas)
     IndexSet proj_v;  ///< PROJ_V^{V∩S} in view space

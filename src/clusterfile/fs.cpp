@@ -79,30 +79,25 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
       ring_.add_node(config_.compute_nodes + i);
   }
   meta_.write_quorum = config_.write_quorum;
-  meta_.io_nodes.resize(subfiles);
   meta_.replicas.resize(subfiles);
   if (config_.ring_placement) {
     // Ring placement: replicas of subfile i are the first `replication`
     // distinct members clockwise from hash(i) — a pure function of the
     // membership, which is what lets add/decommission plan minimal moves.
     MutexLock lock(member_mu_);
-    for (std::size_t i = 0; i < subfiles; ++i) {
+    for (std::size_t i = 0; i < subfiles; ++i)
       meta_.replicas[i] =
           ring_.replicas_for(static_cast<std::uint64_t>(i), config_.replication);
-      meta_.io_nodes[i] = meta_.replicas[i][0];
-    }
   } else {
     // Static placement: subfile i is served by I/O node (compute_nodes +
     // i % io_nodes); replica r follows at (i + r) % io_nodes, so
     // consecutive subfiles spread their backups across distinct nodes
     // (k-way declustering).
-    for (std::size_t i = 0; i < subfiles; ++i) {
+    for (std::size_t i = 0; i < subfiles; ++i)
       for (int r = 0; r < config_.replication; ++r)
         meta_.replicas[i].push_back(
             config_.compute_nodes +
             static_cast<int>(i + static_cast<std::size_t>(r)) % config_.io_nodes);
-      meta_.io_nodes[i] = meta_.replicas[i][0];
-    }
   }
   if constexpr (kDcheckEnabled) {
     for (std::size_t i = 0; i < subfiles; ++i)
@@ -178,12 +173,8 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
             ring_.add_node(node);
           }
         };
-        if (rec.replica_nodes.empty()) {
-          for (const int n : rec.io_nodes) activate(n);
-        } else {
-          for (const auto& row : rec.replica_nodes)
-            for (const int n : row) activate(n);
-        }
+        for (const auto& row : rec.replica_nodes)
+          for (const int n : row) activate(n);
       }
       // Reconcile against the on-disk copies: the highest-epoch copy on a
       // serving node is the authority, even when the metadata never heard
@@ -203,7 +194,6 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
           });
       for (std::size_t i = 0; i < subfiles; ++i) {
         meta_.replicas[i] = mount_plan.rows[i].replicas;
-        meta_.io_nodes[i] = meta_.replicas[i][0];
         if (mount_plan.rows[i].orphan_adopted) ++mount_report_.orphans_adopted;
         mount_report_.copies_missing +=
             static_cast<int>(mount_plan.rows[i].missing.size());
@@ -220,8 +210,7 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
       fresh.name = kMetaFile;
       fresh.displacement = meta_.physical->displacement();
       fresh.subfile_falls = meta_.physical->elements();
-      fresh.io_nodes = meta_.io_nodes;
-      if (config_.replication > 1) fresh.replica_nodes = meta_.replicas;
+      fresh.replica_nodes = meta_.replicas;
       fresh.write_quorum = config_.write_quorum;
       MutexLock lock(meta_mu_);
       meta_store_.create(std::move(fresh));
@@ -299,7 +288,7 @@ void Clusterfile::start_clients() {
 
 void Clusterfile::start_servers(const std::vector<Buffer>* initial,
                                 bool preserve) {
-  const std::size_t subfiles = meta_.io_nodes.size();
+  const std::size_t subfiles = meta_.replicas.size();
   std::vector<IoNodeState> states;
   {
     MutexLock lock(member_mu_);
@@ -1096,13 +1085,7 @@ RedistStats Clusterfile::relayout(PartitioningPattern new_physical,
   // is being synced to.
   drain_stragglers();
   if (mover_) mover_->await_idle();
-  {
-    const std::vector<std::vector<int>> snap = placement_->snapshot();
-    for (std::size_t i = 0; i < snap.size(); ++i) {
-      meta_.replicas[i] = snap[i];
-      meta_.io_nodes[i] = snap[i][0];
-    }
-  }
+  meta_.replicas = placement_->snapshot();
 
   // Collect current subfile contents (unwritten tails read as zeros) from
   // each subfile's authority: under W-of-N writes the primary may be the
@@ -1157,19 +1140,15 @@ RedistStats Clusterfile::relayout(PartitioningPattern new_physical,
       for (const int sub : s->subfile_ids())
         s->storage_mut(sub).set_epoch(relayout_epoch + 1);
     }
-    // Commit point: the data rebuild above crossed no durability barrier,
-    // so the kill matrix lands either before the relayout started (old
-    // metadata + old data) or at/after this record (new metadata + new
-    // data, the record being durable before its barrier throws) — never on
-    // a torn mixture.
-    {
-      MutexLock lock(meta_mu_);
-      if (meta_store_.exists(kMetaFile)) {
-        meta_store_.update_layout(kMetaFile, meta_.physical->elements());
-        if (file_size > meta_store_.lookup(kMetaFile).size)
-          meta_store_.update_size(kMetaFile, file_size);
-      }
-    }
+    // Commit point: one record carries the new layout and the size (the
+    // rebuilt subfiles hold exactly the file's bytes past the displacement,
+    // so the size estimate is file_size). The rebuild above crossed no
+    // durability barrier, so the kill matrix lands either before the
+    // relayout or at/after this record. A real kill can land in between:
+    // start_servers(&dst) truncated and rewrote each subfile_<id>.n<node> in
+    // place, so the old layout's record would then describe new-layout
+    // bytes. Copying beside the old subfiles and flipping a layout epoch
+    // (ROADMAP, online relayout) closes that window.
     persist_meta();
   }
   return stats;
@@ -1180,12 +1159,19 @@ void Clusterfile::sync_metadata() { persist_meta(); }
 void Clusterfile::persist_meta() {
   MutexLock lock(meta_mu_);
   if (!meta_store_.durable() || !meta_store_.exists(kMetaFile)) return;
-  const FileRecord& rec = meta_store_.lookup(kMetaFile);
+  FileRecord next = meta_store_.lookup(kMetaFile);
+  next.subfile_falls = meta_.physical->elements();
+  next.size = std::max(next.size, file_size_estimate());
+  // The table can be newer than its epoch (PlacementDirectory::update bumps
+  // the epoch after unlocking): take it only under a newer epoch, so a
+  // racing update is recorded next round rather than under an old version.
   std::int64_t pe = 0;
-  const std::vector<std::vector<int>> rows =
-      placement_->snapshot_with_epoch(&pe);
-  const std::int64_t ring = ring_epoch();
-  // Deferred retirement: a kRetired node the placement still references
+  std::vector<std::vector<int>> rows = placement_->snapshot_with_epoch(&pe);
+  if (pe > next.placement_epoch) {
+    next.replica_nodes = std::move(rows);
+    next.placement_epoch = pe;
+  }
+  // Deferred retirement: a kRetired node the record's rows still reference
   // (remove_node racing its repairs) is not recorded retired yet — the
   // repair's own persist_meta gets it once the last copy moved off.
   std::vector<int> retired;
@@ -1194,24 +1180,21 @@ void Clusterfile::persist_meta() {
     for (std::size_t i = 0; i < node_state_.size(); ++i) {
       if (node_state_[i] != IoNodeState::kRetired) continue;
       const int node = config_.compute_nodes + static_cast<int>(i);
-      bool referenced = false;
-      for (const auto& row : rows)
-        if (std::find(row.begin(), row.end(), node) != row.end()) {
-          referenced = true;
-          break;
-        }
+      const bool referenced = std::any_of(
+          next.replica_nodes.begin(), next.replica_nodes.end(),
+          [node](const std::vector<int>& row) {
+            return std::find(row.begin(), row.end(), node) != row.end();
+          });
       if (!referenced) retired.push_back(node);
     }
   }
-  // Placement before membership, so the membership record never claims a
-  // node retired while the recorded placement still references it.
-  if (pe > rec.placement_epoch)
-    meta_store_.update_placement(kMetaFile, rows, pe);
-  const std::int64_t size = file_size_estimate();
-  if (size > rec.size) meta_store_.update_size(kMetaFile, size);
-  if (ring > rec.ring_epoch ||
-      (ring == rec.ring_epoch && retired.size() > rec.retired_nodes.size()))
-    meta_store_.update_membership(kMetaFile, ring, std::move(retired));
+  const std::int64_t ring = ring_epoch();
+  if (ring > next.ring_epoch ||
+      (ring == next.ring_epoch && retired.size() > next.retired_nodes.size())) {
+    next.ring_epoch = ring;
+    next.retired_nodes = std::move(retired);
+  }
+  meta_store_.update(std::move(next));  // one record, or none if unchanged
 }
 
 }  // namespace pfm

@@ -164,7 +164,7 @@ class Clusterfile {
   int compute_nodes() const { return config_.compute_nodes; }
   int io_nodes() const { return config_.io_nodes; }
   const PartitioningPattern& physical() const { return *meta_.physical; }
-  std::size_t subfile_count() const { return meta_.io_nodes.size(); }
+  std::size_t subfile_count() const { return meta_.replicas.size(); }
 
   /// The client running on compute node c.
   ClusterfileClient& client(int c);
@@ -299,11 +299,12 @@ class Clusterfile {
   /// when metadata_dir is empty).
   const MountReport& mount_report() const { return mount_report_; }
 
-  /// Persists the current placement/size/membership state to the durable
-  /// metadata (journaled; no-op on ephemeral clusters). The background
-  /// repair and migration workers call this on completion; call it after a
-  /// write burst to tighten the recovered-size lower bound. Throws
-  /// SimulatedCrash when a crash point trips at one of its barriers.
+  /// Persists the current layout/placement/size/membership state to the
+  /// durable metadata as one journal record, or none when nothing changed
+  /// (no-op on ephemeral clusters). The background repair and migration
+  /// workers call this on completion; call it after a write burst to
+  /// tighten the recovered-size lower bound. Throws SimulatedCrash when a
+  /// crash point trips at one of its barriers.
   void sync_metadata();
 
   /// Mean scatter time per server for the workload since the last reset
@@ -324,6 +325,11 @@ class Clusterfile {
   /// Must be called with no operation in flight. Views set before the
   /// relayout are invalidated, and client references obtained earlier are
   /// stale — re-acquire with client() and set views again.
+  ///
+  /// Durable clusters commit the new layout and size with one journal
+  /// record after the rebuild. The rebuild rewrites each subfile file in
+  /// place first, so a kill between the rebuild and that record leaves
+  /// new-layout bytes under the old layout's record.
   RedistStats relayout(PartitioningPattern new_physical, std::int64_t file_size);
 
  private:
@@ -402,8 +408,10 @@ class Clusterfile {
   /// its source, destination or coordinator mid-copy is terminal in the
   /// queue but re-plannable from current placement.
   void converge(const std::function<std::vector<MoveTask>()>& replan);
-  /// sync_metadata body; requires meta_mu_ because the copy workers and
-  /// the main thread converge concurrently.
+  /// sync_metadata body: builds the next file record from the live layout,
+  /// placement, size and membership, and commits it with one
+  /// MetadataManager::update. Takes meta_mu_ because the copy workers and
+  /// the main thread persist concurrently.
   void persist_meta() PFM_EXCLUDES(meta_mu_);
   /// Write epochs feed both replica re-sync (replication) and the durable
   /// mount's authority decision, so durable clusters track them even when

@@ -15,32 +15,6 @@ namespace pfm {
 
 namespace {
 
-/// Shared retired-set checks: no duplicates, and no placement row (or
-/// primary list) referencing a retired node. Used by create(),
-/// update_membership() and the manifest loader so the invariant cannot
-/// drift between entry points.
-void check_retired(const std::vector<int>& retired,
-                   const std::vector<int>& io_nodes,
-                   const std::vector<std::vector<int>>& replica_nodes) {
-  for (std::size_t a = 0; a < retired.size(); ++a)
-    for (std::size_t b = a + 1; b < retired.size(); ++b)
-      if (retired[a] == retired[b])
-        throw std::invalid_argument(
-            "MetadataManager: duplicate retired node");
-  const auto is_retired = [&](int node) {
-    return std::find(retired.begin(), retired.end(), node) != retired.end();
-  };
-  for (const int node : io_nodes)
-    if (is_retired(node))
-      throw std::invalid_argument(
-          "MetadataManager: placement references a retired node");
-  for (const auto& reps : replica_nodes)
-    for (const int node : reps)
-      if (is_retired(node))
-        throw std::invalid_argument(
-            "MetadataManager: placement references a retired node");
-}
-
 /// Pattern validation with the manifest/journal error contract: the
 /// PFM_CHECK ContractViolations and extent-arithmetic overflows that are
 /// programming errors for in-process callers become std::invalid_argument
@@ -59,6 +33,77 @@ void validate_pattern_input(const FileRecord& rec) {
   }
 }
 
+[[noreturn]] void bad_record(const char* what) {
+  throw std::invalid_argument(std::string("MetadataManager: ") + what);
+}
+
+bool has_duplicates(const std::vector<int>& nodes) {
+  for (std::size_t a = 0; a < nodes.size(); ++a)
+    for (std::size_t b = a + 1; b < nodes.size(); ++b)
+      if (nodes[a] == nodes[b]) return true;
+  return false;
+}
+
+/// The one record validator, shared by create(), update() and the
+/// manifest/journal parser so the rules cannot drift between entry points:
+/// a name the token-oriented formats can frame, a non-negative size and
+/// epochs, one non-empty duplicate-free placement row per subfile, a write
+/// quorum the widest row can meet, duplicate-free retired nodes that no row
+/// references (copies move off a node *before* it retires), and a valid
+/// partitioning pattern.
+void validate_record(const FileRecord& rec) {
+  if (rec.name.empty()) bad_record("bad file name");
+  for (const char c : rec.name)
+    // Whitespace never round-trips through the token-oriented manifest, and
+    // in a journal record it would corrupt the framing.
+    if (std::isspace(static_cast<unsigned char>(c))) bad_record("bad file name");
+  if (rec.size < 0) bad_record("negative size");
+  if (rec.placement_epoch < 0) bad_record("negative placement epoch");
+  if (rec.ring_epoch < 0) bad_record("negative ring epoch");
+  if (rec.replica_nodes.size() != rec.subfile_falls.size())
+    bad_record("placement row count mismatch");
+  std::size_t widest = 1;
+  for (const auto& row : rec.replica_nodes) {
+    if (row.empty()) bad_record("empty placement row");
+    if (has_duplicates(row)) bad_record("duplicate replica node");
+    widest = std::max(widest, row.size());
+  }
+  if (rec.write_quorum < 0 || rec.write_quorum > static_cast<int>(widest))
+    bad_record("write quorum outside [0, replica count]");
+  if (has_duplicates(rec.retired_nodes)) bad_record("duplicate retired node");
+  for (const auto& row : rec.replica_nodes)
+    for (const int node : row)
+      if (std::find(rec.retired_nodes.begin(), rec.retired_nodes.end(),
+                    node) != rec.retired_nodes.end())
+        bad_record("placement references a retired node");
+  validate_pattern_input(rec);
+}
+
+/// The rules update() adds on top of validate_record: what may change
+/// between a file's stored record and its next one.
+void check_transition(const FileRecord& cur, const FileRecord& next) {
+  if (next.size < cur.size) bad_record("files never shrink");
+  if (next.subfile_falls.size() != cur.subfile_falls.size())
+    bad_record("subfile count changed");
+  if (next.displacement != cur.displacement) bad_record("displacement changed");
+  if (next.write_quorum != cur.write_quorum) bad_record("write quorum changed");
+  if (next.placement_epoch < cur.placement_epoch ||
+      (next.placement_epoch == cur.placement_epoch &&
+       next.replica_nodes != cur.replica_nodes))
+    bad_record("placement epoch must advance");
+  if (next.ring_epoch < cur.ring_epoch) bad_record("ring epoch must advance");
+  if (next.ring_epoch == cur.ring_epoch &&
+      next.retired_nodes != cur.retired_nodes) {
+    // Same epoch: only recording *strictly more* retirement is allowed.
+    if (next.retired_nodes.size() <= cur.retired_nodes.size())
+      bad_record("ring epoch must advance");
+    for (const int node : cur.retired_nodes)
+      if (std::find(next.retired_nodes.begin(), next.retired_nodes.end(),
+                    node) == next.retired_nodes.end())
+        bad_record("ring epoch must advance");
+  }
+}
+
 }  // namespace
 
 PartitioningPattern FileRecord::pattern() const {
@@ -71,7 +116,7 @@ MetadataManager::~MetadataManager() = default;
 // --- Record-body serialization ---------------------------------------------
 //
 // One block of manifest lines describing a single file, shared between the
-// whole-state checkpoint manifest and the journal's `create` records so the
+// whole-state checkpoint manifest and the journal's `put` records so the
 // two formats cannot drift:
 //   disp <displacement>
 //   size <size>
@@ -142,17 +187,13 @@ void write_record_body(std::ostream& os, const FileRecord& rec) {
   if (rec.write_quorum > 0) os << "quorum " << rec.write_quorum << "\n";
   os << "subfiles " << rec.subfile_falls.size() << "\n";
   for (std::size_t i = 0; i < rec.subfile_falls.size(); ++i) {
-    if (rec.replica_nodes.empty()) {
-      os << rec.io_nodes[i];
-    } else {
-      write_node_list(os, rec.replica_nodes[i]);
-    }
+    write_node_list(os, rec.replica_nodes[i]);
     os << " " << serialize(rec.subfile_falls[i]) << "\n";
   }
 }
 
 /// Parses and validates the lines written by write_record_body (checkpoint
-/// manifests and journal `create` records share it).
+/// manifests and journal `put` records share it).
 FileRecord parse_record_body(std::istream& is, std::string name) {
   FileRecord rec;
   rec.name = std::move(name);
@@ -196,30 +237,15 @@ FileRecord parse_record_body(std::istream& is, std::string name) {
   if (!(is >> count_text)) bad_manifest("missing value after subfiles");
   const std::int64_t count = manifest_i64(count_text, "subfile count");
   if (count < 1) bad_manifest("bad subfile count");
-  bool replicated = false;
-  std::size_t widest = 1;
   for (std::int64_t i = 0; i < count; ++i) {
     std::string nodes;
     std::string falls_text;
     if (!(is >> nodes)) bad_manifest("missing io node");
     std::getline(is, falls_text);
-    std::vector<int> reps = parse_node_list(nodes, "io node");
-    if (reps.empty()) bad_manifest("empty replica list");
-    rec.io_nodes.push_back(reps[0]);
-    widest = std::max(widest, reps.size());
-    rec.replica_nodes.push_back(std::move(reps));
-    if (rec.replica_nodes.back().size() > 1) replicated = true;
+    rec.replica_nodes.push_back(parse_node_list(nodes, "io node"));
     rec.subfile_falls.push_back(parse_falls_set(falls_text));
   }
-  if (rec.write_quorum > static_cast<int>(widest))
-    bad_manifest("write quorum exceeds the replica count");
-  if (!replicated) rec.replica_nodes.clear();
-  try {
-    check_retired(rec.retired_nodes, rec.io_nodes, rec.replica_nodes);
-  } catch (const std::invalid_argument& e) {
-    bad_manifest(e.what());
-  }
-  validate_pattern_input(rec);
+  validate_record(rec);
   return rec;
 }
 
@@ -229,140 +255,30 @@ FileRecord parse_record_body(std::istream& is, std::string name) {
 
 void MetadataManager::create(FileRecord record) {
   AccessCanary::Scope guard(canary_);
-  if (record.name.empty())
-    throw std::invalid_argument("MetadataManager: bad file name");
-  for (const char c : record.name)
-    if (std::isspace(static_cast<unsigned char>(c)))
-      // Whitespace never round-tripped through the token-oriented manifest;
-      // with journaling it would also corrupt record framing, so it is
-      // rejected outright rather than silently mangled.
-      throw std::invalid_argument("MetadataManager: bad file name");
+  validate_record(record);
   if (files_.count(record.name))
     throw std::invalid_argument("MetadataManager: file exists: " + record.name);
-  if (record.size < 0)
-    throw std::invalid_argument("MetadataManager: negative size");
-  if (record.io_nodes.size() != record.subfile_falls.size())
-    throw std::invalid_argument("MetadataManager: io_nodes count mismatch");
-  if (!record.replica_nodes.empty()) {
-    if (record.replica_nodes.size() != record.subfile_falls.size())
-      throw std::invalid_argument(
-          "MetadataManager: replica_nodes count mismatch");
-    for (std::size_t i = 0; i < record.replica_nodes.size(); ++i) {
-      const auto& reps = record.replica_nodes[i];
-      if (reps.empty() || reps[0] != record.io_nodes[i])
-        throw std::invalid_argument(
-            "MetadataManager: replica list must start with the primary");
-      for (std::size_t a = 0; a < reps.size(); ++a)
-        for (std::size_t b = a + 1; b < reps.size(); ++b)
-          if (reps[a] == reps[b])
-            throw std::invalid_argument(
-                "MetadataManager: duplicate replica node");
-    }
-  }
-  std::size_t widest = 1;
-  for (const auto& reps : record.replica_nodes)
-    widest = std::max(widest, reps.size());
-  if (record.write_quorum < 0 ||
-      record.write_quorum > static_cast<int>(widest))
-    throw std::invalid_argument(
-        "MetadataManager: write quorum outside [0, replica count]");
-  if (record.placement_epoch < 0)
-    throw std::invalid_argument("MetadataManager: negative placement epoch");
-  if (record.ring_epoch < 0)
-    throw std::invalid_argument("MetadataManager: negative ring epoch");
-  check_retired(record.retired_nodes, record.io_nodes, record.replica_nodes);
-  record.pattern();  // validates the partitioning pattern
+  put(std::move(record));
+}
 
+void MetadataManager::update(FileRecord record) {
+  AccessCanary::Scope guard(canary_);
+  const auto it = files_.find(record.name);
+  if (it == files_.end())
+    throw std::out_of_range("MetadataManager: no such file: " + record.name);
+  if (record == it->second) return;
+  validate_record(record);
+  check_transition(it->second, record);
+  put(std::move(record));
+}
+
+void MetadataManager::put(FileRecord record) {
   std::ostringstream os;
-  os << "create " << record.name << "\n";
+  os << "put " << record.name << "\n";
   write_record_body(os, record);
   const std::exception_ptr crash = journal_op(os.str());
-  files_.emplace(record.name, std::move(record));
-  finish_op(crash);
-}
-
-void MetadataManager::update_membership(const std::string& name,
-                                        std::int64_t ring_epoch,
-                                        std::vector<int> retired_nodes) {
-  AccessCanary::Scope guard(canary_);
-  const auto it = files_.find(name);
-  if (it == files_.end())
-    throw std::out_of_range("MetadataManager: no such file: " + name);
-  FileRecord& rec = it->second;
-  if (ring_epoch < rec.ring_epoch)
-    throw std::invalid_argument("MetadataManager: ring epoch must advance");
-  if (ring_epoch == rec.ring_epoch) {
-    // Same epoch: only recording *strictly more* retirement is allowed.
-    // This covers deferred retirement — remove_node bumps the ring epoch
-    // first and records the node retired only after its async repairs
-    // drained the placement off it.
-    if (retired_nodes.size() <= rec.retired_nodes.size())
-      throw std::invalid_argument("MetadataManager: ring epoch must advance");
-    for (const int node : rec.retired_nodes)
-      if (std::find(retired_nodes.begin(), retired_nodes.end(), node) ==
-          retired_nodes.end())
-        throw std::invalid_argument(
-            "MetadataManager: ring epoch must advance");
-  }
-  check_retired(retired_nodes, rec.io_nodes, rec.replica_nodes);
-
-  std::ostringstream os;
-  os << "membership " << name << " " << ring_epoch << " ";
-  if (retired_nodes.empty()) {
-    os << "-";
-  } else {
-    write_node_list(os, retired_nodes);
-  }
-  os << "\n";
-  const std::exception_ptr crash = journal_op(os.str());
-  rec.ring_epoch = ring_epoch;
-  rec.retired_nodes = std::move(retired_nodes);
-  finish_op(crash);
-}
-
-void MetadataManager::update_placement(
-    const std::string& name, std::vector<std::vector<int>> replica_nodes,
-    std::int64_t placement_epoch) {
-  AccessCanary::Scope guard(canary_);
-  const auto it = files_.find(name);
-  if (it == files_.end())
-    throw std::out_of_range("MetadataManager: no such file: " + name);
-  FileRecord& rec = it->second;
-  if (placement_epoch <= rec.placement_epoch)
-    throw std::invalid_argument(
-        "MetadataManager: placement epoch must advance");
-  if (replica_nodes.size() != rec.subfile_falls.size())
-    throw std::invalid_argument(
-        "MetadataManager: replica_nodes count mismatch");
-  std::size_t widest = 1;
-  for (const auto& reps : replica_nodes) {
-    if (reps.empty())
-      throw std::invalid_argument("MetadataManager: empty replica list");
-    for (std::size_t a = 0; a < reps.size(); ++a)
-      for (std::size_t b = a + 1; b < reps.size(); ++b)
-        if (reps[a] == reps[b])
-          throw std::invalid_argument(
-              "MetadataManager: duplicate replica node");
-    widest = std::max(widest, reps.size());
-  }
-  if (rec.write_quorum > static_cast<int>(widest))
-    throw std::invalid_argument(
-        "MetadataManager: placement leaves the write quorum unsatisfiable");
-  check_retired(rec.retired_nodes, {}, replica_nodes);
-
-  std::ostringstream os;
-  os << "placement " << name << " " << placement_epoch << " "
-     << replica_nodes.size() << "\n";
-  for (const auto& reps : replica_nodes) {
-    write_node_list(os, reps);
-    os << "\n";
-  }
-  const std::exception_ptr crash = journal_op(os.str());
-  // The primary is the list head by definition; io_nodes follows it.
-  for (std::size_t i = 0; i < replica_nodes.size(); ++i)
-    rec.io_nodes[i] = replica_nodes[i][0];
-  rec.replica_nodes = std::move(replica_nodes);
-  rec.placement_epoch = placement_epoch;
+  std::string name = record.name;
+  files_.insert_or_assign(std::move(name), std::move(record));
   finish_op(crash);
 }
 
@@ -386,41 +302,6 @@ const FileRecord& MetadataManager::lookup(const std::string& name) const {
   return it->second;
 }
 
-void MetadataManager::update_size(const std::string& name, std::int64_t size) {
-  AccessCanary::Scope guard(canary_);
-  const auto it = files_.find(name);
-  if (it == files_.end())
-    throw std::out_of_range("MetadataManager: no such file: " + name);
-  if (size < it->second.size)
-    throw std::invalid_argument("MetadataManager: files never shrink");
-  std::ostringstream os;
-  os << "size " << name << " " << size << "\n";
-  const std::exception_ptr crash = journal_op(os.str());
-  it->second.size = size;
-  finish_op(crash);
-}
-
-void MetadataManager::update_layout(const std::string& name,
-                                    std::vector<FallsSet> subfile_falls) {
-  AccessCanary::Scope guard(canary_);
-  const auto it = files_.find(name);
-  if (it == files_.end())
-    throw std::out_of_range("MetadataManager: no such file: " + name);
-  if (subfile_falls.size() != it->second.subfile_falls.size())
-    throw std::invalid_argument("MetadataManager: subfile count changed");
-  FileRecord probe = it->second;
-  probe.subfile_falls = subfile_falls;
-  probe.pattern();  // validate before committing
-
-  std::ostringstream os;
-  os << "layout " << name << " " << subfile_falls.size() << "\n";
-  for (const FallsSet& falls : subfile_falls)
-    os << serialize(falls) << "\n";
-  const std::exception_ptr crash = journal_op(os.str());
-  it->second.subfile_falls = std::move(subfile_falls);
-  finish_op(crash);
-}
-
 std::vector<std::string> MetadataManager::list() const {
   std::vector<std::string> out;
   out.reserve(files_.size());
@@ -434,9 +315,9 @@ std::vector<std::string> MetadataManager::list() const {
 //   pfm-manifest 5
 //   file <name>
 //   <record body — see write_record_body>
-// One format: <nodes> is the primary I/O node of an unreplicated record and
-// the comma-separated replica list, primary first (e.g. "5,7"), of a
-// replicated one, and every optional line of the record body may appear.
+// One format: <nodes> is the subfile's placement row, comma-separated and
+// primary first (e.g. "5,7"; an unreplicated subfile's row is one node),
+// and every optional line of the record body may appear.
 // load() accepts only this version; a placement referencing a retired node
 // is malformed.
 
@@ -517,115 +398,21 @@ void MetadataManager::apply_journal_record(const std::string& payload) {
   std::istringstream is(payload);
   std::string op;
   if (!(is >> op)) bad_journal("empty record");
-
-  // Replay semantics are idempotent, not strict: a crash between a
-  // checkpoint's directory fsync and the journal truncation leaves a journal
-  // whose records are already folded into the checkpoint, so replaying them
-  // over it must converge instead of throwing. A `create` replaces any
-  // existing record (later journal records re-advance it), epoch-carrying
-  // updates skip when the state is already at or past them, and sizes never
-  // shrink.
-  if (op == "create") {
-    const std::string name = journal_token(is, "file name");
-    FileRecord rec = parse_record_body(is, name);
-    expect_journal_end(is);
-    files_[name] = std::move(rec);
-    return;
-  }
+  if (op != "put" && op != "remove") bad_journal("unknown op '" + op + "'");
+  // Each record replaces the file's record (or drops it). A crash between a
+  // checkpoint's directory fsync and the journal truncation leaves a
+  // journal whose records the checkpoint already holds; replaying them
+  // over it converges on the same state, because the last record for a
+  // name decides that name.
+  const std::string name = journal_token(is, "file name");
   if (op == "remove") {
-    const std::string name = journal_token(is, "file name");
     expect_journal_end(is);
     files_.erase(name);
     return;
   }
-  if (op == "size") {
-    const std::string name = journal_token(is, "file name");
-    const std::int64_t size =
-        manifest_i64(journal_token(is, "size"), "size");
-    expect_journal_end(is);
-    if (size < 0) bad_journal("negative size");
-    const auto it = files_.find(name);
-    if (it != files_.end() && size > it->second.size) it->second.size = size;
-    return;
-  }
-  if (op == "layout") {
-    const std::string name = journal_token(is, "file name");
-    const std::int64_t count =
-        manifest_i64(journal_token(is, "subfile count"), "subfile count");
-    if (count < 1 || count > 1 << 20) bad_journal("bad subfile count");
-    std::string line;
-    std::getline(is, line);  // rest of the header line
-    std::vector<FallsSet> subfile_falls;
-    for (std::int64_t i = 0; i < count; ++i) {
-      if (!std::getline(is, line)) bad_journal("missing falls line");
-      subfile_falls.push_back(parse_falls_set(line));
-    }
-    expect_journal_end(is);
-    const auto it = files_.find(name);
-    if (it == files_.end()) return;
-    if (subfile_falls.size() != it->second.subfile_falls.size())
-      bad_journal("layout subfile count does not match the file");
-    FileRecord probe = it->second;
-    probe.subfile_falls = subfile_falls;
-    validate_pattern_input(probe);
-    it->second.subfile_falls = std::move(subfile_falls);
-    return;
-  }
-  if (op == "placement") {
-    const std::string name = journal_token(is, "file name");
-    const std::int64_t epoch =
-        manifest_i64(journal_token(is, "placement epoch"), "placement epoch");
-    const std::int64_t count =
-        manifest_i64(journal_token(is, "subfile count"), "subfile count");
-    if (epoch < 1) bad_journal("bad placement epoch");
-    if (count < 1 || count > 1 << 20) bad_journal("bad subfile count");
-    std::vector<std::vector<int>> replica_nodes;
-    for (std::int64_t i = 0; i < count; ++i) {
-      std::vector<int> reps =
-          parse_node_list(journal_token(is, "replica list"), "io node");
-      if (reps.empty()) bad_journal("empty replica list");
-      for (std::size_t a = 0; a < reps.size(); ++a)
-        for (std::size_t b = a + 1; b < reps.size(); ++b)
-          if (reps[a] == reps[b]) bad_journal("duplicate replica node");
-      replica_nodes.push_back(std::move(reps));
-    }
-    expect_journal_end(is);
-    const auto it = files_.find(name);
-    if (it == files_.end()) return;
-    FileRecord& rec = it->second;
-    if (epoch <= rec.placement_epoch) return;  // already at or past it
-    if (replica_nodes.size() != rec.subfile_falls.size())
-      bad_journal("placement subfile count does not match the file");
-    for (std::size_t i = 0; i < replica_nodes.size(); ++i)
-      rec.io_nodes[i] = replica_nodes[i][0];
-    rec.replica_nodes = std::move(replica_nodes);
-    rec.placement_epoch = epoch;
-    return;
-  }
-  if (op == "membership") {
-    const std::string name = journal_token(is, "file name");
-    const std::int64_t ring =
-        manifest_i64(journal_token(is, "ring epoch"), "ring epoch");
-    const std::string retired_text = journal_token(is, "retired list");
-    expect_journal_end(is);
-    if (ring < 1) bad_journal("bad ring epoch");
-    std::vector<int> retired;
-    if (retired_text != "-")
-      retired = parse_node_list(retired_text, "retired node");
-    const auto it = files_.find(name);
-    if (it == files_.end()) return;
-    FileRecord& rec = it->second;
-    if (ring < rec.ring_epoch) return;  // already past it
-    try {
-      check_retired(retired, rec.io_nodes, rec.replica_nodes);
-    } catch (const std::invalid_argument& e) {
-      bad_journal(e.what());
-    }
-    rec.ring_epoch = ring;
-    rec.retired_nodes = std::move(retired);
-    return;
-  }
-  bad_journal("unknown op '" + op + "'");
+  FileRecord rec = parse_record_body(is, name);
+  expect_journal_end(is);
+  files_.insert_or_assign(name, std::move(rec));
 }
 
 RecoveryInfo MetadataManager::recover_from(const std::filesystem::path& dir) {

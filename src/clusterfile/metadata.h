@@ -13,11 +13,13 @@
 // append is the commit point — and once the journal accumulates
 // checkpoint_interval records, checkpoint() folds the state into a fresh
 // manifest (atomic tmp+fsync+rename+dir-fsync) and truncates the journal.
+// The journal has two record kinds: `put <name>` followed by the whole
+// record in manifest form, and `remove <name>`. Replay lets each record
+// replace the file's record, so it is idempotent over a checkpoint that
+// already contains some of its records (a crash between the checkpoint's
+// directory fsync and the journal truncation leaves both behind).
 // recover_from() replays checkpoint+journal without attaching (read-only:
-// the pfm_fsck path); journal replay is idempotent over a checkpoint that
-// already contains some of its records, because a crash between the
-// checkpoint's directory fsync and the journal truncation leaves both
-// behind.
+// the pfm_fsck path).
 #pragma once
 
 #include <cstdint>
@@ -42,10 +44,9 @@ struct FileRecord {
   std::int64_t displacement = 0;
   std::int64_t size = 0;                 ///< current file length in bytes
   std::vector<FallsSet> subfile_falls;   ///< one element per subfile
-  std::vector<int> io_nodes;             ///< io_nodes[i] serves subfile i
-  /// Replica placement: replica_nodes[i] lists every I/O node holding
-  /// subfile i, primary first (replica_nodes[i][0] == io_nodes[i]). Empty
-  /// means no replication — each subfile lives only on its primary.
+  /// Placement: replica_nodes[i] lists every I/O node holding subfile i,
+  /// primary first, one non-empty row per subfile. An unreplicated
+  /// subfile's row is its one node.
   std::vector<std::vector<int>> replica_nodes;
   /// W-of-N write acknowledgment policy for the file (ClusterConfig::
   /// write_quorum): 0 = wait for the full fan-out. Must not exceed the
@@ -68,6 +69,8 @@ struct FileRecord {
 
   /// The validated partitioning pattern (constructed on demand).
   PartitioningPattern pattern() const;
+
+  bool operator==(const FileRecord&) const = default;
 };
 
 /// What recover_from / open_durable found in a metadata directory.
@@ -95,27 +98,21 @@ class MetadataManager {
 
   bool exists(const std::string& name) const;
   const FileRecord& lookup(const std::string& name) const;
-  /// Updates the stored size (grows only; Clusterfile files never shrink
-  /// except through remove).
-  void update_size(const std::string& name, std::int64_t size);
-  /// Replaces the physical layout (used by relayout).
-  void update_layout(const std::string& name, std::vector<FallsSet> subfile_falls);
-  /// Replaces the replica placement after a self-heal re-replication:
-  /// validates like create() (primary-first, no duplicates, quorum still
-  /// satisfiable) and requires the placement epoch to advance.
-  void update_placement(const std::string& name,
-                        std::vector<std::vector<int>> replica_nodes,
-                        std::int64_t placement_epoch);
-  /// Records a membership change (add/decommission/remove): the ring epoch
-  /// must advance — or stay equal while the retired set strictly grows,
-  /// covering
-  /// deferred retirement where remove_node bumps the epoch first and
-  /// records the node retired only after async repairs drained it — the
-  /// retired set must hold no duplicates, and the file's current placement
-  /// must not reference a retired node (the caller migrates or repairs
-  /// copies off a node *before* retiring it).
-  void update_membership(const std::string& name, std::int64_t ring_epoch,
-                         std::vector<int> retired_nodes);
+
+  /// Replaces the record of file `record.name` (std::out_of_range when
+  /// absent). The record must be valid as for create(), and the change
+  /// must follow the transition rules:
+  ///   - the size never shrinks (files shrink only through remove);
+  ///   - the subfile count, displacement and write quorum stay fixed (a
+  ///     relayout changes only the subfile FALLS);
+  ///   - the placement epoch never goes down, and a changed replica table
+  ///     needs a higher one;
+  ///   - a membership change advances the ring epoch, or keeps it while
+  ///     the retired set strictly grows (deferred retirement: remove_node
+  ///     bumps the epoch first and records the node retired only after
+  ///     its repairs drained the placement off it).
+  /// A record equal to the stored one is a no-op and journals nothing.
+  void update(FileRecord record);
 
   std::vector<std::string> list() const;
   std::size_t count() const { return files_.size(); }
@@ -155,14 +152,16 @@ class MetadataManager {
   /// Journal records accumulated since the last checkpoint (durable mode).
   std::int64_t journal_pending() const;
 
-  /// Applies one journal record to the in-memory state with replay
-  /// semantics (idempotent over an already-checkpointed record: stale
-  /// epochs and non-growing sizes are skipped, an existing name is
-  /// replaced). Also the fuzz_journal entry point — nothing but
-  /// std::invalid_argument may escape on malformed payloads.
+  /// Applies one journal record (`put` or `remove`) to the in-memory state:
+  /// a `put` replaces the file's record, a `remove` drops it. Also the
+  /// fuzz_journal entry point — nothing but std::invalid_argument may
+  /// escape on malformed payloads.
   void apply_journal_record(const std::string& payload);
 
  private:
+  /// Journals `put <name>` followed by the record body, then stores the
+  /// record (create and update share it).
+  void put(FileRecord record);
   /// Serializes a mutation into the journal before it is applied. A
   /// SimulatedCrash thrown by the append's durability barrier is captured
   /// and returned instead of propagating, because the record *is* durable

@@ -100,9 +100,7 @@ ReconcilePlan plan_reconcile(const FileRecord& rec,
   for (std::size_t i = 0; i < rec.subfile_falls.size(); ++i) {
     ReconcileRow row;
     row.subfile = static_cast<int>(i);
-    const std::vector<int> recorded =
-        rec.replica_nodes.empty() ? std::vector<int>{rec.io_nodes[i]}
-                                  : rec.replica_nodes[i];
+    const std::vector<int>& recorded = rec.replica_nodes[i];
     const auto is_recorded = [&](int node) {
       return std::find(recorded.begin(), recorded.end(), node) !=
              recorded.end();
@@ -158,12 +156,8 @@ ReconcilePlan plan_reconcile(const FileRecord& rec,
     }
     plan.rows.push_back(std::move(row));
   }
-  for (std::size_t i = 0; i < plan.rows.size(); ++i) {
-    const std::vector<int> recorded =
-        rec.replica_nodes.empty() ? std::vector<int>{rec.io_nodes[i]}
-                                  : rec.replica_nodes[i];
-    if (plan.rows[i].replicas != recorded) plan.changed = true;
-  }
+  for (std::size_t i = 0; i < plan.rows.size(); ++i)
+    if (plan.rows[i].replicas != rec.replica_nodes[i]) plan.changed = true;
   return plan;
 }
 
@@ -257,14 +251,13 @@ FsckReport run_fsck(const FsckOptions& opts) {
                             std::to_string(info.journal_bytes_discarded) +
                             " byte(s))");
     for (const Fix& fix : fixes) {
-      const FileRecord& rec = fixer.lookup(fix.name);
-      std::vector<std::vector<int>> rows;
-      rows.reserve(fix.plan.rows.size());
+      FileRecord rec = fixer.lookup(fix.name);
+      rec.replica_nodes.clear();
       for (const ReconcileRow& row : fix.plan.rows)
-        rows.push_back(row.replicas);
-      const std::int64_t epoch = rec.placement_epoch + 1;
+        rec.replica_nodes.push_back(row.replicas);
+      const std::int64_t epoch = ++rec.placement_epoch;
       try {
-        fixer.update_placement(fix.name, std::move(rows), epoch);
+        fixer.update(std::move(rec));
         rep.repairs.push_back("file '" + fix.name +
                               "': recorded the reconciled placement (epoch " +
                               std::to_string(epoch) + ")");

@@ -18,6 +18,7 @@
 #include "cluster/fault.h"
 #include "clusterfile/fs.h"
 #include "clusterfile/journal.h"
+#include "clusterfile/recover.h"
 #include "clusterfile/storage.h"
 #include "layout/partitions2d.h"
 #include "util/buffer.h"
@@ -1899,6 +1900,155 @@ TEST(DurableMount, OrphanedHigherEpochCopyBecomesTheAuthority) {
     client.read(vid, 0, 63, back);
     EXPECT_TRUE(equal_bytes(back, data));
   }
+  std::filesystem::remove_all(base);
+}
+
+// A durable relayout commits its new layout and its size with one journal
+// append (one durability barrier), and a remount serves the bytes through
+// the committed layout.
+TEST(DurableMount, RelayoutCommitsWithOneJournalAppend) {
+  const auto base =
+      std::filesystem::temp_directory_path() / "pfm_mount_relayout";
+  std::filesystem::remove_all(base);
+  const auto rows = partition2d_all(Partition2D::kRowBlocks, 16, 16, 4);
+  const auto whole = make_pattern_buffer(256, 25);
+  {
+    Clusterfile fs(durable_cfg(base),
+                   pattern2d(Partition2D::kRowBlocks, 16, 4));
+    auto& client = fs.client(0);
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      const std::int64_t vid = client.set_view(rows[k], 256);
+      client.write(vid, 0, 63,
+                   std::span<const std::byte>(whole).subspan(64 * k, 64));
+    }
+    // Nothing synced since the mount: the record still holds size 0 and
+    // the row layout, so the commit changes both.
+    const std::int64_t before = durability_barriers();
+    fs.relayout(pattern2d(Partition2D::kColumnBlocks, 16, 4), 256);
+    EXPECT_EQ(durability_barriers() - before, 1);
+    fs.sync_metadata();  // nothing left to record
+    EXPECT_EQ(durability_barriers() - before, 1);
+    // That one record holds the new layout and the relayout's size.
+    const Journal::Replay journal = Journal::replay_file(
+        base / "meta" / MetadataManager::kJournalName);
+    ASSERT_FALSE(journal.records.empty());
+    MetadataManager last;
+    last.apply_journal_record(journal.records.back());
+    const FileRecord& rec = last.lookup(last.list().front());
+    EXPECT_EQ(rec.size, 256);
+    EXPECT_EQ(rec.subfile_falls,
+              pattern2d(Partition2D::kColumnBlocks, 16, 4).elements());
+  }
+  {
+    Clusterfile fs(durable_cfg(base),
+                   pattern2d(Partition2D::kRowBlocks, 16, 4));
+    EXPECT_TRUE(fs.mount_report().mounted);
+    EXPECT_EQ(fs.physical().elements(),
+              pattern2d(Partition2D::kColumnBlocks, 16, 4).elements());
+    auto& client = fs.client(0);
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      const std::int64_t vid = client.set_view(rows[k], 256);
+      Buffer back(64);
+      client.read(vid, 0, 63, back);
+      EXPECT_TRUE(equal_bytes(
+          back, std::span<const std::byte>(whole).subspan(64 * k, 64)))
+          << "row block " << k;
+    }
+  }
+  std::filesystem::remove_all(base);
+}
+
+// Draining a node that holds one copy: the copy worker's commit after the
+// migration changes the size (a write not yet synced), the placement and
+// the membership (the ring epoch the decommission bumped) together, and
+// commits them as one journal record. Recording the node retired at the end
+// of the drain is the only other record.
+TEST(DurableMount, DrainCommitsSizePlacementAndMembershipAsOneRecord) {
+  const auto base = std::filesystem::temp_directory_path() / "pfm_mount_drain";
+  std::filesystem::remove_all(base);
+  ClusterConfig cfg;
+  cfg.ring_placement = true;
+  cfg.storage_dir = base / "storage";
+  cfg.metadata_dir = base / "meta";
+  const auto rows = partition2d_all(Partition2D::kRowBlocks, 16, 16, 4);
+  const auto whole = make_pattern_buffer(256, 26);
+  {
+    Clusterfile fs(cfg, pattern2d(Partition2D::kRowBlocks, 16, 4));
+    // With one copy per subfile, only the drained node's copies move.
+    int lone = -1;
+    for (const int idx : fs.serving_io_indices()) {
+      int held = 0;
+      for (std::size_t i = 0; i < fs.subfile_count(); ++i)
+        if (fs.replica_nodes(i)[0] == fs.compute_nodes() + idx) ++held;
+      if (held == 1) lone = idx;
+    }
+    ASSERT_GE(lone, 0) << "no I/O node holds exactly one copy";
+    auto& client = fs.client(0);
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      const std::int64_t vid = client.set_view(rows[k], 256);
+      client.write(vid, 0, 63,
+                   std::span<const std::byte>(whole).subspan(64 * k, 64));
+    }
+    const std::int64_t before = durability_barriers();
+    fs.decommission_node(static_cast<std::size_t>(lone));
+    EXPECT_EQ(fs.rebalance_counters().migrations_completed, 1);
+    EXPECT_EQ(durability_barriers() - before, 2);
+    fs.sync_metadata();  // nothing left to record
+    EXPECT_EQ(durability_barriers() - before, 2);
+    const std::int64_t vid = client.set_view(rows[0], 256);
+    Buffer back(64);
+    client.read(vid, 0, 63, back);
+    EXPECT_TRUE(
+        equal_bytes(back, std::span<const std::byte>(whole).first(64)));
+  }
+  std::filesystem::remove_all(base);
+}
+
+// pfm_fsck --repair records what a mount would reconcile to: the orphaned
+// higher-epoch copy becomes subfile 0's primary under the next placement
+// epoch, and a second check no longer reports the orphan.
+TEST(DurableMount, FsckRepairRecordsTheReconciledPlacement) {
+  const auto base = std::filesystem::temp_directory_path() / "pfm_fsck_repair";
+  std::filesystem::remove_all(base);
+  const auto views = partition2d_all(Partition2D::kRowBlocks, 16, 16, 4);
+  {
+    Clusterfile fs(durable_cfg(base),
+                   pattern2d(Partition2D::kRowBlocks, 16, 4));
+    auto& client = fs.client(0);
+    const std::int64_t vid = client.set_view(views[0], 256);
+    client.write(vid, 0, 63, make_pattern_buffer(64, 27));
+    fs.sync_metadata();
+  }
+  const auto storage = base / "storage";
+  std::filesystem::rename(storage / "subfile_0.n4", storage / "subfile_0.n6");
+  std::filesystem::rename(storage / "subfile_0.n4.epoch",
+                          storage / "subfile_0.n6.epoch");
+  {
+    FileStorage bump(storage / "subfile_0.n6", /*preserve=*/true);
+    bump.set_epoch(bump.epoch() + 10);
+  }
+  const auto orphaned = [](const FsckReport& rep) {
+    return std::count_if(rep.warnings.begin(), rep.warnings.end(),
+                         [](const std::string& w) {
+                           return w.find("not in the recorded placement") !=
+                                  std::string::npos;
+                         });
+  };
+  FsckOptions opts;
+  opts.metadata_dir = base / "meta";
+  opts.storage_dir = storage;
+  EXPECT_EQ(orphaned(run_fsck(opts)), 1);
+  opts.repair = true;
+  const FsckReport repaired = run_fsck(opts);
+  EXPECT_TRUE(repaired.errors.empty());
+  MetadataManager meta;
+  meta.recover_from(opts.metadata_dir);
+  ASSERT_EQ(meta.count(), 1u);
+  const FileRecord& rec = meta.lookup(meta.list().front());
+  EXPECT_EQ(rec.replica_nodes[0][0], 6);
+  EXPECT_EQ(rec.placement_epoch, 1);
+  opts.repair = false;
+  EXPECT_EQ(orphaned(run_fsck(opts)), 0);
   std::filesystem::remove_all(base);
 }
 

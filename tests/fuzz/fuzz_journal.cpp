@@ -8,9 +8,12 @@
 //      bytes_discarded == input size, torn_tail <=> bytes_discarded > 0.
 //   2. MetadataManager::apply_journal_record on each replayed payload (and,
 //      for coverage, on the raw input as a single payload) throws nothing
-//      but std::invalid_argument. Replay semantics make stale records
-//      no-ops, so applying cannot corrupt the manager either: every file
-//      surviving the applied prefix must still produce a valid pattern.
+//      but std::invalid_argument. A record is `put <name>` plus a whole
+//      record body, or `remove <name>`; a put replaces the file's record
+//      only after the body passed the same validator create() and the
+//      manifest loader use, so applying cannot corrupt the manager either:
+//      every file surviving the applied prefix must still produce a valid
+//      pattern.
 #include <cstddef>
 #include <cstdint>
 #include <span>

@@ -3,7 +3,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <map>
 
 #include "clusterfile/journal.h"
 #include "clusterfile/metadata.h"
@@ -20,8 +22,29 @@ FileRecord sample_record(const std::string& name, Partition2D p,
   rec.size = n * n;
   const auto elems = partition2d_all(p, n, n, 4);
   rec.subfile_falls = {elems.begin(), elems.end()};
-  rec.io_nodes = {4, 5, 6, 7};
+  rec.replica_nodes = {{4}, {5}, {6}, {7}};
   return rec;
+}
+
+/// `base` with one field group replaced — the records the update() tests
+/// feed in.
+FileRecord with_size(FileRecord base, std::int64_t size) {
+  base.size = size;
+  return base;
+}
+
+FileRecord with_placement(FileRecord base, std::vector<std::vector<int>> rows,
+                          std::int64_t epoch) {
+  base.replica_nodes = std::move(rows);
+  base.placement_epoch = epoch;
+  return base;
+}
+
+FileRecord with_membership(FileRecord base, std::int64_t ring,
+                           std::vector<int> retired) {
+  base.ring_epoch = ring;
+  base.retired_nodes = std::move(retired);
+  return base;
 }
 
 TEST(Metadata, CreateLookupRemove) {
@@ -48,8 +71,11 @@ TEST(Metadata, RejectsInvalidRecords) {
   rec.name = "";
   EXPECT_THROW(mm.create(rec), std::invalid_argument);
   rec.name = "bad";
-  rec.io_nodes.pop_back();
-  EXPECT_THROW(mm.create(rec), std::invalid_argument);  // node count
+  rec.replica_nodes.pop_back();
+  EXPECT_THROW(mm.create(rec), std::invalid_argument);  // row count
+  rec = sample_record("bad1", Partition2D::kRowBlocks);
+  rec.replica_nodes[2].clear();
+  EXPECT_THROW(mm.create(rec), std::invalid_argument);  // empty row
   rec = sample_record("bad2", Partition2D::kRowBlocks);
   rec.subfile_falls[1] = rec.subfile_falls[0];  // overlapping pattern
   EXPECT_THROW(mm.create(rec), std::invalid_argument);
@@ -61,22 +87,51 @@ TEST(Metadata, RejectsInvalidRecords) {
 TEST(Metadata, SizeUpdatesGrowOnly) {
   MetadataManager mm;
   mm.create(sample_record("f", Partition2D::kRowBlocks));
-  mm.update_size("f", 512);
+  mm.update(with_size(mm.lookup("f"), 512));
   EXPECT_EQ(mm.lookup("f").size, 512);
-  EXPECT_THROW(mm.update_size("f", 100), std::invalid_argument);
-  EXPECT_THROW(mm.update_size("missing", 1), std::out_of_range);
+  EXPECT_THROW(mm.update(with_size(mm.lookup("f"), 100)),
+               std::invalid_argument);
+  FileRecord missing = mm.lookup("f");
+  missing.name = "missing";
+  EXPECT_THROW(mm.update(missing), std::out_of_range);
 }
 
 TEST(Metadata, LayoutUpdateValidates) {
   MetadataManager mm;
   mm.create(sample_record("f", Partition2D::kRowBlocks));
   const auto cols = partition2d_all(Partition2D::kColumnBlocks, 16, 16, 4);
-  mm.update_layout("f", {cols.begin(), cols.end()});
+  FileRecord next = mm.lookup("f");
+  next.subfile_falls = {cols.begin(), cols.end()};
+  mm.update(next);
   EXPECT_EQ(mm.lookup("f").subfile_falls[0], cols[0]);
-  // Wrong element count rejected.
+  // Wrong element count rejected, even with a matching placement table.
   const auto two = partition2d_all(Partition2D::kRowBlocks, 16, 16, 2);
-  EXPECT_THROW(mm.update_layout("f", {two.begin(), two.end()}),
-               std::invalid_argument);
+  next = mm.lookup("f");
+  next.subfile_falls = {two.begin(), two.end()};
+  next.replica_nodes = {{4}, {5}};
+  EXPECT_THROW(mm.update(next), std::invalid_argument);
+  // A layout that is no partitioning pattern is rejected.
+  next = mm.lookup("f");
+  next.subfile_falls[1] = next.subfile_falls[0];
+  EXPECT_THROW(mm.update(next), std::invalid_argument);
+  EXPECT_EQ(mm.lookup("f").subfile_falls[0], cols[0]);  // unchanged
+}
+
+TEST(Metadata, UpdateKeepsDisplacementAndQuorum) {
+  MetadataManager mm;
+  FileRecord rec = sample_record("f", Partition2D::kRowBlocks);
+  rec.replica_nodes = {{4, 5}, {5, 6}, {6, 7}, {7, 4}};
+  rec.write_quorum = 1;
+  mm.create(rec);
+  FileRecord next = mm.lookup("f");
+  next.displacement = 8;
+  EXPECT_THROW(mm.update(next), std::invalid_argument);
+  next = mm.lookup("f");
+  next.write_quorum = 2;
+  EXPECT_THROW(mm.update(next), std::invalid_argument);
+  // Repeating the stored record is a no-op, not a rule violation.
+  EXPECT_NO_THROW(mm.update(mm.lookup("f")));
+  EXPECT_EQ(mm.lookup("f"), rec);
 }
 
 TEST(Metadata, ManifestRoundTrip) {
@@ -94,7 +149,7 @@ TEST(Metadata, ManifestRoundTrip) {
   custom.subfile_falls = {{make_falls(0, 1, 6, 1)},
                           {make_falls(2, 3, 6, 1)},
                           {make_falls(4, 5, 6, 1)}};
-  custom.io_nodes = {4, 5, 4};
+  custom.replica_nodes = {{4}, {5}, {4}};
   mm.create(custom);
   mm.save(manifest);
 
@@ -115,7 +170,7 @@ TEST(Metadata, ManifestRoundTrip) {
   const FileRecord& g = back.lookup("gamma");
   EXPECT_EQ(g.displacement, 2);
   EXPECT_EQ(g.size, 100);
-  EXPECT_EQ(g.io_nodes, (std::vector<int>{4, 5, 4}));
+  EXPECT_EQ(g.replica_nodes, (std::vector<std::vector<int>>{{4}, {5}, {4}}));
   EXPECT_EQ(g.subfile_falls, custom.subfile_falls);
   const FileRecord& a = back.lookup("alpha");
   EXPECT_EQ(a.subfile_falls, mm.lookup("alpha").subfile_falls);
@@ -167,10 +222,15 @@ TEST(Metadata, ReplicatedRecordValidation) {
   mm.remove("r");
   rec.replica_nodes = {{4, 5}, {5, 6}, {6, 7}};  // count mismatch
   EXPECT_THROW(mm.create(rec), std::invalid_argument);
-  rec.replica_nodes = {{5, 4}, {5, 6}, {6, 7}, {7, 4}};  // not primary-first
-  EXPECT_THROW(mm.create(rec), std::invalid_argument);
   rec.replica_nodes = {{4, 4}, {5, 6}, {6, 7}, {7, 4}};  // duplicate node
   EXPECT_THROW(mm.create(rec), std::invalid_argument);
+  rec.replica_nodes = {{4, 5}, {}, {6, 7}, {7, 4}};  // empty row
+  EXPECT_THROW(mm.create(rec), std::invalid_argument);
+  // There is no separate primary list to disagree with: a row's head is
+  // its subfile's primary.
+  rec.replica_nodes = {{5, 4}, {5, 6}, {6, 7}, {7, 4}};
+  mm.create(rec);
+  EXPECT_EQ(mm.lookup("r").replica_nodes[0][0], 5);
 }
 
 TEST(Metadata, ReplicatedManifestRoundTrip) {
@@ -189,9 +249,9 @@ TEST(Metadata, ReplicatedManifestRoundTrip) {
   back.load(manifest);
   const FileRecord& m = back.lookup("mirrored");
   EXPECT_EQ(m.replica_nodes, rec.replica_nodes);
-  EXPECT_EQ(m.io_nodes, rec.io_nodes);
-  // Unreplicated records stay unreplicated after a round trip.
-  EXPECT_TRUE(back.lookup("plain").replica_nodes.empty());
+  // Unreplicated records keep one node per row after a round trip.
+  EXPECT_EQ(back.lookup("plain").replica_nodes,
+            (std::vector<std::vector<int>>{{4}, {5}, {6}, {7}}));
 
   std::filesystem::remove_all(dir);
 }
@@ -211,8 +271,8 @@ TEST(Metadata, QuorumRecordValidation) {
   EXPECT_THROW(mm.create(rec), std::invalid_argument);
   rec.write_quorum = -1;
   EXPECT_THROW(mm.create(rec), std::invalid_argument);
-  // Without replica lists only 0 (full fan-out) and 1 are meaningful.
-  rec.replica_nodes.clear();
+  // With one node per row only 0 (full fan-out) and 1 are meaningful.
+  rec.replica_nodes = {{4}, {5}, {6}, {7}};
   rec.write_quorum = 2;
   EXPECT_THROW(mm.create(rec), std::invalid_argument);
   rec.write_quorum = 1;
@@ -284,27 +344,38 @@ TEST(Metadata, UpdatePlacementValidates) {
   rec.replica_nodes = {{4, 5}, {5, 6}, {6, 7}, {7, 4}};
   rec.write_quorum = 2;
   mm.create(rec);
+  const auto placed = [&](std::vector<std::vector<int>> rows,
+                          std::int64_t epoch) {
+    return with_placement(mm.lookup("p"), std::move(rows), epoch);
+  };
 
   // A repair moved subfile 0 off node 4 onto node 6.
-  mm.update_placement("p", {{5, 6}, {5, 6}, {6, 7}, {7, 5}}, 1);
-  const FileRecord& after = mm.lookup("p");
-  EXPECT_EQ(after.placement_epoch, 1);
-  EXPECT_EQ(after.replica_nodes[0], (std::vector<int>{5, 6}));
-  EXPECT_EQ(after.io_nodes[0], 5);  // primary follows the new list
+  mm.update(placed({{5, 6}, {5, 6}, {6, 7}, {7, 5}}, 1));
+  EXPECT_EQ(mm.lookup("p").placement_epoch, 1);
+  EXPECT_EQ(mm.lookup("p").replica_nodes[0], (std::vector<int>{5, 6}));
 
-  // The epoch must advance.
-  EXPECT_THROW(mm.update_placement("p", {{5, 6}, {5, 6}, {6, 7}, {7, 5}}, 1),
+  // A changed table needs a higher epoch.
+  EXPECT_THROW(mm.update(placed({{6, 5}, {5, 6}, {6, 7}, {7, 5}}, 1)),
                std::invalid_argument);
-  // Per-subfile list count must match.
-  EXPECT_THROW(mm.update_placement("p", {{5, 6}}, 2), std::invalid_argument);
-  // Duplicate nodes in a list are rejected.
-  EXPECT_THROW(
-      mm.update_placement("p", {{5, 5}, {5, 6}, {6, 7}, {7, 5}}, 2),
-      std::invalid_argument);
+  // The epoch never goes down, not even over the same table...
+  EXPECT_THROW(mm.update(placed({{5, 6}, {5, 6}, {6, 7}, {7, 5}}, 0)),
+               std::invalid_argument);
+  // ...but may advance over it (a remount that re-placed nothing).
+  mm.update(placed({{5, 6}, {5, 6}, {6, 7}, {7, 5}}, 2));
+  EXPECT_EQ(mm.lookup("p").placement_epoch, 2);
+  // Per-subfile row count must match.
+  EXPECT_THROW(mm.update(placed({{5, 6}}, 3)), std::invalid_argument);
+  // Empty rows and duplicate nodes in a row are rejected.
+  EXPECT_THROW(mm.update(placed({{}, {5, 6}, {6, 7}, {7, 5}}, 3)),
+               std::invalid_argument);
+  EXPECT_THROW(mm.update(placed({{5, 5}, {5, 6}, {6, 7}, {7, 5}}, 3)),
+               std::invalid_argument);
   // A placement narrower than the quorum can never satisfy it.
-  EXPECT_THROW(mm.update_placement("p", {{5}, {5}, {6}, {7}}, 2),
+  EXPECT_THROW(mm.update(placed({{5}, {5}, {6}, {7}}, 3)),
                std::invalid_argument);
-  EXPECT_THROW(mm.update_placement("missing", {{5}}, 2), std::out_of_range);
+  FileRecord missing = placed({{5}, {5}, {6}, {7}}, 3);
+  missing.name = "missing";
+  EXPECT_THROW(mm.update(missing), std::out_of_range);
 }
 
 TEST(Metadata, PlacedManifestRoundTrip) {
@@ -318,7 +389,8 @@ TEST(Metadata, PlacedManifestRoundTrip) {
   rec.write_quorum = 1;
   mm.create(rec);
   mm.create(sample_record("plain", Partition2D::kColumnBlocks));
-  mm.update_placement("healed", {{5, 6}, {5, 6}, {6, 7}, {7, 5}}, 3);
+  mm.update(with_placement(mm.lookup("healed"),
+                           {{5, 6}, {5, 6}, {6, 7}, {7, 5}}, 3));
   mm.save(manifest);
 
   MetadataManager back;
@@ -367,33 +439,38 @@ TEST(Metadata, MembershipUpdateValidates) {
   FileRecord rec = sample_record("elastic", Partition2D::kRowBlocks);
   rec.replica_nodes = {{4, 5}, {5, 6}, {6, 7}, {7, 4}};
   mm.create(rec);
-  // Epoch must strictly advance.
-  EXPECT_THROW(mm.update_membership("elastic", 0, {}), std::invalid_argument);
-  mm.update_membership("elastic", 2, {});
+  const auto member = [&](std::int64_t ring, std::vector<int> retired) {
+    return with_membership(mm.lookup("elastic"), ring, std::move(retired));
+  };
+  mm.update(member(2, {}));
   EXPECT_EQ(mm.lookup("elastic").ring_epoch, 2);
-  EXPECT_THROW(mm.update_membership("elastic", 2, {}), std::invalid_argument);
+  // The epoch never goes down.
+  EXPECT_THROW(mm.update(member(1, {})), std::invalid_argument);
   // Retiring a node still referenced by the placement is malformed — copies
   // migrate off a node before it retires.
-  EXPECT_THROW(mm.update_membership("elastic", 3, {5}),
-               std::invalid_argument);
-  EXPECT_THROW(mm.update_membership("elastic", 3, {9, 9}),
+  EXPECT_THROW(mm.update(member(3, {5})), std::invalid_argument);
+  EXPECT_THROW(mm.update(member(3, {9, 9})),
                std::invalid_argument);  // duplicate retired node
-  mm.update_membership("elastic", 3, {9});
+  mm.update(member(3, {9}));
   EXPECT_EQ(mm.lookup("elastic").retired_nodes, (std::vector<int>{9}));
   // Deferred retirement: the same epoch may record *strictly more* retired
   // nodes (remove_node bumps the epoch first, records the node retired only
-  // after repairs drained it) — but never fewer, and never a no-op.
-  mm.update_membership("elastic", 3, {9, 10});
+  // after repairs drained it) — but never fewer or different ones.
+  mm.update(member(3, {9, 10}));
   EXPECT_EQ(mm.lookup("elastic").retired_nodes, (std::vector<int>{9, 10}));
-  EXPECT_THROW(mm.update_membership("elastic", 3, {9, 10}),
-               std::invalid_argument);  // no growth
-  EXPECT_THROW(mm.update_membership("elastic", 3, {9, 11}),
+  EXPECT_THROW(mm.update(member(3, {9})),
+               std::invalid_argument);  // shrinks
+  EXPECT_THROW(mm.update(member(3, {9, 11})),
                std::invalid_argument);  // drops 10: not a superset
+  EXPECT_THROW(mm.update(member(3, {10, 9})),
+               std::invalid_argument);  // reordered: no growth
   // A later re-placement must not resurrect the retired node either.
-  EXPECT_THROW(
-      mm.update_placement("elastic", {{4, 9}, {5, 6}, {6, 7}, {7, 4}}, 1),
-      std::invalid_argument);
-  EXPECT_THROW(mm.update_membership("missing", 1, {}), std::out_of_range);
+  EXPECT_THROW(mm.update(with_placement(mm.lookup("elastic"),
+                                        {{4, 9}, {5, 6}, {6, 7}, {7, 4}}, 1)),
+               std::invalid_argument);
+  FileRecord missing = member(4, {});
+  missing.name = "missing";
+  EXPECT_THROW(mm.update(missing), std::out_of_range);
 }
 
 TEST(Metadata, MembershipManifestRoundTrip) {
@@ -407,8 +484,9 @@ TEST(Metadata, MembershipManifestRoundTrip) {
   rec.write_quorum = 1;
   mm.create(rec);
   mm.create(sample_record("plain", Partition2D::kColumnBlocks));
-  mm.update_placement("elastic", {{5, 6}, {5, 6}, {6, 7}, {7, 5}}, 2);
-  mm.update_membership("elastic", 4, {8, 9});
+  mm.update(with_placement(mm.lookup("elastic"),
+                           {{5, 6}, {5, 6}, {6, 7}, {7, 5}}, 2));
+  mm.update(with_membership(mm.lookup("elastic"), 4, {8, 9}));
   mm.save(manifest);
 
   MetadataManager back;
@@ -568,15 +646,16 @@ TEST(Metadata, DurableMutationsReplayOnColdStart) {
     FileRecord rec = sample_record("j", Partition2D::kRowBlocks);
     rec.replica_nodes = {{4, 5}, {5, 6}, {6, 7}, {7, 4}};
     mm.create(rec);
-    mm.update_size("j", 4096);
-    mm.update_placement("j", {{4, 6}, {5, 6}, {6, 7}, {7, 4}}, 1);
-    mm.update_membership("j", 2, {9});
-    EXPECT_GE(mm.journal_pending(), 4);
+    mm.update(with_size(mm.lookup("j"), 4096));
+    mm.update(with_placement(mm.lookup("j"), {{4, 6}, {5, 6}, {6, 7}, {7, 4}},
+                             1));
+    mm.update(with_membership(mm.lookup("j"), 2, {9}));
+    EXPECT_EQ(mm.journal_pending(), 4);  // one `put` per mutation
   }
   MetadataManager back;
   const RecoveryInfo info = back.recover_from(dir);
   EXPECT_FALSE(info.manifest_loaded);  // journal only — never checkpointed
-  EXPECT_GE(info.journal_records, 4);
+  EXPECT_EQ(info.journal_records, 4);
   EXPECT_FALSE(info.journal_torn_tail);
   const FileRecord& rec = back.lookup("j");
   EXPECT_EQ(rec.size, 4096);
@@ -593,10 +672,10 @@ TEST(Metadata, CheckpointFoldsJournalIntoManifest) {
     MetadataManager mm;
     mm.open_durable(dir, 1 << 20);
     mm.create(sample_record("a", Partition2D::kRowBlocks));
-    mm.update_size("a", 1024);
+    mm.update(with_size(mm.lookup("a"), 1024));
     mm.checkpoint();
     EXPECT_EQ(mm.journal_pending(), 0);
-    mm.update_size("a", 2048);  // journaled on top of the checkpoint
+    mm.update(with_size(mm.lookup("a"), 2048));  // journaled on top
     EXPECT_EQ(mm.journal_pending(), 1);
   }
   EXPECT_TRUE(fs::exists(dir / MetadataManager::kManifestName));
@@ -613,7 +692,7 @@ TEST(Metadata, PeriodicCheckpointTruncatesJournal) {
   MetadataManager mm;
   mm.open_durable(dir, 2);
   mm.create(sample_record("a", Partition2D::kRowBlocks));
-  mm.update_size("a", 512);  // second record: interval reached, checkpoint
+  mm.update(with_size(mm.lookup("a"), 512));  // interval reached: checkpoint
   EXPECT_EQ(mm.journal_pending(), 0);
   EXPECT_TRUE(fs::exists(dir / MetadataManager::kManifestName));
   fs::remove_all(dir);
@@ -628,10 +707,10 @@ TEST(Metadata, CrashAtJournalBarrierIsDurable) {
     // The very next durability barrier (this append's fdatasync) throws —
     // but the record reached disk first, so recovery must see the update.
     arm_crash_after_syncs(1);
-    EXPECT_THROW(mm.update_size("a", 900), SimulatedCrash);
+    EXPECT_THROW(mm.update(with_size(mm.lookup("a"), 900)), SimulatedCrash);
     EXPECT_TRUE(crash_tripped());
     // The frozen layer drops later durable writes instead of lying.
-    mm.update_size("a", 1000);  // applied in memory only
+    mm.update(with_size(mm.lookup("a"), 1000));  // applied in memory only
     EXPECT_EQ(mm.lookup("a").size, 1000);
   }
   arm_crash_after_syncs(0);  // disarm + unfreeze for the remount
@@ -647,7 +726,7 @@ TEST(Metadata, TornManifestWriteFallsBackToJournal) {
     MetadataManager mm;
     mm.open_durable(dir, 1 << 20);
     mm.create(sample_record("a", Partition2D::kRowBlocks));
-    mm.update_size("a", 768);
+    mm.update(with_size(mm.lookup("a"), 768));
     // Every durable write from here on persists a strict prefix and
     // freezes the layer — the checkpoint below never lands.
     arm_metadata_faults({/*seed=*/7, /*torn_write=*/1.0});
@@ -666,17 +745,217 @@ TEST(Metadata, TornManifestWriteFallsBackToJournal) {
 
 TEST(Metadata, ApplyJournalRecordRejectsMalformedPayloads) {
   MetadataManager mm;
+  const std::string body = "\ndisp 0\nsize 12\nsubfiles 1\n4 {(0,11,12,1)}\n";
   EXPECT_THROW(mm.apply_journal_record(""), std::invalid_argument);
   EXPECT_THROW(mm.apply_journal_record("frobnicate x 1"),
                std::invalid_argument);
-  EXPECT_THROW(mm.apply_journal_record("size onlyname"),
+  // Only `put` and `remove` exist: per-field records are unknown kinds.
+  for (const char* payload :
+       {"size x 42", "layout x 1\n{(0,11,12,1)}", "placement x 1 1\n4",
+        "membership x 2 -", "create x\ndisp 0\nsize 12\nsubfiles 1\n4 "
+                            "{(0,11,12,1)}"})
+    EXPECT_THROW(mm.apply_journal_record(payload), std::invalid_argument)
+        << payload;
+  EXPECT_THROW(mm.apply_journal_record("put"), std::invalid_argument);
+  EXPECT_THROW(mm.apply_journal_record("remove"), std::invalid_argument);
+  EXPECT_THROW(mm.apply_journal_record("remove x extra"),
                std::invalid_argument);
-  EXPECT_THROW(mm.apply_journal_record("size x notanumber"),
+  EXPECT_THROW(mm.apply_journal_record("put x" + body + "trailing"),
                std::invalid_argument);
-  // Replay semantics: a record for an absent file is stale, not fatal.
-  EXPECT_NO_THROW(mm.apply_journal_record("remove ghost"));
-  EXPECT_NO_THROW(mm.apply_journal_record("size ghost 42"));
+  // The record validator runs on replay too: a retired node in the rows.
+  EXPECT_THROW(mm.apply_journal_record(
+                   "put x\ndisp 0\nsize 12\nring 1\nretired 4\nsubfiles 1\n"
+                   "4 {(0,11,12,1)}\n"),
+               std::invalid_argument);
   EXPECT_EQ(mm.count(), 0u);
+  // Replay semantics: a remove of an absent file is a no-op, and a put
+  // replaces the record whatever it held (the journal order is the order
+  // the mutations were validated in).
+  EXPECT_NO_THROW(mm.apply_journal_record("remove ghost"));
+  mm.apply_journal_record("put x" + body);
+  mm.apply_journal_record("put x\ndisp 0\nsize 4\nsubfiles 1\n5 {(0,11,12,1)}\n");
+  EXPECT_EQ(mm.lookup("x").size, 4);
+  EXPECT_EQ(mm.lookup("x").replica_nodes, std::vector<std::vector<int>>{{5}});
+  mm.apply_journal_record("remove x");
+  EXPECT_EQ(mm.count(), 0u);
+}
+
+// A pfm-manifest 5 text with one-node and replicated rows and every
+// optional line: it loads, and saving it reproduces every byte (a one-node
+// row serializes as the bare node).
+TEST(Metadata, ManifestBytesRoundTrip) {
+  const std::string text =
+      "pfm-manifest 5\n"
+      "file plain\n"
+      "disp 0\n"
+      "size 256\n"
+      "subfiles 4\n"
+      "4 {(0,63,64,1)}\n"
+      "5 {(64,127,64,1)}\n"
+      "6 {(128,191,64,1)}\n"
+      "7 {(192,255,64,1)}\n"
+      "file replicated\n"
+      "disp 3\n"
+      "size 4096\n"
+      "ring 4\n"
+      "retired 8,4\n"
+      "placement 3\n"
+      "quorum 1\n"
+      "subfiles 4\n"
+      "5,6 {(0,127,128,1,{(0,15,16,8,{(0,7,8,1)})})}\n"
+      "5,6 {(0,127,128,1,{(0,15,16,8,{(8,15,8,1)})})}\n"
+      "6,7 {(128,255,128,1,{(0,15,16,8,{(0,7,8,1)})})}\n"
+      "7,5 {(128,255,128,1,{(0,15,16,8,{(8,15,8,1)})})}\n";
+  const auto dir = fresh_dir("pfm_meta_bytes");
+  dump(dir / "in.pfm", text);
+  MetadataManager mm;
+  mm.load(dir / "in.pfm");
+  EXPECT_EQ(mm.lookup("plain").replica_nodes,
+            (std::vector<std::vector<int>>{{4}, {5}, {6}, {7}}));
+  EXPECT_EQ(mm.lookup("replicated").retired_nodes, (std::vector<int>{8, 4}));
+  mm.save(dir / "out.pfm");
+  EXPECT_EQ(slurp(dir / "out.pfm"), text);
+  fs::remove_all(dir);
+}
+
+// One update() is one journal record and one durability barrier, however
+// many fields it changes (size, placement and membership together here);
+// an update that changes nothing journals nothing.
+TEST(Metadata, UpdateIsOneJournalRecord) {
+  const auto dir = fresh_dir("pfm_meta_one_record");
+  MetadataManager mm;
+  mm.open_durable(dir, 1 << 20);
+  FileRecord rec = sample_record("a", Partition2D::kRowBlocks);
+  rec.replica_nodes = {{4, 5}, {5, 6}, {6, 7}, {7, 4}};
+  mm.create(rec);
+  FileRecord next = with_size(mm.lookup("a"), 4096);
+  next = with_placement(std::move(next), {{5, 6}, {5, 6}, {6, 7}, {7, 5}}, 1);
+  next = with_membership(std::move(next), 2, {4});
+  const std::int64_t barriers = durability_barriers();
+  mm.update(next);
+  EXPECT_EQ(durability_barriers() - barriers, 1);
+  EXPECT_EQ(mm.journal_pending(), 2);
+  mm.update(next);  // unchanged: no record, no barrier
+  EXPECT_EQ(durability_barriers() - barriers, 1);
+  EXPECT_EQ(mm.journal_pending(), 2);
+  MetadataManager back;
+  back.recover_from(dir);
+  EXPECT_EQ(back.lookup("a"), next);
+  fs::remove_all(dir);
+}
+
+/// A mutation sequence over every field update() may change, plus a second
+/// file's create and remove: each step is one journal record.
+std::vector<std::function<void(MetadataManager&)>> mutation_steps() {
+  const auto cols = partition2d_all(Partition2D::kColumnBlocks, 16, 16, 4);
+  return {
+      [](MetadataManager& mm) {
+        FileRecord rec = sample_record("a", Partition2D::kRowBlocks);
+        rec.replica_nodes = {{4, 5}, {5, 6}, {6, 7}, {7, 4}};
+        rec.write_quorum = 1;
+        mm.create(rec);
+      },
+      [](MetadataManager& mm) { mm.update(with_size(mm.lookup("a"), 1024)); },
+      [cols](MetadataManager& mm) {
+        FileRecord next = mm.lookup("a");
+        next.subfile_falls = {cols.begin(), cols.end()};
+        mm.update(next);
+      },
+      [](MetadataManager& mm) {
+        mm.update(with_placement(mm.lookup("a"),
+                                 {{5, 6}, {5, 6}, {6, 7}, {7, 5}}, 1));
+      },
+      [](MetadataManager& mm) {
+        mm.update(with_membership(mm.lookup("a"), 2, {4}));
+      },
+      [](MetadataManager& mm) {
+        mm.create(sample_record("b", Partition2D::kSquareBlocks));
+      },
+      [](MetadataManager& mm) {
+        mm.update(with_membership(with_size(mm.lookup("a"), 2048), 3, {4, 8}));
+      },
+      [](MetadataManager& mm) { mm.remove("b"); },
+  };
+}
+
+std::map<std::string, FileRecord> records_of(const MetadataManager& mm) {
+  std::map<std::string, FileRecord> out;
+  for (const std::string& name : mm.list()) out.emplace(name, mm.lookup(name));
+  return out;
+}
+
+// Kill at the checkpoint's directory fsync: the new manifest is in place,
+// but the journal was never truncated and still holds every record the
+// manifest folded in. Replaying them over it must give the checkpoint's
+// state, not a doubled or rolled-back one.
+TEST(Metadata, KillAtCheckpointDirFsyncReplaysToTheCheckpoint) {
+  const auto dir = fresh_dir("pfm_meta_ckpt_kill");
+  const auto steps = mutation_steps();
+  std::map<std::string, FileRecord> checkpointed;
+  {
+    MetadataManager mm;
+    mm.open_durable(dir, 1 << 20);
+    for (const auto& step : steps) step(mm);
+    checkpointed = records_of(mm);
+    // Barrier 1 is the tmp file's fdatasync, barrier 2 the directory fsync
+    // after the rename; the truncation after it never runs.
+    arm_crash_after_syncs(2);
+    EXPECT_THROW(mm.checkpoint(), SimulatedCrash);
+  }
+  arm_crash_after_syncs(0);
+  EXPECT_TRUE(fs::exists(dir / MetadataManager::kManifestName));
+  MetadataManager back;
+  const RecoveryInfo info = back.recover_from(dir);
+  EXPECT_TRUE(info.manifest_loaded);
+  EXPECT_EQ(info.journal_records, static_cast<std::int64_t>(steps.size()));
+  EXPECT_EQ(records_of(back), checkpointed);
+  // The manifest alone holds the same state.
+  MetadataManager manifest_only;
+  manifest_only.load(dir / MetadataManager::kManifestName);
+  EXPECT_EQ(records_of(manifest_only), checkpointed);
+  fs::remove_all(dir);
+}
+
+// Kill at each journal append of the sequence in turn: the killed append's
+// record is durable before its barrier throws, so recovery gives the state
+// as of that last complete `put` (or `remove`) and nothing later.
+TEST(Metadata, KillAtEachJournalAppendRecoversTheLastPut) {
+  const auto steps = mutation_steps();
+  std::vector<std::map<std::string, FileRecord>> after;  // after[k]: k steps
+  {
+    MetadataManager mm;
+    after.push_back(records_of(mm));
+    for (const auto& step : steps) {
+      step(mm);
+      after.push_back(records_of(mm));
+    }
+  }
+  for (std::size_t kill = 1; kill <= steps.size(); ++kill) {
+    SCOPED_TRACE("kill at barrier " + std::to_string(kill));
+    const auto dir = fresh_dir("pfm_meta_append_kill");
+    {
+      MetadataManager mm;
+      mm.open_durable(dir, 1 << 20);
+      arm_crash_after_syncs(static_cast<std::int64_t>(kill));
+      std::size_t done = 0;
+      try {
+        for (const auto& step : steps) {
+          step(mm);
+          ++done;
+        }
+      } catch (const SimulatedCrash&) {
+        ++done;  // the killed step's record is durable and applied
+      }
+      EXPECT_EQ(done, kill);  // barrier k is step k's append
+    }
+    arm_crash_after_syncs(0);
+    MetadataManager back;
+    const RecoveryInfo info = back.recover_from(dir);
+    EXPECT_FALSE(info.journal_torn_tail);
+    EXPECT_EQ(info.journal_records, static_cast<std::int64_t>(kill));
+    EXPECT_EQ(records_of(back), after[kill]);
+    fs::remove_all(dir);
+  }
 }
 
 }  // namespace

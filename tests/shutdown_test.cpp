@@ -4,6 +4,7 @@
 // the witnesses for the close/send race fix in Channel::~Channel.
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -25,6 +26,20 @@ Message make_msg(int dst) {
   return m;
 }
 
+/// Polls `parked` until it reports `want` threads blocked inside a channel.
+/// False after a deadline, so a thread that never parks fails its test
+/// instead of hanging it.
+bool await_parked(const std::function<std::size_t()>& parked,
+                  std::size_t want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (parked() != want) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
 TEST(Shutdown, DestroyChannelWithBlockedSender) {
   // Capacity-1 channel, one message already queued: the second send blocks
   // on not_full_. Destroying the channel used to free the mutex and
@@ -37,10 +52,16 @@ TEST(Shutdown, DestroyChannelWithBlockedSender) {
   // main thread resets it would be a (test-side) race on the pointer itself.
   Channel* raw = ch.get();
   std::thread sender([&, raw] { send_result = raw->send(make_msg(0)); });
-  // Give the sender time to park inside send; if it has not blocked yet it
-  // observes the closed flag instead — both paths must report false.
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  ch.reset();  // close + drain + destroy
+  // Destroy only once the sender is parked inside send: a sender that has
+  // not entered send yet would call into the freed channel. If it never
+  // parks, closing (not destroying) still unblocks it for the join.
+  const bool parked =
+      await_parked([raw] { return raw->parked_senders(); }, 1);
+  EXPECT_TRUE(parked) << "the sender never parked";
+  if (parked)
+    ch.reset();  // close + drain + destroy
+  else
+    ch->close();
   sender.join();
   EXPECT_FALSE(send_result.load());  // the blocked message was dropped
 }
@@ -50,8 +71,13 @@ TEST(Shutdown, DestroyChannelWithBlockedReceiver) {
   std::atomic<bool> got_message{true};
   Channel* raw = ch.get();
   std::thread receiver([&, raw] { got_message = raw->receive().has_value(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  ch.reset();
+  const bool parked =
+      await_parked([raw] { return raw->parked_receivers(); }, 1);
+  EXPECT_TRUE(parked) << "the receiver never parked";
+  if (parked)
+    ch.reset();
+  else
+    ch->close();
   receiver.join();
   EXPECT_FALSE(got_message.load());
 }
@@ -66,9 +92,11 @@ TEST(Shutdown, CloseThenDestroyUnblocksManySenders) {
     senders.emplace_back([&, raw] {
       if (raw->send(make_msg(0))) ++delivered;
     });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const bool parked =
+      await_parked([raw] { return raw->parked_senders(); }, 8);
+  EXPECT_TRUE(parked) << raw->parked_senders() << " of 8 senders parked";
   ch->close();  // explicit close first, destructor right behind it
-  ch.reset();
+  if (parked) ch.reset();
   for (std::thread& t : senders) t.join();
   EXPECT_EQ(delivered.load(), 0);
 }
