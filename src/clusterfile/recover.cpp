@@ -125,16 +125,18 @@ ReconcilePlan plan_reconcile(const FileRecord& rec,
     }
     // Authority: highest epoch wins; a recorded copy wins epoch ties over
     // an orphan (no reason to churn the placement for an equal copy); then
-    // most bytes, then lowest node for determinism.
+    // most bytes; then the earlier place in the recorded row, so equal
+    // copies keep the recorded primary; lowest node among orphans.
+    const auto key = [&](const SubfileCopy* s) {
+      const auto at = std::find(recorded.begin(), recorded.end(), s->node);
+      const bool in_row = at != recorded.end();
+      const auto rank = in_row ? -(at - recorded.begin()) : -s->node;
+      return std::tuple<std::int64_t, bool, std::int64_t, std::int64_t>(
+          s->epoch, in_row, s->bytes, rank);
+    };
     const SubfileCopy* best = candidates[0];
-    for (const SubfileCopy* c : candidates) {
-      if (c == best) continue;
-      const auto key = [&](const SubfileCopy* s) {
-        return std::tuple<std::int64_t, int, std::int64_t, int>(
-            s->epoch, is_recorded(s->node) ? 1 : 0, s->bytes, -s->node);
-      };
+    for (const SubfileCopy* c : candidates)
       if (key(c) > key(best)) best = c;
-    }
     row.authority = best->node;
     row.orphan_adopted = !is_recorded(best->node);
     row.replicas.push_back(best->node);

@@ -73,8 +73,9 @@ struct ReconcilePlan {
 /// record) against `inv`. `node_serving(node)` says whether an absolute
 /// node id can serve copies (mount: active/draining; fsck: not retired).
 /// Per subfile the authority is the highest-epoch on-disk copy on a
-/// serving node — recorded copies win epoch ties over orphans — and the
-/// final row keeps the recorded order behind it.
+/// serving node — recorded copies win epoch ties over orphans, and among
+/// equal recorded copies the one earliest in the recorded row wins — and
+/// the final row keeps the recorded order behind it.
 ReconcilePlan plan_reconcile(const FileRecord& rec,
                              const StorageInventory& inv,
                              const std::function<bool(int)>& node_serving);

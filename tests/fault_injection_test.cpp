@@ -870,6 +870,104 @@ TEST(Replication, SingleCopyCorruptionIsDetectedNeverSilent) {
 }
 
 // ---------------------------------------------------------------------------
+// Bulk replicated requests: 16 KiB per access, three copies, the default
+// 4 KiB integrity block. The CRC-32C work is whole blocks and 4 KiB message
+// payloads, past the 256 bytes at which the fold kernel takes over from the
+// crc32 instruction.
+// ---------------------------------------------------------------------------
+
+constexpr std::int64_t kBulkSide = 256;  // a 64 KiB file, 16 KiB subfiles
+
+/// Each client writes its 16 KiB view of `views` and reads it back.
+void write_and_read_bulk(Clusterfile& fs, Partition2D views) {
+  const auto falls = partition2d_all(views, kBulkSide, kBulkSide, 4);
+  for (int c = 0; c < 4; ++c) {
+    SCOPED_TRACE("client " + std::to_string(c));
+    auto& client = fs.client(c);
+    client.set_retry_policy(soak_policy());
+    const std::int64_t vid = client.set_view(
+        falls[static_cast<std::size_t>(c)], kBulkSide * kBulkSide);
+    const Buffer data =
+        make_pattern_buffer(16 * 1024, 60 + static_cast<unsigned>(c));
+    const std::int64_t last = static_cast<std::int64_t>(data.size()) - 1;
+    EXPECT_TRUE(client.write(vid, 0, last, data).ok());
+    Buffer back(data.size());
+    EXPECT_TRUE(client.read(vid, 0, last, back).ok());
+    EXPECT_EQ(back, data);
+  }
+}
+
+/// The second of two scrubs is clean and every copy matches the primary.
+void expect_scrub_converges(Clusterfile& fs, const ScrubReport& first) {
+  EXPECT_EQ(first.unrepaired_blocks, 0);
+  EXPECT_EQ(first.repaired_blocks,
+            first.unreadable_blocks + first.divergent_blocks);
+  const ScrubReport second = fs.scrub();
+  EXPECT_TRUE(second.clean());
+  EXPECT_GT(second.blocks_checked, 0);
+  for (std::size_t i = 0; i < fs.subfile_count(); ++i)
+    for (std::size_t r = 1; r < 3; ++r)
+      EXPECT_EQ(replica_image(fs, i, r), replica_image(fs, i, 0))
+          << "subfile " << i << " replica " << r;
+}
+
+// The corrupt wire mix on column-block views over row-block subfiles: each
+// request scatters 4 KiB into every subfile, so message checksums cover
+// 4 KiB payloads and the integrity layer re-sums partially written blocks.
+// Every flipped message is caught; nothing corrupt reaches storage.
+TEST(FaultSoak, CorruptWireOnBulkReplicatedRequests) {
+  Clusterfile fs(replicated_config(3),
+                 pattern2d(Partition2D::kRowBlocks, kBulkSide, 4));
+  FaultPlan plan;
+  plan.seed = 61;
+  plan.rules.push_back(make_rule(0, 0, 0.10));  // kMixes' "corrupt"
+  fs.install_faults(plan);
+  write_and_read_bulk(fs, Partition2D::kColumnBlocks);
+
+  const auto inj = fs.faults().counters();
+  const ReliabilityCounters cli = fs.client_reliability();
+  const ReliabilityCounters srv = fs.server_reliability();
+  EXPECT_GT(inj.corrupted, 0);
+  EXPECT_GE(cli.corruptions_detected + srv.corruptions_detected,
+            inj.corrupted);
+  EXPECT_EQ(cli.failures, 0);
+
+  fs.install_faults(FaultPlan{});
+  const ScrubReport first = fs.scrub();
+  EXPECT_TRUE(first.clean());
+  expect_scrub_converges(fs, first);
+}
+
+// Storage bit rot on primary reads, with views matching the subfiles: a
+// write supplies whole blocks (the write path reads nothing), and each read
+// of a primary flips a stored bit half the time. The block checksum turns
+// the flip into CORRUPT_DATA, the read fails over to a backup, and scrub
+// rewrites the rotten blocks from the backups.
+TEST(FaultSoak, StorageBitRotOnBulkReplicatedReads) {
+  ClusterConfig cfg = replicated_config(3);
+  StorageFaultPlan plan;
+  plan.seed = 62;
+  StorageFaultRule rule;
+  rule.replica = 0;
+  rule.op = StorageFaultRule::Op::kRead;
+  rule.bit_rot = 0.5;
+  plan.rules.push_back(rule);
+  cfg.storage_faults = plan;
+  Clusterfile fs(cfg, pattern2d(Partition2D::kRowBlocks, kBulkSide, 4));
+  write_and_read_bulk(fs, Partition2D::kRowBlocks);
+
+  const ReliabilityCounters cli = fs.client_reliability();
+  EXPECT_EQ(cli.failures, 0);
+  EXPECT_GT(cli.failovers, 0);
+  EXPECT_GT(fs.server_reliability().errors_sent, 0);
+
+  fs.disarm_storage_faults();
+  const ScrubReport first = fs.scrub();
+  EXPECT_GT(first.unreadable_blocks, 0);
+  expect_scrub_converges(fs, first);
+}
+
+// ---------------------------------------------------------------------------
 // Quorum writes (W-of-N acks, background stragglers)
 // ---------------------------------------------------------------------------
 
@@ -2049,6 +2147,54 @@ TEST(DurableMount, FsckRepairRecordsTheReconciledPlacement) {
   EXPECT_EQ(rec.placement_epoch, 1);
   opts.repair = false;
   EXPECT_EQ(orphaned(run_fsck(opts)), 0);
+  std::filesystem::remove_all(base);
+}
+
+// After a clean shutdown both copies of every subfile have the same epoch
+// and size. Such a tie keeps the recorded row: fsck --repair has no
+// placement to record, and a remount brings back every row, primary first,
+// and the placement epoch as recorded. Subfile 3's row {7, 4} is the case
+// that a lowest-node tie-break turns round.
+TEST(DurableMount, CleanRemountKeepsEveryRecordedRow) {
+  const auto base = std::filesystem::temp_directory_path() / "pfm_mount_rows";
+  std::filesystem::remove_all(base);
+  const auto views = partition2d_all(Partition2D::kRowBlocks, 16, 16, 4);
+  std::vector<std::vector<int>> rows;
+  std::int64_t placement_epoch = -1;
+  {
+    Clusterfile fs(durable_cfg(base),
+                   pattern2d(Partition2D::kRowBlocks, 16, 4));
+    auto& client = fs.client(0);
+    for (std::size_t k = 0; k < views.size(); ++k) {
+      const std::int64_t vid = client.set_view(views[k], 256);
+      client.write(vid, 0, 63,
+                   make_pattern_buffer(64, 28 + static_cast<unsigned>(k)));
+    }
+    for (std::size_t i = 0; i < fs.subfile_count(); ++i)
+      rows.push_back(fs.replica_nodes(i));
+    placement_epoch = fs.placement_epoch();
+  }
+  ASSERT_TRUE(std::any_of(rows.begin(), rows.end(), [](const auto& row) {
+    return row.front() != *std::min_element(row.begin(), row.end());
+  })) << "every primary is its row's lowest node: nothing to turn round";
+
+  FsckOptions opts;
+  opts.metadata_dir = base / "meta";
+  opts.storage_dir = base / "storage";
+  opts.repair = true;
+  const FsckReport rep = run_fsck(opts);
+  EXPECT_TRUE(rep.errors.empty());
+  for (const std::string& r : rep.repairs)
+    EXPECT_EQ(r.find("reconciled placement"), std::string::npos) << r;
+
+  {
+    Clusterfile fs(durable_cfg(base),
+                   pattern2d(Partition2D::kRowBlocks, 16, 4));
+    EXPECT_TRUE(fs.mount_report().mounted);
+    for (std::size_t i = 0; i < fs.subfile_count(); ++i)
+      EXPECT_EQ(fs.replica_nodes(i), rows[i]) << "subfile " << i;
+    EXPECT_EQ(fs.placement_epoch(), placement_epoch);
+  }
   std::filesystem::remove_all(base);
 }
 

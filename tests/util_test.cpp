@@ -1,7 +1,10 @@
 // Tests for arithmetic, statistics, buffer and checksum utilities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <string>
 
 #include "util/arith.h"
 #include "util/buffer.h"
@@ -115,37 +118,77 @@ TEST(Crc, KnownAnswers) {
   EXPECT_EQ(crc32c(check, 0), 0u);
 }
 
-// Every length across the 3-chain stretches (3 x 256 and 3 x 1024 bytes),
-// their serial tail and the byte tail, at every alignment: bit-identical
-// to the bitwise definition.
-TEST(Crc, Crc32cMatchesBitwiseAtEveryLengthAndAlignment) {
+// Every CRC-32C implementation, by name, in dispatch order. One the CPU
+// cannot run is skipped under its name; one missing here fails
+// Crc.EveryImplementationIsTested.
+const char* const kCrc32cPaths[] = {"avx512_vpclmulqdq", "sse42", "table"};
+
+class Crc32cPath : public testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    for (const Crc32cImpl& impl : crc32c_impls())
+      if (std::strcmp(impl.name, GetParam()) == 0) fn_ = impl.fn;
+    if (fn_ == nullptr)
+      GTEST_SKIP() << GetParam() << " is not supported by this CPU";
+  }
+
+  decltype(Crc32cImpl::fn) fn_ = nullptr;
+};
+
+TEST(Crc, EveryImplementationIsTested) {
+  const auto impls = crc32c_impls();
+  ASSERT_FALSE(impls.empty());
+  EXPECT_STREQ(impls.back().name, "table");
+  for (const Crc32cImpl& impl : impls)
+    EXPECT_TRUE(std::any_of(
+        std::begin(kCrc32cPaths), std::end(kCrc32cPaths),
+        [&](const char* name) { return std::strcmp(name, impl.name) == 0; }))
+        << impl.name << " has no test";
+}
+
+// Every length across the fold's 256-, 64- and 16-byte steps, the 3-chain
+// stretches (3 x 256 and 3 x 1024 bytes), their serial tails and the byte
+// tail, at every alignment: bit-identical to the bitwise definition.
+TEST_P(Crc32cPath, MatchesBitwiseAtEveryLengthAndAlignment) {
   constexpr std::size_t kMaxLen = 3 * 4096 + 17;
   const Buffer buf = make_pattern_buffer(kMaxLen + 8, 11);
   for (std::size_t off = 0; off < 8; ++off) {
     const std::byte* p = buf.data() + off;
     std::uint32_t want = 0;  // bitwise CRC of the first `len` bytes
     for (std::size_t len = 0; len <= kMaxLen; ++len) {
-      ASSERT_EQ(crc32c(p, len), want) << "offset " << off << " length " << len;
+      ASSERT_EQ(fn_(p, len, 0), want) << "offset " << off << " length " << len;
       want = crc32c_bitwise(p + len, 1, want);
     }
   }
 }
 
-TEST(Crc, Crc32cChainsAcrossStretchBoundaries) {
+TEST_P(Crc32cPath, ChainsAcrossStepBoundaries) {
   constexpr std::size_t kLen = 3 * 4096 + 17;
   const Buffer buf = make_pattern_buffer(kLen, 12);
   for (const std::uint32_t init : {0u, 0xDEADBEEFu}) {
-    const std::uint32_t whole = crc32c(buf.data(), kLen, init);
+    const std::uint32_t whole = fn_(buf.data(), kLen, init);
     ASSERT_EQ(whole, crc32c_bitwise(buf.data(), kLen, init));
-    for (const std::size_t m : {767u, 768u, 769u, 3071u, 3072u, 3073u}) {
+    for (const std::size_t m : {255u, 256u, 257u, 767u, 768u, 769u, 3071u,
+                                3072u, 3073u, 4095u, 4096u, 4097u}) {
       for (const std::size_t split : {m, kLen - m}) {
-        const std::uint32_t head = crc32c(buf.data(), split, init);
-        EXPECT_EQ(crc32c(buf.data() + split, kLen - split, head), whole)
+        const std::uint32_t head = fn_(buf.data(), split, init);
+        EXPECT_EQ(fn_(buf.data() + split, kLen - split, head), whole)
             << "init " << init << " split " << split;
       }
     }
   }
 }
+
+TEST_P(Crc32cPath, MatchesBitwiseOnALargeBuffer) {
+  const Buffer buf = make_pattern_buffer(256 * 1024, 13);
+  EXPECT_EQ(fn_(buf.data(), buf.size(), 0x12345678u),
+            crc32c_bitwise(buf.data(), buf.size(), 0x12345678u));
+}
+
+INSTANTIATE_TEST_SUITE_P(Crc, Crc32cPath, testing::ValuesIn(kCrc32cPaths),
+                         [](const testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 }  // namespace
 }  // namespace pfm

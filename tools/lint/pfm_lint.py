@@ -20,6 +20,10 @@ not know about:
   checksum-write   Message checksum fields are written only by the
                    stamp_checksum/encode path in cluster/message.cpp;
                    ad-hoc writes elsewhere bypass the CRC coverage rules.
+  raw-metadata-write
+                   The manifest and journal files are named and written
+                   only in clusterfile/metadata.* and journal.*, where
+                   fsync-before-apply and checkpoint ordering live.
   sleep            No sleep_for/sleep_until/usleep/nanosleep in src/:
                    production code waits on condition variables or channel
                    deadlines. Sleeping hides ordering bugs the lockdep /
@@ -32,6 +36,12 @@ not know about:
                    straggler machinery never runs, and a detector that
                    blocks on the nodes it monitors cannot detect anything.
                    Server loops (src/cluster/node.cpp) block by design.
+  isa-dispatch     Instruction-set-specific code (target attributes, the
+                   <*intrin.h> headers, __builtin_cpu_supports) stays in
+                   src/util/crc32.cpp, which picks a path at run time from
+                   the CPU's feature bits. An instruction-set path outside
+                   that run-time dispatch dies with SIGILL on a runner
+                   without that instruction set.
 
 A finding can be waived per line (or per include) with a trailing comment:
     std::mutex mu;  // pfm-lint: allow(raw-mutex)
@@ -120,31 +130,44 @@ RULES = [
         "receive() hangs forever on a dead node and starves the "
         "retry/failover/straggler machinery",
     ),
+    (
+        "isa-dispatch",
+        re.compile(
+            r"__attribute__\s*\(\s*\(\s*(__)?target(__)?\s*\("
+            r"|\[\[\s*gnu::(__)?target(__)?\s*\("
+            r"|#include\s*<\w*intrin\.h>|\b__builtin_cpu_supports\b"
+        ),
+        lambda p: p.startswith("src/") and p != "src/util/crc32.cpp",
+        "instruction-set-specific code belongs in src/util/crc32.cpp behind "
+        "its run-time CPU dispatch; anywhere else it dies with SIGILL on a "
+        "CPU without that instruction set",
+    ),
 ]
 
 ALLOW = re.compile(r"pfm-lint:\s*allow\(([a-z0-9-]+)\)")
 SOURCE_SUFFIXES = {".h", ".hpp", ".cpp", ".cc", ".cxx"}
 
 
+def line_hits(rel: str, line: str) -> list[tuple[str, str]]:
+    """(rule, message) for every rule the line breaks in file `rel`."""
+    allowed = set(ALLOW.findall(line))
+    stripped = line.lstrip()
+    comment_only = stripped.startswith("//") or stripped.startswith("*")
+    # Don't flag prose: a rule mentioned in a comment is not a use.
+    code = line.split("//", 1)[0] if not comment_only else ""
+    return [(name, msg) for name, rx, pred, msg in RULES
+            if name not in allowed and pred(rel) and rx.search(code)]
+
+
 def lint_file(root: pathlib.Path, path: pathlib.Path) -> list[str]:
     rel = path.relative_to(root).as_posix()
-    findings = []
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
     except OSError as e:
         return [f"{rel}: unreadable: {e}"]
-    for lineno, line in enumerate(text.splitlines(), 1):
-        allowed = set(ALLOW.findall(line))
-        stripped = line.lstrip()
-        comment_only = stripped.startswith("//") or stripped.startswith("*")
-        for name, rx, pred, msg in RULES:
-            if name in allowed or not pred(rel):
-                continue
-            # Don't flag prose: a rule mentioned in a comment is not a use.
-            code = line.split("//", 1)[0] if not comment_only else ""
-            if rx.search(code):
-                findings.append(f"{rel}:{lineno}: [{name}] {msg}\n    {line.strip()}")
-    return findings
+    return [f"{rel}:{lineno}: [{name}] {msg}\n    {line.strip()}"
+            for lineno, line in enumerate(text.splitlines(), 1)
+            for name, msg in line_hits(rel, line)]
 
 
 def lint_tree(root: pathlib.Path) -> list[str]:
@@ -166,6 +189,7 @@ def self_test() -> int:
         ("src/util/mutex.h", "std::mutex mu_;", None),  # the wrapper itself
         ("tests/foo_test.cpp", "std::mutex mu_;", None),  # tests are free
         ("src/cluster/foo.cpp", "// std::mutex is rejected here", None),
+        ("src/cluster/foo.cpp", " * std::mutex in a block comment", None),
         ("src/clusterfile/meta.cpp", "auto v = std::stoll(tok);", "raw-int-parse"),
         ("tests/x.cpp", "std::stoll(tok);", None),
         ("src/falls/falls.cpp", "auto g = std::gcd(a, b);", "raw-gcd-lcm"),
@@ -206,21 +230,31 @@ def self_test() -> int:
         ("src/clusterfile/journal.cpp",
          'path_ = dir / "metadata.journal";', None),  # the WAL itself
         ("tools/pfm_fsck.cpp", 'open(dir / "manifest.pfm");', None),  # not src/
+        ("src/cluster/message.cpp",
+         '__attribute__((target("avx2"))) void f();', "isa-dispatch"),
+        ("src/falls/falls.cpp", '[[gnu::target("avx512f")]] void f();',
+         "isa-dispatch"),
+        ("src/falls/falls.cpp",
+         '__attribute__ ((__target__("avx2"))) void f();', "isa-dispatch"),
+        ("src/redist/gather_scatter.cpp", "#include <immintrin.h>",
+         "isa-dispatch"),
+        ("src/util/buffer.cpp", "#include <x86intrin.h>", "isa-dispatch"),
+        ("src/util/buffer.cpp", 'if (__builtin_cpu_supports("avx2")) {',
+         "isa-dispatch"),
+        ("src/util/thread_annotations.h",
+         "#define PFM_THREAD_ANNOTATION__(x) __attribute__((x))",
+         None),  # an attribute, not a target
+        ("src/util/crc32.cpp", "#include <immintrin.h>", None),  # the dispatch
+        ("src/util/crc32.cpp",
+         '__attribute__((target("sse4.2"))) std::uint32_t f();', None),
+        ("src/util/crc32.cpp", 'if (__builtin_cpu_supports("sse4.2"))',
+         None),
+        ("tests/util_test.cpp", "#include <immintrin.h>", None),  # not src/
     ]
     failures = 0
-    root = pathlib.Path("/self-test")
     for rel, line, expected in cases:
-        hits = []
-        allowed = set(ALLOW.findall(line))
-        stripped = line.lstrip()
-        comment_only = stripped.startswith("//")
-        for name, rx, pred, _ in RULES:
-            if name in allowed or not pred(rel):
-                continue
-            code = line.split("//", 1)[0] if not comment_only else ""
-            if rx.search(code):
-                hits.append(name)
-        got = hits[0] if hits else None
+        hits = line_hits(rel, line)
+        got = hits[0][0] if hits else None
         if got != expected:
             print(f"self-test FAIL: {rel!r} {line!r}: expected {expected}, got {got}")
             failures += 1
