@@ -1,12 +1,16 @@
 // Microbenchmarks: the intersection primitives of paper section 7 —
-// CUT-FALLS, flat INTERSECT-FALLS, the nested INTERSECT, projections and
-// gather/scatter throughput.
+// CUT-FALLS, flat INTERSECT-FALLS, the nested INTERSECT, projections,
+// gather/scatter throughput, and a whole client set_view (t_i).
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
+#include "clusterfile/fs.h"
 #include "intersect/cut.h"
 #include "intersect/intersect.h"
 #include "intersect/intersect_falls.h"
 #include "intersect/project.h"
+#include "layout/array_layout.h"
 #include "layout/partitions2d.h"
 #include "redist/gather_scatter.h"
 #include "util/buffer.h"
@@ -99,6 +103,44 @@ void BM_ScatterFragmented(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * idx.size());
 }
 BENCHMARK(BM_ScatterFragmented)->Arg(256)->Arg(2048);
+
+/// One set_view per iteration on client 0 of a cluster holding a 1024 x 1024
+/// byte matrix in 4 square-block subfiles (perfbench's view_churn file),
+/// cycling over the elements of `views`. The timed call includes copying the
+/// view FALLS it is handed. A client keeps every view it sets, so the
+/// cluster is rebuilt, untimed, every 1024 calls.
+void BM_SetView(benchmark::State& state, std::vector<FallsSet> views) {
+  constexpr std::int64_t kEdge = 1024;
+  const auto physical = [] {
+    return PartitioningPattern(
+        partition2d_all(Partition2D::kSquareBlocks, kEdge, kEdge, 4), 0);
+  };
+  auto fs = std::make_unique<Clusterfile>(ClusterConfig{}, physical());
+  std::size_t calls = 0;
+  for (auto _ : state) {
+    if (calls > 0 && calls % 1024 == 0) {
+      state.PauseTiming();
+      fs.reset();
+      fs = std::make_unique<Clusterfile>(ClusterConfig{}, physical());
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(
+        fs->client(0).set_view(views[calls++ % views.size()], kEdge * kEdge));
+  }
+}
+
+std::vector<FallsSet> block_cyclic_views() {
+  const std::vector<Dist> d = {Dist::block_cyclic(64), Dist::block_cyclic(64)};
+  return layout_all(ArrayDesc{{1024, 1024}, 1}, d, GridDesc{{2, 2}});
+}
+
+BENCHMARK_CAPTURE(BM_SetView, rows,
+                  partition2d_all(Partition2D::kRowBlocks, 1024, 1024, 2));
+BENCHMARK_CAPTURE(BM_SetView, columns,
+                  partition2d_all(Partition2D::kColumnBlocks, 1024, 1024, 4));
+BENCHMARK_CAPTURE(BM_SetView, squares,
+                  partition2d_all(Partition2D::kSquareBlocks, 1024, 1024, 4));
+BENCHMARK_CAPTURE(BM_SetView, block_cyclic, block_cyclic_views());
 
 }  // namespace
 

@@ -112,10 +112,11 @@ std::int64_t ClusterfileClient::set_view(FallsSet falls,
             "set_view: view FALLS extent ", set_extent(falls),
             " exceeds the view pattern size ", view_pattern_size);
   ViewState state;
-  state.falls = std::move(falls);
   state.pattern_size = view_pattern_size;
-  const PatternElement view_elem{state.falls, view_pattern_size,
-                                 phys.displacement()};
+  // The view's FALLS live in view_elem while the algebra reads them, then
+  // move into the view state.
+  PatternElement view_elem{std::move(falls), view_pattern_size,
+                           phys.displacement()};
   const std::int64_t new_view_id = static_cast<std::int64_t>(views_.size());
 
   // Replay geometry for the plan cache: over one joint file period
@@ -128,7 +129,7 @@ std::int64_t ClusterfileClient::set_view(FallsSet falls,
   try {
     const std::int64_t joint = lcm64(view_pattern_size, phys.size());
     state.replay_period =
-        mul_checked(set_size(state.falls), joint / view_pattern_size);
+        mul_checked(set_size(view_elem.falls), joint / view_pattern_size);
     for (std::size_t j = 0; j < count; ++j)
       sub_period[j] = mul_checked(set_size(phys.element(j)), joint / phys.size());
   } catch (const std::overflow_error&) {
@@ -140,20 +141,22 @@ std::int64_t ClusterfileClient::set_view(FallsSet falls,
     // kept in its wire form: every request to the target carries it.
     Timer t;
     for (std::size_t j = 0; j < count; ++j) {
-      const Intersection x = intersect_nested(view_elem, phys.pattern_element(j));
+      const PatternElement sub = phys.pattern_element(j);
+      const Intersection x = intersect_nested(view_elem, sub);
       if (x.empty()) continue;
-      const Projection pv = project(x, view_elem);
-      const Projection ps = project(x, phys.pattern_element(j));
+      Projection pv = project(x, view_elem);
+      const Projection ps = project(x, sub);
       SubTarget target;
       target.subfile = j;
       target.replicas = meta_.replicas[j];
-      target.proj_v = IndexSet(pv.falls, pv.period);
+      target.proj_v = IndexSet(std::move(pv.falls), pv.period);
       target.sub_period_bytes = state.replay_period > 0 ? sub_period[j] : 0;
       target.proj_s = encode_projection(ps.falls, ps.period);
       state.targets.push_back(std::move(target));
     }
     t_i_us_ = t.elapsed_us();
   }
+  state.falls = std::move(view_elem.falls);
 
   views_.push_back(std::move(state));
   // Conservative invalidation: cached plans never outlive the view set

@@ -65,15 +65,22 @@ FallsSet wrap_repetitions(FallsSet flat) {
     if (!is_repetition(flat, plen, period, reps)) continue;
     // Rebase the prefix to the period origin so the inner FALLS are relative.
     const std::int64_t origin = flat[0].l;
-    FallsSet prefix(flat.begin(), flat.begin() + static_cast<std::ptrdiff_t>(plen));
-    FallsSet rebased = shift_set(prefix, -origin);
-    const std::int64_t span = set_extent(rebased);
+    std::int64_t span = 0;
+    for (std::size_t k = 0; k < plen; ++k)
+      span = std::max(span, falls_extent(flat[k]) - origin);
     if (span > period) continue;  // members of one period interleave: keep flat
+    FallsSet rebased(std::make_move_iterator(flat.begin()),
+                     std::make_move_iterator(flat.begin() + static_cast<std::ptrdiff_t>(plen)));
+    for (Falls& f : rebased) {
+      f.l -= origin;
+      f.r -= origin;
+    }
     // The outer block covers only the prefix's span (not the whole period),
     // so the wrapped form never extends past the last member byte + 1.
-    Falls outer = make_nested(origin, origin + span - 1, period,
-                              static_cast<std::int64_t>(reps), std::move(rebased));
-    return FallsSet{std::move(outer)};
+    FallsSet out;
+    out.push_back(make_nested(origin, origin + span - 1, period,
+                              static_cast<std::int64_t>(reps), std::move(rebased)));
+    return out;
   }
   return flat;
 }

@@ -176,17 +176,17 @@ Falls wrap_outer(FallsSet inner, std::int64_t span, std::int64_t count) {
 
 namespace {
 
+/// f with every branch padded to `height`; each node is copied once.
 Falls equalize_falls(const Falls& f, int height) {
   if (height < 1) throw std::invalid_argument("equalize_height: height too small");
-  Falls out = f;
-  if (f.leaf()) {
-    if (height == 1) return out;
+  Falls out{f.l, f.r, f.s, f.n, {}};
+  if (!f.leaf()) {
+    out.inner = equalize_height(f.inner, height - 1);
+  } else if (height > 1) {
     // Insert a trivial inner FALLS covering the whole block, then recurse.
-    Falls trivial = make_falls(0, f.block_len() - 1, f.block_len(), 1);
-    out.inner.push_back(equalize_falls(trivial, height - 1));
-    return out;
+    out.inner.push_back(
+        equalize_falls(make_falls(0, f.block_len() - 1, f.block_len(), 1), height - 1));
   }
-  out.inner = equalize_height(f.inner, height - 1);
   return out;
 }
 

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "falls/falls.h"
 
@@ -13,6 +14,9 @@ namespace pfm {
 std::string to_string(const Falls& f);
 /// "{f0, f1, ...}".
 std::string to_string(const FallsSet& set);
+/// `head` followed by to_string(set), in one string allocated at its exact
+/// length (encode_projection's "<period> <falls>").
+std::string to_string(std::string_view head, const FallsSet& set);
 
 /// ASCII diagram over [0, extent): a ruler line with byte indices (when
 /// extent <= 64) and a mark line with 'X' on member bytes, '.' elsewhere.

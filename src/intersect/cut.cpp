@@ -9,38 +9,35 @@ namespace pfm {
 
 namespace {
 
-/// Appends the cut of block k of f (bytes clipped to [a, b], relative to a).
-/// `complete` is true when the block lies fully inside [a, b].
-void append_partial_block(FallsSet& out, const Falls& f, std::int64_t k,
-                          std::int64_t a, std::int64_t b) {
-  const std::int64_t base = f.l + k * f.s;
-  const std::int64_t lo = std::max(a, base);
-  const std::int64_t hi = std::min(b, base + f.block_len() - 1);
-  if (lo > hi) return;
-  Falls piece;
-  piece.l = lo - a;
-  piece.r = hi - a;
-  piece.s = hi - lo + 1;
-  piece.n = 1;
-  if (!f.leaf()) {
-    piece.inner = cut_set(f.inner, lo - base, hi - base);
-    if (piece.inner.empty()) return;  // no member bytes survive the cut
-  }
-  out.push_back(std::move(piece));
-}
-
-}  // namespace
-
-FallsSet cut_falls(const Falls& f, std::int64_t a, std::int64_t b) {
+/// CUT-FALLS of the blocks of f, each holding `inner` in place of f.inner:
+/// calls emit(piece, whole) for each piece, relative to a, in order. A piece
+/// of whole blocks (whole == true) comes without an inner set; it is
+/// `inner`. A clipped block's piece carries the cut of `inner`.
+template <typename Emit>
+void cut_blocks(const Falls& f, const FallsSet& inner, std::int64_t a,
+                std::int64_t b, Emit&& emit) {
   if (a > b) throw std::invalid_argument("cut_falls: a > b");
-  FallsSet out;
   // Blocks overlapping [a, b]: l + k*s <= b  and  l + k*s + blen - 1 >= a.
   const std::int64_t blen = f.block_len();
   std::int64_t k_lo = div_ceil(a - f.l - (blen - 1), f.s);
   std::int64_t k_hi = div_floor(b - f.l, f.s);
   k_lo = std::max<std::int64_t>(k_lo, 0);
   k_hi = std::min<std::int64_t>(k_hi, f.n - 1);
-  if (k_lo > k_hi) return out;
+  if (k_lo > k_hi) return;
+
+  // Block k clipped to [a, b], when it is only partly inside.
+  const auto partial = [&](std::int64_t k) {
+    const std::int64_t base = f.l + k * f.s;
+    const std::int64_t lo = std::max(a, base);
+    const std::int64_t hi = std::min(b, base + blen - 1);
+    if (lo > hi) return;
+    Falls piece{lo - a, hi - a, hi - lo + 1, 1, {}};
+    if (!inner.empty()) {
+      piece.inner = cut_set(inner, lo - base, hi - base);
+      if (piece.inner.empty()) return;  // no member bytes survive the cut
+    }
+    emit(std::move(piece), false);
+  };
 
   // Complete blocks are those lying fully inside [a, b].
   std::int64_t kc_lo = k_lo;
@@ -50,32 +47,55 @@ FallsSet cut_falls(const Falls& f, std::int64_t a, std::int64_t b) {
 
   if (kc_lo > kc_hi) {
     // No complete block: at most two partial ones (possibly the same block).
-    append_partial_block(out, f, k_lo, a, b);
-    if (k_hi != k_lo) append_partial_block(out, f, k_hi, a, b);
-    return out;
+    partial(k_lo);
+    if (k_hi != k_lo) partial(k_hi);
+    return;
   }
-  if (k_lo < kc_lo) append_partial_block(out, f, k_lo, a, b);
-  Falls mid;
-  mid.l = f.l + kc_lo * f.s - a;
-  mid.r = mid.l + blen - 1;
-  mid.s = f.s;
-  mid.n = kc_hi - kc_lo + 1;
-  mid.inner = f.inner;
-  out.push_back(std::move(mid));
-  if (k_hi > kc_hi) append_partial_block(out, f, k_hi, a, b);
+  if (k_lo < kc_lo) partial(k_lo);
+  const std::int64_t mid = f.l + kc_lo * f.s - a;
+  emit(Falls{mid, mid + blen - 1, f.s, kc_hi - kc_lo + 1, {}}, true);
+  if (k_hi > kc_hi) partial(k_hi);
+}
+
+/// The cut, shifted by `shift`, appended to `out` as FALLS that own their
+/// inner sets.
+void append_owned(FallsSet& out, const Falls& f, const FallsSet& inner,
+                  std::int64_t a, std::int64_t b, std::int64_t shift) {
+  cut_blocks(f, inner, a, b, [&](Falls&& piece, bool whole) {
+    if (whole) piece.inner = inner;
+    piece.l += shift;
+    piece.r += shift;
+    out.push_back(std::move(piece));
+  });
+}
+
+}  // namespace
+
+FallsSet cut_falls(const Falls& f, std::int64_t a, std::int64_t b) {
+  FallsSet out;
+  append_owned(out, f, f.inner, a, b, 0);
   return out;
 }
 
 FallsSet cut_set(const FallsSet& set, std::int64_t a, std::int64_t b) {
   FallsSet out;
-  for (const Falls& f : set) {
-    FallsSet piece = cut_falls(f, a, b);
-    out.insert(out.end(), std::make_move_iterator(piece.begin()),
-               std::make_move_iterator(piece.end()));
-  }
+  for (const Falls& f : set) append_owned(out, f, f.inner, a, b, 0);
   std::sort(out.begin(), out.end(),
             [](const Falls& x, const Falls& y) { return x.l < y.l; });
   return out;
+}
+
+Cut cut_borrowed(const Falls& f, std::int64_t a, std::int64_t b) {
+  Cut out;
+  cut_blocks(f, f.inner, a, b, [&](Falls&& piece, bool whole) {
+    out.pieces[out.size++] = CutPiece{std::move(piece), whole ? &f.inner : nullptr};
+  });
+  return out;
+}
+
+void append_cut(FallsSet& out, const CutPiece& g, std::int64_t a, std::int64_t b,
+                std::int64_t shift) {
+  append_owned(out, g.f, g.inner(), a, b, shift);
 }
 
 FallsSet rebase_period(const FallsSet& set, std::int64_t shift, std::int64_t T) {

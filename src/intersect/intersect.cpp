@@ -12,13 +12,35 @@ namespace pfm {
 
 namespace {
 
-/// True when f is one block whose bytes are all members: a leaf, or a
-/// leaf padded by equalize_height with trivial inner FALLS. O(depth).
-bool dense_block(const Falls& f) {
-  if (f.n != 1) return false;
-  if (f.leaf()) return true;
-  return f.inner.size() == 1 && f.inner[0].l == 0 &&
-         f.inner[0].r == f.r - f.l && dense_block(f.inner[0]);
+/// True when a FALLS of n blocks of `len` bytes holding `inner` is one block
+/// whose bytes are all members: a leaf, or a leaf padded by equalize_height
+/// with trivial inner FALLS. O(depth).
+bool dense_block(std::int64_t n, std::int64_t len, const FallsSet& inner) {
+  if (n != 1) return false;
+  if (inner.empty()) return true;
+  const Falls& g = inner[0];
+  return inner.size() == 1 && g.l == 0 && g.r == len - 1 &&
+         dense_block(g.n, g.block_len(), g.inner);
+}
+
+bool dense_block(const CutPiece& g) {
+  return dense_block(g.f.n, g.f.block_len(), g.inner());
+}
+
+/// True when every branch of `set` is exactly `height` FALLS deep, so that
+/// equalize_height(set, height) would return it unchanged.
+bool uniform_height(const FallsSet& set, int height) {
+  for (const Falls& f : set)
+    if (f.leaf() ? height != 1 : !uniform_height(f.inner, height - 1)) return false;
+  return true;
+}
+
+/// equalize_height(set, height), copied into `keep` only when some branch
+/// is short.
+const FallsSet& equalized(const FallsSet& set, int height, FallsSet& keep) {
+  if (uniform_height(set, height)) return set;
+  keep = equalize_height(set, height);
+  return keep;
 }
 
 }  // namespace
@@ -28,12 +50,17 @@ FallsSet intersect_aux(const FallsSet& s1, std::int64_t a1, std::int64_t b1,
   if (b1 - a1 != b2 - a2)
     throw std::invalid_argument("intersect_aux: window lengths differ");
   FallsSet out;
+  if (s1.empty()) return out;
+  // Each side is cut once per window; pieces of whole blocks borrow their
+  // inner sets from s1 and s2.
+  std::vector<Cut> cuts2;
+  cuts2.reserve(s2.size());
+  for (const Falls& f2 : s2) cuts2.push_back(cut_borrowed(f2, a2, b2));
   for (const Falls& f1 : s1) {
-    const FallsSet cuts1 = cut_falls(f1, a1, b1);
-    for (const Falls& f2 : s2) {
-      const FallsSet cuts2 = cut_falls(f2, a2, b2);
-      for (const Falls& g1 : cuts1) {
-        for (const Falls& g2 : cuts2) {
+    const Cut cuts1 = cut_borrowed(f1, a1, b1);
+    for (const Cut& c2 : cuts2) {
+      for (const CutPiece& g1 : cuts1) {
+        for (const CutPiece& g2 : c2) {
           // Dense-block shortcut: intersecting with one block whose bytes
           // are all members is CUT-FALLS of the other side at that block
           // (paper section 7 uses CUT for exactly this), inner sets kept.
@@ -41,28 +68,29 @@ FallsSet intersect_aux(const FallsSet& s1, std::int64_t a1, std::int64_t b1,
           // enumeration of INTERSECT-FALLS yields one member per block of
           // the other side inside the common stride: one per matrix row
           // for a row-block view against a square-block subfile.
-          const Falls* block = dense_block(g1) ? &g1 : dense_block(g2) ? &g2 : nullptr;
+          const CutPiece* block = dense_block(g1) ? &g1 : dense_block(g2) ? &g2 : nullptr;
           if (block != nullptr) {
-            const Falls& other = block == &g1 ? g2 : g1;
-            for (const Falls& piece : cut_falls(other, block->l, block->r))
-              out.push_back(shift_falls(piece, block->l));
+            append_cut(out, block == &g1 ? g2 : g1, block->f.l, block->f.r, block->f.l);
             continue;
           }
-          for (const Falls& h : intersect_falls(g1, g2)) {
-            if (g1.leaf() && g2.leaf()) {
-              out.push_back(h);
-              continue;
-            }
-            // h's blocks occupy a fixed window inside one block of g1 and
-            // one block of g2; recurse on the inner sets over those windows.
+          const std::size_t first = out.size();
+          append_intersection(out, g1.f, g2.f);
+          if (g1.leaf() && g2.leaf()) continue;
+          // Each new h's blocks occupy a fixed window inside one block of g1
+          // and one block of g2; recurse on the inner sets over those
+          // windows, keeping the h whose windows share bytes.
+          std::size_t kept = first;
+          for (std::size_t i = first; i < out.size(); ++i) {
+            const Falls& h = out[i];
             const std::int64_t len = h.r - h.l;
-            const std::int64_t u1 = mod_floor(h.l - g1.l, g1.s);
-            const std::int64_t u2 = mod_floor(h.l - g2.l, g2.s);
+            const std::int64_t u1 = mod_floor(h.l - g1.f.l, g1.f.s);
+            const std::int64_t u2 = mod_floor(h.l - g2.f.l, g2.f.s);
             FallsSet inner =
-                intersect_aux(g1.inner, u1, u1 + len, g2.inner, u2, u2 + len);
+                intersect_aux(g1.inner(), u1, u1 + len, g2.inner(), u2, u2 + len);
             if (inner.empty()) continue;
-            out.push_back(make_nested(h.l, h.r, h.s, h.n, std::move(inner)));
+            out[kept++] = make_nested(h.l, h.r, h.s, h.n, std::move(inner));
           }
+          out.erase(out.begin() + static_cast<std::ptrdiff_t>(kept), out.end());
         }
       }
     }
@@ -72,13 +100,18 @@ FallsSet intersect_aux(const FallsSet& s1, std::int64_t a1, std::int64_t b1,
   return out;
 }
 
-FallsSet preprocess(const PatternElement& e, std::int64_t origin,
-                    std::int64_t common_period) {
+const FallsSet& preprocess(const PatternElement& e, std::int64_t origin,
+                           std::int64_t common_period, FallsSet& keep) {
   const std::int64_t shift = mod_floor(origin - e.displacement, e.pattern_size);
-  FallsSet aligned = rebase_period(e.falls, shift, e.pattern_size);
   const std::int64_t reps = common_period / e.pattern_size;
-  if (reps == 1) return aligned;
-  return FallsSet{wrap_outer(std::move(aligned), e.pattern_size, reps)};
+  if (shift == 0 && reps == 1) {
+    if (set_extent(e.falls) > e.pattern_size)
+      throw std::invalid_argument("preprocess: element exceeds its pattern");
+    return e.falls;
+  }
+  keep = rebase_period(e.falls, shift, e.pattern_size);
+  if (reps > 1) keep = FallsSet{wrap_outer(std::move(keep), e.pattern_size, reps)};
+  return keep;
 }
 
 Intersection intersect_nested(const PatternElement& e1, const PatternElement& e2) {
@@ -100,16 +133,19 @@ Intersection intersect_nested(const PatternElement& e1, const PatternElement& e2
   out.origin = std::max(e1.displacement, e2.displacement);
   if (e1.falls.empty() || e2.falls.empty()) return out;
 
-  FallsSet s1 = preprocess(e1, out.origin, out.period);
-  FallsSet s2 = preprocess(e2, out.origin, out.period);
+  // Each step borrows its input when it would not change it: an element
+  // needs no rotation or extension when it sits at the origin and its
+  // pattern is the common period, and no padding when it is already tall.
+  FallsSet keep1;
+  FallsSet keep2;
+  const FallsSet& s1 = preprocess(e1, out.origin, out.period, keep1);
+  const FallsSet& s2 = preprocess(e2, out.origin, out.period, keep2);
 
   // Equalize nesting heights (paper: "the height of the shorter tree can be
   // transformed by adding outer FALLS"; we equivalently refine the leaves).
   const int h = std::max(set_height(s1), set_height(s2));
-  s1 = equalize_height(s1, h);
-  s2 = equalize_height(s2, h);
-
-  out.falls = intersect_aux(s1, 0, out.period - 1, s2, 0, out.period - 1);
+  out.falls = intersect_aux(equalized(s1, h, keep1), 0, out.period - 1,
+                            equalized(s2, h, keep2), 0, out.period - 1);
   if constexpr (kDcheckEnabled) {
     validate_falls_set(out.falls);
     PFM_DCHECK(set_extent(out.falls) <= out.period,

@@ -39,9 +39,11 @@ struct Intersection {
 
 /// PREPROCESS for one element: its set rotated to start at `origin` and
 /// extended over `common_period` (a multiple of its pattern size), in the
-/// index space INTERSECT and PROJ work in.
-FallsSet preprocess(const PatternElement& e, std::int64_t origin,
-                    std::int64_t common_period);
+/// index space INTERSECT and PROJ work in. Borrows: returns e.falls itself
+/// when the rotation is by 0 over one repetition, else the new set, kept in
+/// `keep`.
+const FallsSet& preprocess(const PatternElement& e, std::int64_t origin,
+                           std::int64_t common_period, FallsSet& keep);
 
 /// INTERSECT with PREPROCESS. Throws std::invalid_argument on invalid
 /// inputs (pattern sizes < 1, element extent exceeding its pattern size).

@@ -41,6 +41,12 @@ std::pair<std::int64_t, std::int64_t> overlap_window(const Falls& f2,
 
 FallsSet intersect_falls(const Falls& f1, const Falls& f2) {
   FallsSet out;
+  append_intersection(out, f1, f2);
+  return out;
+}
+
+void append_intersection(FallsSet& out, const Falls& f1, const Falls& f2) {
+  const std::size_t first = out.size();
   const std::int64_t T = lcm64(f1.s, f2.s);
   const std::int64_t per1 = T / f1.s;  // segments of f1 per period
   const std::int64_t per2 = T / f2.s;
@@ -66,19 +72,14 @@ FallsSet intersect_falls(const Falls& f1, const Falls& f2) {
     for (std::int64_t i1 = i1_lo; i1 <= i1_hi; ++i1)
       emit_pair(out, f1, f2, i1, i2, T, per1, per2);
   }
-  std::sort(out.begin(), out.end(),
+  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
             [](const Falls& x, const Falls& y) { return x.l < y.l; });
-  return out;
 }
 
 FallsSet intersect_falls_sets(const FallsSet& a, const FallsSet& b) {
   FallsSet out;
   for (const Falls& f1 : a)
-    for (const Falls& f2 : b) {
-      FallsSet piece = intersect_falls(f1, f2);
-      out.insert(out.end(), std::make_move_iterator(piece.begin()),
-                 std::make_move_iterator(piece.end()));
-    }
+    for (const Falls& f2 : b) append_intersection(out, f1, f2);
   std::sort(out.begin(), out.end(),
             [](const Falls& x, const Falls& y) { return x.l < y.l; });
   return out;

@@ -16,6 +16,9 @@ namespace pfm {
 /// intersect_nested for trees). Result members are sorted by l.
 FallsSet intersect_falls(const Falls& f1, const Falls& f2);
 
+/// intersect_falls(f1, f2) appended to `out`.
+void append_intersection(FallsSet& out, const Falls& f1, const Falls& f2);
+
 /// Intersection of two flat FALLS sets (pairwise union).
 FallsSet intersect_falls_sets(const FallsSet& a, const FallsSet& b);
 

@@ -104,7 +104,10 @@ void simplify(Falls& f) {
     // A nested block spans exactly its inner set.
     const std::int64_t lo = f.inner.front().l;
     const std::int64_t hi = set_extent(f.inner);
-    if (lo > 0) f.inner = shift_set(f.inner, -lo);
+    for (Falls& g : f.inner) {
+      g.l -= lo;
+      g.r -= lo;
+    }
     f.l += lo;
     f.r = f.l + hi - lo - 1;
   }
@@ -112,12 +115,12 @@ void simplify(Falls& f) {
 }
 
 /// Joins leaf families whose blocks abut (same count and stride), so that
-/// progressions form over maximal runs. `set` is sorted by l.
-FallsSet join_abutting(FallsSet set) {
-  FallsSet out;
+/// progressions form over maximal runs, in place. `set` is sorted by l.
+void join_abutting(FallsSet& set) {
+  std::size_t out = 0;  // set[0, out) is the joined prefix
   for (Falls& q : set) {
-    if (!out.empty()) {
-      Falls& p = out.back();
+    if (out > 0) {
+      Falls& p = set[out - 1];
       if (p.leaf() && q.leaf() && p.n == q.n && q.l == p.r + 1 &&
           (p.n == 1 || (q.s == p.s && q.r - p.l < p.s))) {
         p.r = q.r;
@@ -125,9 +128,10 @@ FallsSet join_abutting(FallsSet set) {
         continue;
       }
     }
-    out.push_back(std::move(q));
+    if (&q != &set[out]) set[out] = std::move(q);
+    ++out;
   }
-  return out;
+  set.erase(set.begin() + static_cast<std::ptrdiff_t>(out), set.end());
 }
 
 /// The number of members from set[i] on that are one family repeated at a
@@ -150,11 +154,11 @@ std::size_t parallel_run(const FallsSet& set, std::size_t i, std::int64_t& d) {
   return k;
 }
 
-/// Joins families into progressions: parallel families (parallel_run) into
-/// one family with an inner family, and a member that continues its
-/// predecessor's progression into it. `set` is sorted by l.
-FallsSet join_progressions(FallsSet set) {
-  FallsSet out;
+/// Joins families into progressions, in place: parallel families
+/// (parallel_run) into one family with an inner family, and a member that
+/// continues its predecessor's progression into it. `set` is sorted by l.
+void join_progressions(FallsSet& set) {
+  std::size_t out = 0;  // set[0, out) is the joined prefix; out <= i
   for (std::size_t i = 0; i < set.size();) {
     std::int64_t d = 0;
     const std::size_t k = parallel_run(set, i, d);
@@ -165,11 +169,12 @@ FallsSet join_progressions(FallsSet set) {
       Falls g{0, q.block_len() - 1, d, kk, std::move(q.inner)};
       simplify(g);
       q.r = q.l + (kk - 1) * d + q.block_len() - 1;
-      q.inner = {std::move(g)};
+      q.inner.clear();
+      q.inner.push_back(std::move(g));
       simplify(q);
     }
-    if (!out.empty() && same_shape(out.back(), q)) {
-      Falls& p = out.back();
+    if (out > 0 && same_shape(set[out - 1], q)) {
+      Falls& p = set[out - 1];
       const std::int64_t gap = q.l - p.l;
       if (p.n == 1 && (q.n == 1 || q.s == gap) && gap >= p.block_len()) {
         p.s = gap;
@@ -183,9 +188,9 @@ FallsSet join_progressions(FallsSet set) {
         continue;
       }
     }
-    out.push_back(std::move(q));
+    set[out++] = std::move(q);
   }
-  return out;
+  set.erase(set.begin() + static_cast<std::ptrdiff_t>(out), set.end());
 }
 
 /// Rewrites a walked projection, bottom-up, into the compact form run
@@ -201,37 +206,47 @@ void canonicalize(FallsSet& set) {
     return;
   }
   if (set.empty()) return;
-  FallsSet flat;
-  flat.reserve(set.size());
+  bool nested_block = false;  // some member is one block holding a set
   for (Falls& f : set) {
     canonicalize(f.inner);
-    if (f.n == 1 && !f.leaf()) {
-      for (Falls& g : f.inner) {
-        g.l += f.l;
-        g.r += f.l;
-        flat.push_back(std::move(g));
+    nested_block = nested_block || (f.n == 1 && !f.leaf());
+  }
+  if (nested_block) {
+    FallsSet flat;
+    flat.reserve(set.size());
+    for (Falls& f : set) {
+      if (f.n == 1 && !f.leaf()) {
+        for (Falls& g : f.inner) {
+          g.l += f.l;
+          g.r += f.l;
+          flat.push_back(std::move(g));
+        }
+        continue;
       }
-      continue;
+      simplify(f);
+      flat.push_back(std::move(f));
     }
-    simplify(f);
-    flat.push_back(std::move(f));
+    set = std::move(flat);
+  } else {
+    for (Falls& f : set) simplify(f);
   }
   const auto by_l = [](const Falls& x, const Falls& y) { return x.l < y.l; };
-  if (!std::is_sorted(flat.begin(), flat.end(), by_l))
-    std::sort(flat.begin(), flat.end(), by_l);
-  flat = join_progressions(join_abutting(std::move(flat)));
+  if (!std::is_sorted(set.begin(), set.end(), by_l))
+    std::sort(set.begin(), set.end(), by_l);
+  join_abutting(set);
+  join_progressions(set);
   // Leaf families whose spans still interleave (progressions INTERSECT-FALLS
   // split by stride, joined by none of the rules above) denote one run
   // list: compress it as the run path does. None of the r, c, b and
   // (block-)cyclic 2-D layouts reach this; irregular sets do.
   bool leaves = true;
   bool interleave = false;
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    leaves = leaves && flat[i].leaf();
-    if (i > 0 && flat[i].l < falls_extent(flat[i - 1])) interleave = true;
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    leaves = leaves && set[i].leaf();
+    if (i > 0 && set[i].l < falls_extent(set[i - 1])) interleave = true;
   }
-  if (leaves && interleave) flat = compress_runs(set_runs(flat));
-  set = wrap_repetitions(std::move(flat));
+  if (leaves && interleave) set = compress_runs(set_runs(set));
+  set = wrap_repetitions(std::move(set));
 }
 
 /// True when every level of the tree has strictly increasing left indices.
@@ -279,8 +294,9 @@ Projection project(const Intersection& x, const PatternElement& e) {
     const std::int64_t shift = x.origin - e.displacement;
     const std::int64_t c0 = shift / e.pattern_size * set_size(e.falls) +
                             set_rank(e.falls, shift % e.pattern_size);
+    FallsSet keep;
     FallsSet walked;
-    if (walk(x.falls, 0, preprocess(e, x.origin, x.period), -c0, walked)) {
+    if (walk(x.falls, 0, preprocess(e, x.origin, x.period, keep), -c0, walked)) {
       canonicalize(walked);
       if (strictly_sorted(walked)) {
         out.falls = std::move(walked);

@@ -1,8 +1,10 @@
 #include "redist/gather_scatter.h"
 
+#include <charconv>
 #include <cstring>
 #include <stdexcept>
 
+#include "falls/print.h"
 #include "falls/serialize.h"
 #include "falls/set_ops.h"
 #include "util/arith.h"
@@ -20,6 +22,10 @@ IndexSet::IndexSet(FallsSet falls, std::int64_t period)
     throw std::invalid_argument("IndexSet: set extent exceeds period");
   size_ = set_size(falls_);
   in_order_ = in_file_order(falls_);
+  // A client keeps its index sets for a view's lifetime and a server for a
+  // cache entry's: hold the members without the spare capacity a moved-in
+  // result may carry.
+  falls_.shrink_to_fit();
 }
 
 std::int64_t IndexSet::count_in(std::int64_t v, std::int64_t w) const {
@@ -48,7 +54,10 @@ RunList IndexSet::materialize_in(std::int64_t v, std::int64_t w) const {
 }
 
 std::string encode_projection(const FallsSet& falls, std::int64_t period) {
-  return std::to_string(period) + ' ' + serialize(falls);
+  char head[21];
+  char* end = std::to_chars(head, head + 20, period).ptr;
+  *end++ = ' ';
+  return to_string(std::string_view(head, static_cast<std::size_t>(end - head)), falls);
 }
 
 IndexSet decode_projection(std::string_view text) {
