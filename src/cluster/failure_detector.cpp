@@ -49,12 +49,8 @@ FailureDetector::Options FailureDetector::Options::from_env(Options defaults) {
 
 FailureDetector::FailureDetector(Network& net, int self,
                                  std::vector<int> monitored, Options opts,
-                                 Callback on_dead, Callback on_alive)
-    : net_(net),
-      self_(self),
-      opts_(opts),
-      on_dead_(std::move(on_dead)),
-      on_alive_(std::move(on_alive)) {
+                                 Callback on_dead)
+    : net_(net), self_(self), opts_(opts), on_dead_(std::move(on_dead)) {
   {
     MutexLock lock(mu_);
     peers_.reserve(monitored.size());
@@ -123,19 +119,14 @@ void FailureDetector::mark_dead(int node) {
 }
 
 void FailureDetector::mark_alive(int node) {
-  bool fire = false;
-  {
-    MutexLock lock(mu_);
-    for (Peer& p : peers_) {
-      if (p.node != node) continue;
-      fire = p.health == NodeHealth::kDead;
-      p.health = NodeHealth::kAlive;
-      p.pinned_dead = false;
-      p.misses = 0;
-      break;
-    }
+  MutexLock lock(mu_);
+  for (Peer& p : peers_) {
+    if (p.node != node) continue;
+    p.health = NodeHealth::kAlive;
+    p.pinned_dead = false;
+    p.misses = 0;
+    break;
   }
-  if (fire && on_alive_) on_alive_(node);
 }
 
 void FailureDetector::add_monitored(int node) {
@@ -249,10 +240,8 @@ void FailureDetector::run() {
       PFM_DEBUG("detector: node ", node, " declared dead at round ", seq);
       if (on_dead_) on_dead_(node);
     }
-    for (int node : newly_alive) {
+    for (int node : newly_alive)
       PFM_DEBUG("detector: node ", node, " revived at round ", seq);
-      if (on_alive_) on_alive_(node);
-    }
     if (!pump_until(round_start + std::chrono::milliseconds(opts_.interval_ms)))
       return;
     // Late-credit pass: a pong for this round that arrived after the
@@ -269,10 +258,8 @@ void FailureDetector::run() {
         p.misses = 0;
       }
     }
-    for (int node : newly_alive) {
+    for (int node : newly_alive)
       PFM_DEBUG("detector: node ", node, " late pong at round ", seq);
-      if (on_alive_) on_alive_(node);
-    }
   }
 }
 

@@ -9,8 +9,8 @@
 //
 // A single pong resets the counter and revives the node, so a flapping
 // link produces suspect churn but never a false dead declaration as long
-// as any probe in a window of SUSPECT_N gets through. Declarations fire
-// the on_dead/on_alive callbacks (repair hooks) from the detector thread,
+// as any probe in a window of SUSPECT_N gets through. A dead declaration
+// fires the on_dead callback (the repair hook) from the detector thread,
 // outside any detector lock.
 //
 // mark_dead/mark_alive are explicit overrides for tests and operators: a
@@ -55,14 +55,14 @@ class FailureDetector {
     static Options from_env();
   };
 
-  /// Called on declaration edges, from the detector thread (auto) or the
-  /// overriding thread (mark_dead/mark_alive), never under a detector lock.
+  /// Called on dead-declaration edges, from the detector thread (auto) or
+  /// the overriding thread (mark_dead), never under a detector lock.
   using Callback = std::function<void(int node)>;
 
   /// Probes `monitored` endpoints from the dedicated endpoint `self`.
   /// The thread starts immediately; stop() (or destruction) ends it.
   FailureDetector(Network& net, int self, std::vector<int> monitored,
-                  Options opts, Callback on_dead = {}, Callback on_alive = {});
+                  Options opts, Callback on_dead = {});
   ~FailureDetector();
 
   FailureDetector(const FailureDetector&) = delete;
@@ -74,8 +74,7 @@ class FailureDetector {
 
   /// Manual overrides. mark_dead declares the node dead (firing on_dead if
   /// it was not dead already) and pins it: no probes, no auto-revival.
-  /// mark_alive clears any override and suspicion (firing on_alive if the
-  /// node was dead) and resumes probing.
+  /// mark_alive clears any override and suspicion and resumes probing.
   void mark_dead(int node) PFM_EXCLUDES(mu_);
   void mark_alive(int node) PFM_EXCLUDES(mu_);
 
@@ -95,8 +94,6 @@ class FailureDetector {
   };
   Counters counters() const PFM_EXCLUDES(mu_);
 
-  const Options& options() const { return opts_; }
-
   /// Ends the probe loop and joins the thread; idempotent.
   void stop();
 
@@ -111,7 +108,8 @@ class FailureDetector {
 
   void run();
   /// Evaluates one probe round after its pong window closed; returns the
-  /// nodes newly declared dead / revived so callbacks run outside mu_.
+  /// nodes newly declared dead / revived so the callback and the logs run
+  /// outside mu_.
   void evaluate_round(std::uint64_t seq, std::vector<int>& newly_dead,
                       std::vector<int>& newly_alive) PFM_EXCLUDES(mu_);
   /// Drains the inbox until `deadline`, recording pongs. Returns false when
@@ -123,7 +121,6 @@ class FailureDetector {
   const int self_;
   const Options opts_;
   Callback on_dead_;
-  Callback on_alive_;
 
   mutable Mutex mu_{"FailureDetector::mu"};
   std::vector<Peer> peers_ PFM_GUARDED_BY(mu_);

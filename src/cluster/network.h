@@ -66,14 +66,10 @@ class Network {
   FaultInjector* faults() const {
     return fault_.load(std::memory_order_acquire);
   }
-  /// Force checksums on even without an injector (benchmarks measuring the
-  /// checksum overhead in isolation).
-  void set_checksums(bool enabled) { explicit_checksums_.store(enabled); }
   /// Senders stamp and receivers verify CRC-32C checksums when true: an
-  /// injector is installed or set_checksums(true) was called.
+  /// injector is installed.
   bool checksums_enabled() const {
-    return explicit_checksums_.load(std::memory_order_relaxed) ||
-           fault_.load(std::memory_order_acquire) != nullptr;
+    return fault_.load(std::memory_order_acquire) != nullptr;
   }
 
   /// Total modeled wire time across all messages so far, in microseconds
@@ -104,7 +100,6 @@ class Network {
   mutable Mutex fault_mu_{"Network.fault"};
   std::shared_ptr<FaultInjector> fault_owner_ PFM_GUARDED_BY(fault_mu_);
   std::atomic<FaultInjector*> fault_{nullptr};
-  std::atomic<bool> explicit_checksums_{false};
 };
 
 }  // namespace pfm

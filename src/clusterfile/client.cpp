@@ -28,50 +28,33 @@ std::uint64_t next_req_id() {
 }  // namespace
 
 ClusterfileClient::ClusterfileClient(
-    Network& net, int node_id, FileMeta meta,
+    Network& net, int node_id,
+    std::shared_ptr<const PartitioningPattern> physical, int write_quorum,
     std::shared_ptr<const PlacementDirectory> placement)
     : net_(net),
       node_id_(node_id),
-      meta_(std::move(meta)),
-      placement_(std::move(placement)) {
-  if (!meta_.physical)
-    throw std::invalid_argument("ClusterfileClient: no physical pattern");
-  if (meta_.replicas.size() != meta_.physical->element_count())
+      physical_(std::move(physical)),
+      placement_(std::move(placement)),
+      write_quorum_(write_quorum) {
+  if (!physical_ || !placement_)
+    throw std::invalid_argument("ClusterfileClient: no pattern or placement");
+  if (placement_->subfile_count() != physical_->element_count())
     throw std::invalid_argument("ClusterfileClient: placement row count mismatch");
-  for (const std::vector<int>& row : meta_.replicas)
-    if (row.empty())
-      throw std::invalid_argument("ClusterfileClient: empty placement row");
-  set_write_quorum(meta_.write_quorum);
-  // A directory created before this client may already be ahead of the
-  // FileMeta snapshot (repairs between cluster start and client creation):
-  // force the first access to reconcile.
-  if (placement_) placement_seen_ = -1;
+  if (write_quorum_ < 0)
+    throw std::invalid_argument("ClusterfileClient: negative write quorum");
 }
 
 void ClusterfileClient::maybe_refresh_placement() {
-  if (!placement_) return;
   const std::int64_t epoch = placement_->epoch();
   if (epoch == placement_seen_) return;
-  const std::vector<std::vector<int>> snap = placement_->snapshot();
-  PFM_CHECK(snap.size() == meta_.replicas.size(),
-            "placement directory covers ", snap.size(), " subfiles, file has ",
-            meta_.replicas.size());
-  meta_.replicas = snap;
-  // Views baked the replica chain into their targets at set_view time;
-  // re-aim them. Requests carry their projections, so a new replica serves
-  // the first one it sees.
-  for (ViewState& state : views_)
-    for (SubTarget& t : state.targets) t.replicas = snap[t.subfile];
-  // Plans cache each target's serving node; drop them so the next access
-  // re-materializes against the new primaries.
-  invalidate_plans();
+  rows_ = placement_->snapshot();
   // A rebalance may have migrated a subfile slot off a node entirely. A
   // pending straggler aimed at the old holder would complete a write on a
   // copy the placement retired, and scrub debt against it would point scrub
   // at a replica that no longer exists — purge both. No divergence is lost:
   // the migration's catch-up sync carried everything the new holder missed.
   const auto retired = [&](int subfile, int node) {
-    const std::vector<int>& reps = snap[static_cast<std::size_t>(subfile)];
+    const std::vector<int>& reps = rows_[static_cast<std::size_t>(subfile)];
     return std::find(reps.begin(), reps.end(), node) == reps.end();
   };
   std::erase_if(scrub_debt_, [&](const std::pair<int, int>& debt) {
@@ -96,8 +79,7 @@ std::vector<int> ClusterfileClient::take_scrub_debt() {
 std::int64_t ClusterfileClient::set_view(FallsSet falls,
                                          std::int64_t view_pattern_size) {
   AccessCanary::Scope guard(canary_);
-  maybe_refresh_placement();
-  const PartitioningPattern& phys = *meta_.physical;
+  const PartitioningPattern& phys = *physical_;
   // The view FALLS come straight from the application: reject malformed
   // input here, where the error names the caller's mistake, instead of
   // letting a bad set reach the intersection algebra (always on — a view is
@@ -141,14 +123,13 @@ std::int64_t ClusterfileClient::set_view(FallsSet falls,
     // kept in its wire form: every request to the target carries it.
     Timer t;
     for (std::size_t j = 0; j < count; ++j) {
-      const PatternElement sub = phys.pattern_element(j);
+      const PatternElement& sub = phys.pattern_element(j);
       const Intersection x = intersect_nested(view_elem, sub);
       if (x.empty()) continue;
       Projection pv = project(x, view_elem);
       const Projection ps = project(x, sub);
       SubTarget target;
       target.subfile = j;
-      target.replicas = meta_.replicas[j];
       target.proj_v = IndexSet(std::move(pv.falls), pv.period);
       target.sub_period_bytes = state.replay_period > 0 ? sub_period[j] : 0;
       target.proj_s = encode_projection(ps.falls, ps.period);
@@ -159,9 +140,6 @@ std::int64_t ClusterfileClient::set_view(FallsSet falls,
   state.falls = std::move(view_elem.falls);
 
   views_.push_back(std::move(state));
-  // Conservative invalidation: cached plans never outlive the view set
-  // they were derived under (DESIGN.md, "The access-plan layer").
-  invalidate_plans();
   return new_view_id;
 }
 
@@ -174,12 +152,11 @@ const ClusterfileClient::ViewState& ClusterfileClient::view_state(
 
 ClusterfileClient::AccessPlan ClusterfileClient::build_plan(
     const ViewState& state, std::int64_t v, std::int64_t w) const {
-  const PartitioningPattern& phys = *meta_.physical;
+  const PartitioningPattern& phys = *physical_;
   const ElementRef view_ref{&state.falls, phys.displacement(),
                             state.pattern_size};
   AccessPlan plan;
   plan.base_v = v;
-  plan.length = w - v + 1;
   for (std::size_t k = 0; k < state.targets.size(); ++k) {
     const SubTarget& target = state.targets[k];
     // ONE traversal per target: runs, byte count and contiguity together.
@@ -190,11 +167,8 @@ ClusterfileClient::AccessPlan ClusterfileClient::build_plan(
     if (!iv.has_value()) continue;
     PlanTarget pt;
     pt.target_index = k;
-    pt.subfile = static_cast<int>(target.subfile);
-    pt.io_node = target.replicas[0];
     pt.base_vs = iv->lo;
     pt.base_ws = iv->hi;
-    pt.sub_period_bytes = target.sub_period_bytes;
     pt.runs = std::move(rl);
     plan.targets.push_back(std::move(pt));
   }
@@ -583,14 +557,14 @@ ClusterfileClient::AccessTimings ClusterfileClient::write(
   reqs.reserve(plan->targets.size());
   for (std::size_t k = 0; k < plan->targets.size(); ++k) {
     const PlanTarget& pt = plan->targets[k];
-    const std::vector<int>& reps =
-        state.targets[pt.target_index].replicas;
+    const SubTarget& target = state.targets[pt.target_index];
+    const std::vector<int>& reps = rows_[target.subfile];
     Message msg;
     msg.kind = MsgKind::kWrite;
-    msg.subfile = pt.subfile;
-    msg.meta = state.targets[pt.target_index].proj_s;
-    msg.v = pt.base_vs + shift * pt.sub_period_bytes;
-    msg.w = pt.base_ws + shift * pt.sub_period_bytes;
+    msg.subfile = static_cast<int>(target.subfile);
+    msg.meta = target.proj_s;
+    msg.v = pt.base_vs + shift * target.sub_period_bytes;
+    msg.w = pt.base_ws + shift * target.sub_period_bytes;
     msg.contiguous = pt.runs.contiguous;
     if (pt.runs.contiguous) {
       msg.payload = gather_runs(data, pt.runs);
@@ -647,14 +621,15 @@ ClusterfileClient::AccessTimings ClusterfileClient::read(
   reqs.reserve(plan->targets.size());
   for (std::size_t k = 0; k < plan->targets.size(); ++k) {
     const PlanTarget& pt = plan->targets[k];
-    const std::vector<int>& reps = state.targets[pt.target_index].replicas;
+    const SubTarget& target = state.targets[pt.target_index];
+    const std::vector<int>& reps = rows_[target.subfile];
     TxReq req;
     req.msg.kind = MsgKind::kRead;
-    req.msg.dst_node = pt.io_node;
-    req.msg.subfile = pt.subfile;
-    req.msg.meta = state.targets[pt.target_index].proj_s;
-    req.msg.v = pt.base_vs + shift * pt.sub_period_bytes;
-    req.msg.w = pt.base_ws + shift * pt.sub_period_bytes;
+    req.msg.dst_node = reps[0];
+    req.msg.subfile = static_cast<int>(target.subfile);
+    req.msg.meta = target.proj_s;
+    req.msg.v = pt.base_vs + shift * target.sub_period_bytes;
+    req.msg.w = pt.base_ws + shift * target.sub_period_bytes;
     req.group = k;
     req.backups.assign(reps.begin() + 1, reps.end());
     reqs.push_back(std::move(req));

@@ -27,11 +27,11 @@
 // naming the node (default) or, with set_allow_partial(true), degrades to a
 // per-subfile kFailed status.
 //
-// Replication (DESIGN.md "Failure model"): when FileMeta::replicas places a
-// subfile on more than one I/O node, writes fan out to every replica, and
-// reads fail over along the replica chain when the serving node is given up
-// on (timeout after max_attempts, or a terminal error such as
-// kCorruptData). An access that loses replicas but keeps at least one
+// Replication (DESIGN.md "Failure model"): when the placement directory
+// places a subfile on more than one I/O node, writes fan out to every
+// replica, and reads fail over along the replica chain when the serving
+// node is given up on (timeout after max_attempts, or a terminal error such
+// as kCorruptData). An access that loses replicas but keeps at least one
 // healthy copy per target completes with AccessStatus::kDegraded —
 // degraded-but-correct, never an exception — and the failover/degraded/
 // replica_failures counters record the cost. One delivery budget (the sum
@@ -39,9 +39,9 @@
 // chain: attempts carry across failovers, so a dead chain costs one
 // schedule, never chain-length × schedule.
 //
-// Quorum writes (DESIGN.md "Replication, re-sync and scrub"): with
-// FileMeta::write_quorum = W in [1, replication), a write group completes
-// as soon as W replicas acked; its remaining fan-out requests stay in the
+// Quorum writes (DESIGN.md "Replication, re-sync and scrub"): with a write
+// quorum W in [1, replication), a write group completes as soon as W
+// replicas acked; its remaining fan-out requests stay in the
 // client's one in-flight table as detached entries (stragglers) that keep
 // their retry schedule and are pumped whenever the client waits on the
 // network (and by drain_stragglers()). A straggler that completes late is
@@ -70,19 +70,6 @@
 #include "util/stats.h"
 
 namespace pfm {
-
-/// What a client needs to know about an open file: the physical pattern and
-/// which cluster nodes serve each subfile.
-struct FileMeta {
-  std::shared_ptr<const PartitioningPattern> physical;
-  /// Placement: replicas[i] lists every node holding subfile i, primary
-  /// first, one non-empty row per subfile (one node when unreplicated).
-  std::vector<std::vector<int>> replicas;
-  /// W-of-N write acknowledgment policy: a write group returns once
-  /// `write_quorum` replicas acked (remaining fan-out requests become
-  /// background stragglers). 0 (default) = wait for every replica.
-  int write_quorum = 0;
-};
 
 /// Thrown when an I/O node stays unresponsive after every retry: the
 /// message names the node so operators see *where* the cluster is failing.
@@ -130,12 +117,17 @@ struct SubfileAccess {
 
 class ClusterfileClient {
  public:
-  /// `placement`, when given, is the live replica-placement directory: the
-  /// client compares its epoch at the start of every access and re-snapshots
-  /// replica targets when the self-heal repair path re-placed subfiles
-  /// (DESIGN.md "Self-healing"). Null keeps FileMeta::replicas static.
-  ClusterfileClient(Network& net, int node_id, FileMeta meta,
-                    std::shared_ptr<const PlacementDirectory> placement = {});
+  /// `physical` partitions the file into subfiles. `write_quorum` is the
+  /// W-of-N write acknowledgment policy: a write group returns once W
+  /// replicas acked, and its remaining fan-out requests become background
+  /// stragglers; 0 waits for every replica. The effective quorum of a group
+  /// is min(W, its replica count). `placement` says which nodes hold each
+  /// subfile: the client snapshots its rows when its epoch moves, at the
+  /// start of an access (DESIGN.md "Self-healing").
+  ClusterfileClient(Network& net, int node_id,
+                    std::shared_ptr<const PartitioningPattern> physical,
+                    int write_quorum,
+                    std::shared_ptr<const PlacementDirectory> placement);
 
   int node_id() const { return node_id_; }
 
@@ -165,8 +157,8 @@ class ClusterfileClient {
   };
 
   /// Sets a view described by one element pattern. Returns the view id.
-  /// Invalidates all cached access plans (conservative: plans never outlive
-  /// the view set they were derived under). last_view_set_us() reports t_i.
+  /// Plans cached for earlier views stay valid. last_view_set_us() reports
+  /// t_i.
   std::int64_t set_view(FallsSet falls, std::int64_t view_pattern_size);
 
   /// t_i of the most recent set_view: the intersections and projections.
@@ -199,16 +191,6 @@ class ClusterfileClient {
   /// Cumulative reliability counters across every access of this client.
   const ReliabilityCounters& reliability() const { return rel_; }
 
-  /// W-of-N write acknowledgment policy (0 = wait for the full fan-out;
-  /// seeded from FileMeta::write_quorum, adjustable per client). The
-  /// effective quorum of a group is min(W, its replica count).
-  void set_write_quorum(int quorum) {
-    if (quorum < 0)
-      throw std::invalid_argument("ClusterfileClient: negative write quorum");
-    write_quorum_ = quorum;
-  }
-  int write_quorum() const { return write_quorum_; }
-
   /// Background straggler observability: requests still in flight after
   /// their group met its quorum, and the cumulative completed/abandoned
   /// split. Stragglers are pumped whenever the client waits on the network;
@@ -232,14 +214,10 @@ class ClusterfileClient {
   std::vector<int> take_scrub_debt();
 
   void set_retry_policy(RetryPolicy policy) { policy_ = policy; }
-  const RetryPolicy& retry_policy() const { return policy_; }
   /// When true, an access with targets that failed after all retries
   /// returns (statuses record the failures) instead of throwing.
   void set_allow_partial(bool allow) { allow_partial_ = allow; }
 
-  /// Drops every cached plan (set_view does this implicitly; exposed for
-  /// callers that mutate state behind the client's back, e.g. tests).
-  void invalidate_plans() { plan_cache_.clear(); }
   /// Rebounds the cache (drops LRU entries when shrinking). Default
   /// capacity kDefaultPlanCacheCapacity; 0 disables caching.
   void set_plan_cache_capacity(std::size_t capacity) {
@@ -249,10 +227,10 @@ class ClusterfileClient {
   static constexpr std::size_t kDefaultPlanCacheCapacity = 64;
 
  private:
+  /// What a view determines about one subfile it meets. Which nodes hold
+  /// the subfile is not part of it: that is the placement snapshot rows_.
   struct SubTarget {
     std::size_t subfile = 0;
-    std::vector<int> replicas;  ///< every node holding the subfile, primary
-                                ///< first (from FileMeta::replicas)
     IndexSet proj_v;  ///< PROJ_V^{V∩S} in view space
     /// Subfile bytes per view replay period (see ViewState::replay_period):
     /// shifting an access by one replay period shifts its subfile interval
@@ -273,22 +251,22 @@ class ClusterfileClient {
     std::int64_t replay_period = 0;
   };
 
-  /// One target's slice of a materialized access plan.
+  /// One target's slice of a materialized access plan: only what the
+  /// access derived. The subfile, its PROJ_S meta and its period shift are
+  /// the view's (SubTarget); the nodes serving it are the placement's.
   struct PlanTarget {
     std::size_t target_index = 0;  ///< into ViewState::targets
-    int subfile = 0;
-    int io_node = -1;
     std::int64_t base_vs = 0;  ///< subfile interval at the plan's base_v
     std::int64_t base_ws = 0;
-    std::int64_t sub_period_bytes = 0;
     RunList runs;  ///< run positions relative to base_v
   };
   /// Everything an access needs, computed in ONE materialization traversal
   /// per target: replayable at any v' ≡ base_v (mod replay_period) with the
-  /// same length by shifting each target's subfile interval.
+  /// same length by shifting each target's subfile interval. Views never
+  /// change once set and a plan holds no placement, so a cached plan never
+  /// goes stale.
   struct AccessPlan {
     std::int64_t base_v = 0;
-    std::int64_t length = 0;
     std::vector<PlanTarget> targets;  ///< ascending subfile order
   };
 
@@ -396,17 +374,20 @@ class ClusterfileClient {
   /// subfile to scrub.
   void give_up(std::uint64_t id, const std::string& why, bool timed_out,
                Access* acc);
-  /// Re-snapshots replica targets from the placement directory when its
-  /// epoch moved: meta_, every view's SubTargets and the plan cache
-  /// (PlanTarget caches io_node). Called at the start of every access,
-  /// under the canary.
+  /// Re-snapshots rows_ from the placement directory when its epoch moved,
+  /// and drops stragglers and scrub debt aimed at a node that no longer
+  /// holds their subfile. Called at the start of every access, under the
+  /// canary.
   void maybe_refresh_placement();
 
   Network& net_;
   int node_id_;
-  FileMeta meta_;
+  std::shared_ptr<const PartitioningPattern> physical_;
   std::shared_ptr<const PlacementDirectory> placement_;
-  std::int64_t placement_seen_ = 0;
+  /// rows_[i]: every node holding subfile i, primary first, as of placement
+  /// epoch placement_seen_ (-1 before the first access).
+  std::vector<std::vector<int>> rows_;
+  std::int64_t placement_seen_ = -1;
   std::vector<ViewState> views_;
   LruCache<PlanKey, std::shared_ptr<const AccessPlan>, PlanKeyHash>
       plan_cache_{kDefaultPlanCacheCapacity};

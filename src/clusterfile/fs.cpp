@@ -32,19 +32,19 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
         "Clusterfile: max_io_nodes must be >= io_nodes");
   if (config_.rebalance_chunk < 1)
     throw std::invalid_argument("Clusterfile: rebalance_chunk must be >= 1");
+  if (config_.integrity_block < 0)
+    throw std::invalid_argument("Clusterfile: integrity_block must be >= 0");
   if (!config_.storage_faults) config_.storage_faults = storage_fault_plan_from_env();
   // Integrity checking turns on automatically exactly when something can
   // damage stored bytes (replication implies scrub, faults imply damage);
   // plain single-copy runs keep the PR-3 fast path with no CRC work.
   if (config_.integrity_block > 0) {
     integrity_block_ = config_.integrity_block;
-  } else if (config_.integrity_block == 0 &&
-             (config_.replication > 1 || config_.storage_faults)) {
+  } else if (config_.replication > 1 || config_.storage_faults) {
     integrity_block_ = IntegrityStorage::kDefaultBlock;
   }
-  meta_.physical =
-      std::make_shared<const PartitioningPattern>(std::move(physical));
-  const std::size_t subfiles = meta_.physical->element_count();
+  physical_ = std::make_shared<const PartitioningPattern>(std::move(physical));
+  const std::size_t subfiles = physical_->element_count();
 
   // Endpoints for every *provisioned* I/O slot (spares included, so
   // add_io_node never has to grow the fixed-size Network) plus one extra
@@ -78,15 +78,14 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
     for (int i = 0; i < config_.io_nodes; ++i)
       ring_.add_node(config_.compute_nodes + i);
   }
-  meta_.write_quorum = config_.write_quorum;
-  meta_.replicas.resize(subfiles);
+  std::vector<std::vector<int>> rows(subfiles);
   if (config_.ring_placement) {
     // Ring placement: replicas of subfile i are the first `replication`
     // distinct members clockwise from hash(i) — a pure function of the
     // membership, which is what lets add/decommission plan minimal moves.
     MutexLock lock(member_mu_);
     for (std::size_t i = 0; i < subfiles; ++i)
-      meta_.replicas[i] =
+      rows[i] =
           ring_.replicas_for(static_cast<std::uint64_t>(i), config_.replication);
   } else {
     // Static placement: subfile i is served by I/O node (compute_nodes +
@@ -95,19 +94,19 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
     // (k-way declustering).
     for (std::size_t i = 0; i < subfiles; ++i)
       for (int r = 0; r < config_.replication; ++r)
-        meta_.replicas[i].push_back(
+        rows[i].push_back(
             config_.compute_nodes +
             static_cast<int>(i + static_cast<std::size_t>(r)) % config_.io_nodes);
   }
   if constexpr (kDcheckEnabled) {
     for (std::size_t i = 0; i < subfiles; ++i)
-      for (const int node : meta_.replicas[i])
+      for (const int node : rows[i])
         PFM_DCHECK(node >= config_.compute_nodes &&
                        node < config_.compute_nodes + config_.io_nodes,
                    "subfile ", i, " assigned to non-I/O node ", node);
   }
   {
-    MutexLock lock(crash_mu_);
+    MutexLock lock(member_mu_);
     crashed_.assign(static_cast<std::size_t>(config_.max_io_nodes), 0);
   }
 
@@ -142,9 +141,7 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
             std::to_string(subfiles) +
             " — remount with the recorded element count");
       // The record is the authority for everything a crash must not lose.
-      meta_.physical =
-          std::make_shared<const PartitioningPattern>(rec.pattern());
-      meta_.write_quorum = rec.write_quorum;
+      physical_ = std::make_shared<const PartitioningPattern>(rec.pattern());
       config_.write_quorum = rec.write_quorum;
       ring_epoch_.store(rec.ring_epoch, std::memory_order_release);
       {
@@ -193,7 +190,7 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
             return st == IoNodeState::kActive || st == IoNodeState::kDraining;
           });
       for (std::size_t i = 0; i < subfiles; ++i) {
-        meta_.replicas[i] = mount_plan.rows[i].replicas;
+        rows[i] = mount_plan.rows[i].replicas;
         if (mount_plan.rows[i].orphan_adopted) ++mount_report_.orphans_adopted;
         mount_report_.copies_missing +=
             static_cast<int>(mount_plan.rows[i].missing.size());
@@ -208,16 +205,16 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
       // crash before the first checkpoint can rebuild it.
       FileRecord fresh;
       fresh.name = kMetaFile;
-      fresh.displacement = meta_.physical->displacement();
-      fresh.subfile_falls = meta_.physical->elements();
-      fresh.replica_nodes = meta_.replicas;
+      fresh.displacement = physical_->displacement();
+      fresh.subfile_falls = physical_->elements();
+      fresh.replica_nodes = rows;
       fresh.write_quorum = config_.write_quorum;
       MutexLock lock(meta_mu_);
       meta_store_.create(std::move(fresh));
     }
   }
   placement_ =
-      std::make_shared<PlacementDirectory>(meta_.replicas, placement_seed);
+      std::make_shared<PlacementDirectory>(std::move(rows), placement_seed);
 
   start_servers(nullptr, preserve);
   start_clients();
@@ -272,8 +269,7 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
         *net_, config_.compute_nodes + config_.max_io_nodes,
         std::move(monitored),
         FailureDetector::Options::from_env(config_.heartbeat),
-        /*on_dead=*/[this](int node) { on_node_dead(node); },
-        /*on_alive=*/FailureDetector::Callback{});
+        /*on_dead=*/[this](int node) { on_node_dead(node); });
   }
 }
 
@@ -282,13 +278,12 @@ void Clusterfile::start_clients() {
   clients_.reserve(static_cast<std::size_t>(config_.compute_nodes));
   for (int c = 0; c < config_.compute_nodes; ++c)
     clients_.push_back(std::make_unique<ClusterfileClient>(
-        *net_, c, meta_,
-        std::shared_ptr<const PlacementDirectory>(placement_)));
+        *net_, c, physical_, config_.write_quorum, placement_));
 }
 
 void Clusterfile::start_servers(const std::vector<Buffer>* initial,
                                 bool preserve) {
-  const std::size_t subfiles = meta_.replicas.size();
+  const std::vector<std::vector<int>> rows = placement_->snapshot();
   std::vector<IoNodeState> states;
   {
     MutexLock lock(member_mu_);
@@ -302,9 +297,9 @@ void Clusterfile::start_servers(const std::vector<Buffer>* initial,
     const IoNodeState st = states[static_cast<std::size_t>(node)];
     if (st == IoNodeState::kSpare || st == IoNodeState::kRetired) continue;
     IoServer::SubfileStorages storages;
-    for (std::size_t i = 0; i < subfiles; ++i) {
-      for (std::size_t r = 0; r < meta_.replicas[i].size(); ++r) {
-        if (meta_.replicas[i][r] != config_.compute_nodes + node) continue;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      for (std::size_t r = 0; r < rows[i].size(); ++r) {
+        if (rows[i][r] != config_.compute_nodes + node) continue;
         auto storage =
             replica_stack(static_cast<int>(i), static_cast<int>(r),
                           config_.compute_nodes + node, preserve);
@@ -428,12 +423,12 @@ void Clusterfile::crash_server(std::size_t io_index) {
   // wire (the dead-machine experience — clients see timeouts, not errors).
   faults().isolate(node);
   servers_[io_index]->stop();
-  MutexLock lock(crash_mu_);
+  MutexLock lock(member_mu_);
   crashed_[io_index] = 1;
 }
 
 bool Clusterfile::is_crashed(std::size_t io_index) const {
-  MutexLock lock(crash_mu_);
+  MutexLock lock(member_mu_);
   return crashed_[io_index] != 0;
 }
 
@@ -443,10 +438,11 @@ bool Clusterfile::node_unusable(int node) const {
     MutexLock lock(member_mu_);
     if (idx < node_state_.size()) {
       const IoNodeState st = node_state_[idx];
-      if (st == IoNodeState::kSpare || st == IoNodeState::kRetired) return true;
+      if (st == IoNodeState::kSpare || st == IoNodeState::kRetired ||
+          crashed_[idx] != 0)
+        return true;
     }
   }
-  if (is_crashed(idx)) return true;
   return detector_ && detector_->is_dead(node);
 }
 
@@ -473,7 +469,7 @@ ResyncStats Clusterfile::restart_server(std::size_t io_index) {
       *net_, node, std::move(storages), /*track_epochs=*/track_epochs());
   faults().restore(node);
   {
-    MutexLock lock(crash_mu_);
+    MutexLock lock(member_mu_);
     crashed_[io_index] = 0;
   }
 
@@ -847,13 +843,10 @@ int Clusterfile::add_io_node(int weight) {
           "Clusterfile::add_io_node: no provisioned spare slot remains "
           "(raise max_io_nodes)");
     node_state_[static_cast<std::size_t>(idx)] = IoNodeState::kActive;
+    crashed_[static_cast<std::size_t>(idx)] = 0;
     ring_.add_node(config_.compute_nodes + idx, weight);
   }
   const int node = config_.compute_nodes + idx;
-  {
-    MutexLock lock(crash_mu_);
-    crashed_[static_cast<std::size_t>(idx)] = 0;
-  }
   // The slot was a spare (nullptr), so no worker can hold a reference to
   // it; the server starts empty and adopts storage as migrations arrive.
   servers_[static_cast<std::size_t>(idx)] = std::make_unique<IoServer>(
@@ -968,7 +961,7 @@ void Clusterfile::await_rebalance() {
     }
     if (target.empty()) return std::vector<MoveTask>{};
     RebalancePlan plan = plan_rebalance(placement_->snapshot(), target,
-                                        *meta_.physical, file_size_estimate());
+                                        *physical_, file_size_estimate());
     if (plan.entries.empty()) {
       MutexLock lock(member_mu_);
       if (rebalance_target_ == target) rebalance_target_.clear();
@@ -1015,7 +1008,7 @@ std::int64_t Clusterfile::file_size_estimate() const {
   // is lock-protected, so the estimate is safe against concurrent
   // foreground writes (and deliberately approximate — it only bounds the
   // live prefix the plan's minima cover).
-  std::int64_t total = meta_.physical->displacement();
+  std::int64_t total = physical_->displacement();
   const std::vector<std::vector<int>> snap = placement_->snapshot();
   for (std::size_t i = 0; i < snap.size(); ++i) {
     for (const int node : snap[i]) {
@@ -1038,7 +1031,7 @@ void Clusterfile::enqueue_rebalance() {
     rebalance_target_ = target;
   }
   RebalancePlan plan = plan_rebalance(placement_->snapshot(), target,
-                                      *meta_.physical, file_size_estimate());
+                                      *physical_, file_size_estimate());
   PFM_INFO("clusterfile: rebalance planned — ", plan.entries.size(),
            " migration(s), ", plan.min_bytes_total, " minimal byte(s)");
   mover_->enqueue(std::move(plan.entries));
@@ -1069,7 +1062,7 @@ RedistStats Clusterfile::relayout(PartitioningPattern new_physical,
   if (crash_tripped())
     throw SimulatedCrash(
         "relayout: metadata layer frozen by a tripped crash point");
-  const PartitioningPattern& old = *meta_.physical;
+  const PartitioningPattern& old = *physical_;
   if (new_physical.element_count() != old.element_count())
     throw std::invalid_argument("Clusterfile::relayout: element count changed");
   if (new_physical.displacement() != old.displacement())
@@ -1077,15 +1070,11 @@ RedistStats Clusterfile::relayout(PartitioningPattern new_physical,
   PFM_CHECK(file_size >= 0, "relayout: negative file size ", file_size);
 
   // Settle every quorum straggler (start_clients below replaces the clients
-  // that track them) and let in-flight repairs and migrations land, then
-  // adopt the published placement as the new baseline: the relayouted
-  // copies go wherever repair/rebalance moved them. The PlacementDirectory
-  // itself is never replaced (the detector callback and copy workers read
-  // the pointer concurrently); its table already says exactly what meta_
-  // is being synced to.
+  // that track them) and let in-flight repairs and migrations land: the
+  // relayouted copies go wherever the placement directory says repair and
+  // rebalance moved them.
   drain_stragglers();
   if (mover_) mover_->await_idle();
-  meta_.replicas = placement_->snapshot();
 
   // Collect current subfile contents (unwritten tails read as zeros) from
   // each subfile's authority: under W-of-N writes the primary may be the
@@ -1130,8 +1119,7 @@ RedistStats Clusterfile::relayout(PartitioningPattern new_physical,
     }
   for (auto& s : servers_)
     if (s) s->stop();
-  meta_.physical =
-      std::make_shared<const PartitioningPattern>(std::move(new_physical));
+  physical_ = std::make_shared<const PartitioningPattern>(std::move(new_physical));
   start_servers(&dst);
   start_clients();
   if (durable) {
@@ -1160,7 +1148,7 @@ void Clusterfile::persist_meta() {
   MutexLock lock(meta_mu_);
   if (!meta_store_.durable() || !meta_store_.exists(kMetaFile)) return;
   FileRecord next = meta_store_.lookup(kMetaFile);
-  next.subfile_falls = meta_.physical->elements();
+  next.subfile_falls = physical_->elements();
   next.size = std::max(next.size, file_size_estimate());
   // The table can be newer than its epoch (PlacementDirectory::update bumps
   // the epoch after unlocking): take it only under a newer epoch, so a

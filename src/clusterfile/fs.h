@@ -57,7 +57,7 @@ struct ClusterConfig {
   /// Block size for the per-block CRC integrity layer over each replica.
   /// 0 (default) = automatic: IntegrityStorage::kDefaultBlock whenever
   /// replication > 1 or storage faults are configured, off otherwise.
-  /// -1 = force off; > 0 = explicit block size.
+  /// > 0 = explicit block size. Negative values are rejected.
   std::int64_t integrity_block = 0;
   /// Self-healing (DESIGN.md "Self-healing"): run a heartbeat failure
   /// detector over the I/O nodes and, when one is declared dead,
@@ -163,8 +163,8 @@ class Clusterfile {
 
   int compute_nodes() const { return config_.compute_nodes; }
   int io_nodes() const { return config_.io_nodes; }
-  const PartitioningPattern& physical() const { return *meta_.physical; }
-  std::size_t subfile_count() const { return meta_.replicas.size(); }
+  const PartitioningPattern& physical() const { return *physical_; }
+  std::size_t subfile_count() const { return physical_->element_count(); }
 
   /// The client running on compute node c.
   ClusterfileClient& client(int c);
@@ -226,7 +226,7 @@ class Clusterfile {
   ReliabilityCounters repair_reliability() const;
 
   /// The heartbeat failure detector, or nullptr when self_heal is off.
-  /// mark_dead/mark_alive on it drive the repair hooks directly (tests).
+  /// mark_dead on it drives the repair hook directly (tests).
   FailureDetector* detector() { return detector_.get(); }
   /// Blocks until no background copy (repair or migration) is queued or
   /// executing, re-planning repairs for still-dead nodes. Each copy is
@@ -385,7 +385,7 @@ class Clusterfile {
   /// publishes task.new_replicas, runs the catch-up pulls, and journals
   /// the placement. Runs on a queue worker thread.
   bool move_copy(const MoveTask& task, MoveStats* stats);
-  bool is_crashed(std::size_t io_index) const PFM_EXCLUDES(crash_mu_);
+  bool is_crashed(std::size_t io_index) const PFM_EXCLUDES(member_mu_);
   /// Node is unusable as a data source or fan-out target: crashed,
   /// declared dead by the detector, or not serving (spare/retired). A
   /// *draining* node is still usable here — it holds live copies the drain
@@ -423,17 +423,15 @@ class Clusterfile {
   ClusterConfig config_;
   std::int64_t integrity_block_ = 0;  ///< resolved from config (0 = off)
   std::unique_ptr<Network> net_;
-  FileMeta meta_;
+  std::shared_ptr<const PartitioningPattern> physical_;
+  /// The one owner of replica rows: clients, servers, copy workers and the
+  /// metadata record all read the placement from here.
   std::shared_ptr<PlacementDirectory> placement_;
   /// One slot per *provisioned* I/O node (max_io_nodes); spare and retired
   /// slots hold nullptr. Slots are only replaced by restart_server /
   /// relayout / add_io_node, all of which first drain the workers that
   /// could hold a reference.
   std::vector<std::unique_ptr<IoServer>> servers_;
-  mutable Mutex crash_mu_{"Clusterfile::crash_mu"};
-  /// Per provisioned I/O node; read by copy workers, written by
-  /// crash/restart.
-  std::vector<char> crashed_ PFM_GUARDED_BY(crash_mu_);
   std::vector<std::unique_ptr<ClusterfileClient>> clients_;
   /// Distinct storage slot per repaired or migrated copy, so a new copy's
   /// file never collides with a prior node's surviving one.
@@ -441,9 +439,13 @@ class Clusterfile {
   /// Repairs and migrations (only with self_heal or ring_placement);
   /// before detector_: the detector enqueues into it.
   std::unique_ptr<MoveQueue> mover_;
-  /// Membership state. Leaf lock: nothing else is acquired under it.
+  /// Membership state and crash flags. Leaf lock: nothing else is acquired
+  /// under it.
   mutable Mutex member_mu_{"Clusterfile::member_mu"};
   std::vector<IoNodeState> node_state_ PFM_GUARDED_BY(member_mu_);
+  /// Per provisioned I/O node; read by copy workers, written by
+  /// crash/restart.
+  std::vector<char> crashed_ PFM_GUARDED_BY(member_mu_);
   PlacementRing ring_ PFM_GUARDED_BY(member_mu_);
   /// Placement every queued migration is moving toward; empty when no
   /// rebalance is pending (await_rebalance re-plans against it).

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "redist/gather_scatter.h"
-#include "redist/plan.h"
-#include "util/check.h"
 #include "util/log.h"
 
 namespace pfm {
@@ -14,40 +11,6 @@ namespace {
 
 bool contains(const std::vector<int>& v, int x) {
   return std::find(v.begin(), v.end(), x) != v.end();
-}
-
-/// Live bytes per subfile of a file prefix, evaluated from the diagonal
-/// INTERSECT/PROJ plan: old and new placements partition the file with the
-/// *same* physical pattern, so build_plan(physical, physical) yields one
-/// transfer per element with common = element ∩ element and identity
-/// projections. Whole common periods contribute bytes_per_period; the
-/// partial final period is counted through the gather index set.
-std::vector<std::int64_t> live_bytes_by_subfile(
-    const PartitioningPattern& physical, std::int64_t file_size) {
-  std::vector<std::int64_t> out(physical.element_count(), 0);
-  if (file_size <= physical.displacement()) return out;
-  const RedistPlan plan = build_plan(physical, physical);
-  for (const Transfer& t : plan.transfers) {
-    PFM_DCHECK(t.src_elem == t.dst_elem,
-               "diagonal plan has an off-diagonal transfer ", t.src_elem,
-               " -> ", t.dst_elem);
-    const std::int64_t span = file_size - plan.origin;
-    const std::int64_t periods = span / plan.period;
-    const std::int64_t tail = span % plan.period;
-    std::int64_t bytes = periods * t.bytes_per_period;
-    if (tail > 0) {
-      // Members of the common set inside the partial period, in file space
-      // relative to the origin.
-      const IndexSet common_idx(t.common, plan.period);
-      bytes += common_idx.count_in(0, tail - 1);
-    }
-    out[t.src_elem] = bytes;
-    PFM_DCHECK(bytes == physical.element_bytes(t.src_elem, file_size),
-               "INTERSECT/PROJ live bytes ", bytes, " != element_bytes ",
-               physical.element_bytes(t.src_elem, file_size), " for subfile ",
-               t.src_elem);
-  }
-  return out;
 }
 
 }  // namespace
@@ -124,7 +87,6 @@ RebalancePlan plan_rebalance(const std::vector<std::vector<int>>& current,
                 "plan_rebalance: duplicate replica node");
     }
 
-  std::vector<std::int64_t> live;  // computed lazily: most calls move little
   RebalancePlan plan;
   for (std::size_t i = 0; i < current.size(); ++i) {
     const std::vector<int>& cur = current[i];
@@ -144,7 +106,10 @@ RebalancePlan plan_rebalance(const std::vector<std::vector<int>>& current,
       throw std::invalid_argument(
           "plan_rebalance: target drops replicas without replacement");
     }
-    if (live.empty()) live = live_bytes_by_subfile(physical, file_size);
+    // A copy moves the subfile's live bytes: old and new placements
+    // partition the file with the same pattern, so the diagonal
+    // INTERSECT/PROJ transfer of the subfile is the subfile itself.
+    const std::int64_t live = physical.element_bytes(i, file_size);
     // One entry per copy gained, chained so each entry's published
     // placement is one migration past the previous: entry j removes
     // removed[j] (when it exists) and adds added[j]; the final entry's
@@ -162,7 +127,7 @@ RebalancePlan plan_rebalance(const std::vector<std::vector<int>>& current,
       }
       running.push_back(added[j]);
       e.new_replicas = (j + 1 == added.size()) ? tgt : running;
-      e.min_bytes = live[i];
+      e.min_bytes = live;
       plan.min_bytes_total += e.min_bytes;
       plan.entries.push_back(std::move(e));
     }

@@ -17,7 +17,7 @@
 //   pinned seed).
 // - plan_rebalance: a membership change diffs the current placement
 //   against the ring's target and plans the minimal set of copies; the
-//   minimal bytes come from the diagonal INTERSECT/PROJ plan.
+//   minimal bytes of a copy are its subfile's live bytes.
 // - MoveQueue: a fixed worker pool (kWorkers) over an injected execute
 //   hook, with started/completed/failed/bytes counters kept per kind. A
 //   failed task is terminal here — resumption is a re-plan against current
@@ -56,7 +56,7 @@ struct MoveTask {
   std::vector<int> new_replicas;  ///< placement after this task, primary
                                   ///< first (published atomically via the
                                   ///< PlacementDirectory epoch bump)
-  std::int64_t min_bytes = 0;  ///< INTERSECT/PROJ minimal live bytes
+  std::int64_t min_bytes = 0;  ///< the subfile's live bytes: the minimum
                                ///< (migrations; 0 for repairs)
 };
 
@@ -90,11 +90,12 @@ struct RebalancePlan {
 /// is unchanged produce no entry even when the order differs — reordering
 /// primaries would churn clients for zero data-safety gain. `file_size`
 /// bounds the live prefix the minimal-byte evaluation covers (0 = empty
-/// file: entries still planned, minima all zero). plan_rebalance evaluates
-/// the diagonal transfers of build_plan(physical, physical) over that
-/// prefix, which is both the per-entry minimum the bench gates against and
-/// a checked cross-validation of PartitioningPattern::element_bytes. Throws
-/// std::invalid_argument on malformed tables.
+/// file: entries still planned, minima all zero). An entry's minimum, the
+/// floor the bench gates against, is
+/// PartitioningPattern::element_bytes(subfile, file_size): the diagonal
+/// transfer of build_plan(physical, physical) over that prefix, since old
+/// and new placements share the pattern. Throws std::invalid_argument on
+/// malformed tables.
 RebalancePlan plan_rebalance(const std::vector<std::vector<int>>& current,
                              const std::vector<std::vector<int>>& target,
                              const PartitioningPattern& physical,

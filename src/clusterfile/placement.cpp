@@ -4,9 +4,6 @@
 
 namespace pfm {
 
-PlacementDirectory::PlacementDirectory(std::vector<std::vector<int>> replicas)
-    : PlacementDirectory(std::move(replicas), 0) {}
-
 PlacementDirectory::PlacementDirectory(std::vector<std::vector<int>> replicas,
                                        std::int64_t epoch) {
   for (const auto& reps : replicas)

@@ -1,14 +1,15 @@
 // Shared replica-placement directory (DESIGN.md "Self-healing").
 //
-// The repair planner re-places subfiles away from dead nodes while clients
-// keep running, so "which nodes hold subfile i" is no longer a constant of
-// FileMeta: it is versioned, concurrently-read state. The directory holds
-// the authoritative replica lists plus a monotonically increasing
-// placement epoch (persisted as the manifest's `placement` line);
-// clients compare the epoch at the start of every access and re-snapshot
-// their targets when it moved — the in-band analogue of a metadata-server
-// round trip. A fresh replica needs nothing else: every request carries its
-// own projection.
+// The repair planner and the rebalancer re-place subfiles while clients
+// keep running, so "which nodes hold subfile i" is versioned,
+// concurrently-read state, and this directory is its one owner. It holds
+// the replica lists plus a monotonically increasing placement epoch
+// (persisted as the manifest's `placement` line). Each client compares the
+// epoch at the start of every access and, when it moved, re-snapshots the
+// rows — the in-band analogue of a metadata-server round trip. Views and
+// cached access plans hold no placement, so nothing else needs refreshing,
+// and a fresh replica needs nothing either: every request carries its own
+// projection.
 #pragma once
 
 #include <atomic>
@@ -22,14 +23,11 @@ namespace pfm {
 
 class PlacementDirectory {
  public:
-  /// Initial placement: replicas[i] lists the nodes of subfile i, primary
-  /// first. Starts at epoch 0 — the "as created" placement.
-  explicit PlacementDirectory(std::vector<std::vector<int>> replicas);
-
-  /// Mount path: seeds the table *and* the epoch from recovered metadata,
-  /// so clients and the manifest agree on the placement version across a
-  /// remount instead of restarting from 0 (which would mask every repair
-  /// that happened before the crash).
+  /// replicas[i] lists the nodes of subfile i, primary first. A created
+  /// file starts at epoch 0. The mount path seeds the epoch from recovered
+  /// metadata, so clients and the manifest agree on the placement version
+  /// across a remount instead of restarting from 0 (which would mask every
+  /// repair that happened before the crash).
   PlacementDirectory(std::vector<std::vector<int>> replicas,
                      std::int64_t epoch);
 

@@ -84,10 +84,6 @@ void validate_falls(const Falls& f);
 /// disjoint; overlap checks use spans, i.e. [l, extent) ranges).
 void validate_falls_set(const FallsSet& set);
 
-/// True when the set denotes no bytes (empty, or members with size 0 cannot
-/// exist — validity requires l <= r — so this is just set.empty()).
-inline bool set_empty(const FallsSet& set) { return set.empty(); }
-
 /// True when at every level each member starts at or past the previous
 /// member's extent, so walking the tree visits its bytes in increasing
 /// order. Intersection and projection results may interleave members.

@@ -11,13 +11,13 @@ namespace pfm {
 
 PartitioningPattern::PartitioningPattern(std::vector<FallsSet> elements,
                                          std::int64_t displacement)
-    : elements_(std::move(elements)), displacement_(displacement) {
+    : displacement_(displacement) {
   if (displacement_ < 0)
     throw std::invalid_argument("PartitioningPattern: negative displacement");
-  if (elements_.empty())
+  if (elements.empty())
     throw std::invalid_argument("PartitioningPattern: no elements");
   size_ = 0;
-  for (const FallsSet& e : elements_) {
+  for (const FallsSet& e : elements) {
     validate_falls_set(e);
     size_ += set_size(e);
   }
@@ -26,7 +26,7 @@ PartitioningPattern::PartitioningPattern(std::vector<FallsSet> elements,
   // Tiling check: the element runs must cover [0, size_) exactly once.
   // Merge all runs of all elements and verify they abut from 0 to size_.
   std::vector<LineSegment> runs;
-  for (const FallsSet& e : elements_) {
+  for (const FallsSet& e : elements) {
     const auto r = set_runs(e);
     runs.insert(runs.end(), r.begin(), r.end());
   }
@@ -44,14 +44,20 @@ PartitioningPattern::PartitioningPattern(std::vector<FallsSet> elements,
   }
   if (cursor != size_)
     throw std::invalid_argument("PartitioningPattern: pattern not contiguous");
+  elements_.reserve(elements.size());
+  for (FallsSet& e : elements)
+    elements_.push_back(PatternElement{std::move(e), size_, displacement_});
+}
+
+std::vector<FallsSet> PartitioningPattern::elements() const {
+  std::vector<FallsSet> out;
+  out.reserve(elements_.size());
+  for (const PatternElement& e : elements_) out.push_back(e.falls);
+  return out;
 }
 
 ElementRef PartitioningPattern::element_ref(std::size_t i) const {
-  return ElementRef{&elements_.at(i), displacement_, size_};
-}
-
-PatternElement PartitioningPattern::pattern_element(std::size_t i) const {
-  return PatternElement{elements_.at(i), size_, displacement_};
+  return ElementRef{&elements_.at(i).falls, displacement_, size_};
 }
 
 std::size_t PartitioningPattern::element_of(std::int64_t file_off) const {
@@ -59,7 +65,7 @@ std::size_t PartitioningPattern::element_of(std::int64_t file_off) const {
     throw std::domain_error("element_of: offset before displacement");
   const std::int64_t phase = (file_off - displacement_) % size_;
   for (std::size_t i = 0; i < elements_.size(); ++i)
-    if (set_contains(elements_[i], phase)) return i;
+    if (set_contains(elements_[i].falls, phase)) return i;
   // The constructor proved the elements tile [0, size_) exactly.
   PFM_UNREACHABLE("element_of: no element owns phase ", phase);
 }
@@ -81,7 +87,7 @@ std::int64_t PartitioningPattern::element_bytes(std::size_t i,
   const std::int64_t span = file_size - displacement_;
   const std::int64_t periods = span / size_;
   const std::int64_t tail = span % size_;
-  const FallsSet& e = elements_.at(i);
+  const FallsSet& e = element(i);
   std::int64_t bytes = periods * set_size(e);
   if (tail > 0) bytes += set_rank(e, tail);
   return bytes;

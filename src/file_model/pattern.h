@@ -27,13 +27,17 @@ class PartitioningPattern {
   /// SIZE(P): the pattern period (sum of all element sizes).
   std::int64_t size() const { return size_; }
   std::size_t element_count() const { return elements_.size(); }
-  const FallsSet& element(std::size_t i) const { return elements_.at(i); }
-  const std::vector<FallsSet>& elements() const { return elements_; }
+  const FallsSet& element(std::size_t i) const { return elements_.at(i).falls; }
+  /// Copies of every element's FALLS (for metadata records).
+  std::vector<FallsSet> elements() const;
 
   /// The element's context for the mapping functions of mapping/map.h.
   ElementRef element_ref(std::size_t i) const;
-  /// The element's context for the intersection algorithm.
-  PatternElement pattern_element(std::size_t i) const;
+  /// The element's context for the intersection algorithm, built once by
+  /// the constructor.
+  const PatternElement& pattern_element(std::size_t i) const {
+    return elements_.at(i);
+  }
 
   /// Which element the file byte at `file_off` belongs to (file_off must be
   /// >= displacement). Every byte belongs to exactly one element.
@@ -49,7 +53,7 @@ class PartitioningPattern {
   std::int64_t element_bytes(std::size_t i, std::int64_t file_size) const;
 
  private:
-  std::vector<FallsSet> elements_;
+  std::vector<PatternElement> elements_;
   std::int64_t displacement_ = 0;
   std::int64_t size_ = 0;
 };

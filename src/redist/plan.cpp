@@ -116,9 +116,9 @@ RedistPlan build_plan(const PartitioningPattern& from,
   RedistPlan plan;
   bool first = true;
   for (std::size_t i = 0; i < from.element_count(); ++i) {
-    const PatternElement src = from.pattern_element(i);
+    const PatternElement& src = from.pattern_element(i);
     for (std::size_t j = 0; j < to.element_count(); ++j) {
-      const PatternElement dst = to.pattern_element(j);
+      const PatternElement& dst = to.pattern_element(j);
       Intersection x = intersect_nested(src, dst);
       if (first) {
         plan.period = x.period;

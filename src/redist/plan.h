@@ -41,8 +41,6 @@ struct RedistPlan {
   /// Total bytes exchanged per period (== period when patterns share the
   /// displacement, since every byte has a source and a destination).
   std::int64_t bytes_per_period() const;
-  /// Number of element pairs exchanging data (message count proxy).
-  std::size_t message_count() const { return transfers.size(); }
 };
 
 /// Builds the full pairwise plan. Cost: one nested intersection and two

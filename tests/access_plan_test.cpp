@@ -2,9 +2,12 @@
 // a client with the plan cache enabled and one with it disabled must be
 // observationally identical — byte-identical subfiles after randomized
 // writes, byte-identical buffers from repeated and period-shifted reads —
-// while the enabled client actually replays plans (hits > 0). Eviction and
-// the invalidation-on-set_view rule are exercised explicitly.
+// while the enabled client actually replays plans (hits > 0). Eviction,
+// plans outliving set_view and plans outliving a placement change are
+// exercised explicitly.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "clusterfile/fs.h"
 #include "layout/partitions2d.h"
@@ -199,7 +202,10 @@ TEST(AccessPlanCache, EvictionKeepsResultsExact) {
   EXPECT_GT(client.plan_cache_misses(), 3);  // re-misses after eviction
 }
 
-TEST(AccessPlanCache, SetViewInvalidatesAllPlans) {
+// Views never change once set and a plan holds no placement, so nothing
+// invalidates a plan: one cached for view A still replays after
+// set_view(B), and each view keeps its own plans side by side.
+TEST(AccessPlanCache, PlansSurviveSetView) {
   const std::int64_t n = 16;
   auto phys_elems = partition2d_all(Partition2D::kSquareBlocks, n, n, 4);
   const PartitioningPattern pattern({phys_elems.begin(), phys_elems.end()}, 0);
@@ -209,27 +215,61 @@ TEST(AccessPlanCache, SetViewInvalidatesAllPlans) {
 
   auto& client = fs.client(0);
   const std::int64_t vid = client.set_view(views[0], n * n);
-  Buffer data = make_pattern_buffer(static_cast<std::size_t>(view_bytes), 9);
-  client.write(vid, 0, view_bytes - 1, data);
-  client.write(vid, 0, view_bytes - 1, data);
-  EXPECT_GT(client.plan_cache_size(), 0u);
-  EXPECT_EQ(client.plan_cache_hits(), 1);
+  const Buffer data = make_pattern_buffer(static_cast<std::size_t>(view_bytes), 9);
+  EXPECT_EQ(client.write(vid, 0, view_bytes - 1, data).plan_misses, 1);
 
-  // A new view drops every cached plan; the old view id keeps working and
-  // rebuilds (miss, then hit again).
   const std::int64_t vid2 = client.set_view(views[1], n * n);
-  EXPECT_EQ(client.plan_cache_size(), 0u);
-  const auto t1 = client.write(vid, 0, view_bytes - 1, data);
-  EXPECT_EQ(t1.plan_misses, 1);
-  const auto t2 = client.write(vid, 0, view_bytes - 1, data);
-  EXPECT_EQ(t2.plan_hits, 1);
+  EXPECT_EQ(client.plan_cache_size(), 1u);
+  EXPECT_EQ(client.write(vid, 0, view_bytes - 1, data).plan_hits, 1);
+  const Buffer data2 =
+      make_pattern_buffer(static_cast<std::size_t>(view_bytes), 11);
+  EXPECT_EQ(client.write(vid2, 0, view_bytes - 1, data2).plan_misses, 1);
+  EXPECT_EQ(client.plan_cache_size(), 2u);
 
-  // Explicit invalidation is equivalent.
-  Buffer data2 = make_pattern_buffer(static_cast<std::size_t>(view_bytes), 11);
-  client.write(vid2, 0, view_bytes - 1, data2);
-  EXPECT_GT(client.plan_cache_size(), 0u);
-  client.invalidate_plans();
-  EXPECT_EQ(client.plan_cache_size(), 0u);
+  Buffer back(data.size());
+  EXPECT_EQ(client.read(vid, 0, view_bytes - 1, back).plan_hits, 1);
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(client.read(vid2, 0, view_bytes - 1, back).plan_hits, 1);
+  EXPECT_EQ(back, data2);
+}
+
+// The nodes serving a plan's targets come from the client's snapshot of
+// the placement directory, taken at each access, never from the plan. A
+// plan cached before decommission_node moved its subfile's copies (primary
+// included) still replays, and the access goes straight to the new holder.
+TEST(AccessPlanCache, PlanCachedBeforeAMoveReachesTheNewHolder) {
+  ClusterConfig cfg;
+  cfg.replication = 2;
+  cfg.ring_placement = true;
+  const std::int64_t n = 16;
+  auto phys_elems = partition2d_all(Partition2D::kRowBlocks, n, n, 4);
+  Clusterfile fs(cfg, PartitioningPattern({phys_elems.begin(), phys_elems.end()}, 0));
+  // A row-block view congruent with the physical partition: bytes [0, 63]
+  // of view 0 are subfile 0.
+  const auto views = partition2d_all(Partition2D::kRowBlocks, n, n, 4);
+  auto& client = fs.client(0);
+  const std::int64_t vid = client.set_view(views[0], n * n);
+  const Buffer data = make_pattern_buffer(64, 17);
+  const auto w = client.write(vid, 0, 63, data);
+  ASSERT_TRUE(w.ok());
+  ASSERT_EQ(w.plan_misses, 1);
+
+  const int old_primary = fs.replica_nodes(0)[0];
+  fs.decommission_node(static_cast<std::size_t>(old_primary - fs.compute_nodes()));
+  const std::vector<int> holders = fs.replica_nodes(0);
+  ASSERT_EQ(std::count(holders.begin(), holders.end(), old_primary), 0);
+
+  Buffer back(64);
+  const auto r = client.read(vid, 0, 63, back);
+  EXPECT_EQ(r.plan_hits, 1);
+  ASSERT_EQ(r.per_subfile.size(), 1u);
+  EXPECT_EQ(r.per_subfile[0].status, AccessStatus::kOk);
+  EXPECT_EQ(r.per_subfile[0].io_node, holders[0]);
+  EXPECT_EQ(r.per_subfile[0].failovers, 0);
+  EXPECT_EQ(r.rel.timeouts, 0);
+  EXPECT_EQ(client.reliability().timeouts, 0);
+  EXPECT_EQ(client.reliability().failovers, 0);
+  EXPECT_EQ(back, data);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCombinations, AccessPlanProperty,

@@ -323,6 +323,13 @@ TEST(Clusterfile, RelayoutValidation) {
                std::runtime_error);
 }
 
+TEST(Clusterfile, NegativeIntegrityBlockIsRejected) {
+  ClusterConfig cfg;
+  cfg.integrity_block = -1;
+  EXPECT_THROW(Clusterfile(cfg, pattern2d(Partition2D::kRowBlocks, 8, 4)),
+               std::invalid_argument);
+}
+
 TEST(Clusterfile, MultipleSubfilesPerIoNode) {
   // Four subfiles on two I/O nodes: the servers demultiplex by subfile id
   // and the write path stays byte-exact.

@@ -2,6 +2,7 @@
 // baseline, and the matching-degree metric (paper sections 3, 7, 9).
 #include <gtest/gtest.h>
 
+#include "clusterfile/mover.h"
 #include "falls/print.h"
 #include "file_model/file.h"
 #include "layout/array_layout.h"
@@ -100,6 +101,53 @@ TEST(Redist, PartialTailPeriod) {
       make_pattern({{make_falls(0, 0, 2, 2)}, {make_falls(1, 1, 2, 2)}});
   for (std::int64_t size : {0, 1, 3, 4, 5, 7, 9, 11}) {
     check_redist(from, to, size, 7 + static_cast<std::uint64_t>(size));
+  }
+}
+
+// plan_rebalance prices a subfile copy at PartitioningPattern::element_bytes.
+// Old and new placements partition the file with one pattern, so that must
+// equal the diagonal INTERSECT/PROJ transfer of build_plan(physical,
+// physical) over the file prefix: whole common periods, plus the common
+// set's bytes inside a partial last period.
+TEST(Redist, DiagonalPlanLiveBytesMatchRebalanceMinima) {
+  const std::int64_t n = 16;
+  const std::vector<Dist> cyclic = {Dist::block_cyclic(3), Dist::block_cyclic(2)};
+  const std::vector<std::vector<FallsSet>> layouts = {
+      partition2d_all(Partition2D::kRowBlocks, n, n, 4),
+      partition2d_all(Partition2D::kColumnBlocks, n, n, 4),
+      partition2d_all(Partition2D::kSquareBlocks, n, n, 4),
+      layout_all(ArrayDesc{{n, n}, 1}, cyclic, GridDesc{{2, 2}})};
+  for (const std::vector<FallsSet>& elems : layouts) {
+    for (const std::int64_t disp : {0, 5}) {
+      const PartitioningPattern phys(elems, disp);
+      const RedistPlan plan = build_plan(phys, phys);
+      ASSERT_EQ(plan.transfers.size(), phys.element_count());
+      // Every subfile moves from node 10 to node 11.
+      const std::vector<std::vector<int>> current(phys.element_count(), {10});
+      const std::vector<std::vector<int>> target(phys.element_count(), {11});
+      for (const std::int64_t size :
+           {disp, disp + 1, disp + 37, disp + n * n, disp + n * n + 100,
+            disp + 3 * n * n - 1}) {
+        const RebalancePlan rp = plan_rebalance(current, target, phys, size);
+        ASSERT_EQ(rp.entries.size(), phys.element_count());
+        std::int64_t total = 0;
+        for (const Transfer& t : plan.transfers) {
+          ASSERT_EQ(t.src_elem, t.dst_elem);
+          const std::int64_t span = size - plan.origin;
+          std::int64_t bytes = span / plan.period * t.bytes_per_period;
+          if (span % plan.period > 0)
+            bytes += IndexSet(t.common, plan.period)
+                         .count_in(0, span % plan.period - 1);
+          EXPECT_EQ(bytes, phys.element_bytes(t.src_elem, size))
+              << "subfile " << t.src_elem << ", size " << size;
+          EXPECT_EQ(bytes, rp.entries[t.src_elem].min_bytes)
+              << "subfile " << t.src_elem << ", size " << size;
+          total += bytes;
+        }
+        EXPECT_EQ(total, size - disp);
+        EXPECT_EQ(rp.min_bytes_total, size - disp);
+      }
+    }
   }
 }
 

@@ -83,7 +83,9 @@ TEST(SetViewAlloc, CountDoesNotGrowWithMatrixSize) {
 // view_churn's three shapes (column blocks, square blocks, block-cyclic(64)
 // on a 2 x 2 grid) on the 1024 x 1024 square-block file of perfbench, each
 // element in turn. Before views borrowed their inputs the medians over 50
-// calls were 208 (column), 160 (square) and 507 (block-cyclic): 875.
+// calls were 208 (column), 160 (square) and 507 (block-cyclic): 875. While
+// each view target still copied its replica row and each subfile's
+// PatternElement was copied out of the pattern, they were 57, 37 and 196.
 TEST(SetViewAlloc, ViewChurnShapesAllocateHalfAsMuch) {
   constexpr std::int64_t kEdge = 1024;
   const std::vector<FallsSet> physical =
@@ -93,10 +95,13 @@ TEST(SetViewAlloc, ViewChurnShapesAllocateHalfAsMuch) {
       partition2d_all(Partition2D::kColumnBlocks, kEdge, kEdge, 4),
       partition2d_all(Partition2D::kSquareBlocks, kEdge, kEdge, 4),
       layout_all(ArrayDesc{{kEdge, kEdge}, 1}, cyclic, GridDesc{{2, 2}})};
+  const std::int64_t bounds[] = {43, 24, 180};
   std::int64_t total = 0;
-  for (const std::vector<FallsSet>& views : shapes) {
-    const std::int64_t median = median_allocations(physical, views, kEdge * kEdge, 50);
+  for (std::size_t k = 0; k < 3; ++k) {
+    const std::int64_t median =
+        median_allocations(physical, shapes[k], kEdge * kEdge, 50);
     std::cout << "view_churn shape: " << median << " allocations\n";
+    EXPECT_LE(median, bounds[k]) << "shape " << k;
     total += median;
   }
   EXPECT_LE(total, 875 / 2);
