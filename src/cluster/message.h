@@ -31,13 +31,13 @@ enum class MsgKind : std::uint8_t {
   kShutdown,     ///< stop the server loop (immune to fault injection)
   kSyncRequest,  ///< server -> server: restarted or migrating replica asks a
                  ///< peer for the write ranges it missed; v carries the
-                 ///< requester's epoch, w a chunk byte limit (0: unlimited),
+                 ///< requester's epoch, w a chunk byte limit (>= 1),
                  ///< resume a full-transfer offset
-  kSyncReply,    ///< server -> server: missed ranges (meta "off:len;..." +
-                 ///< concatenated payload); v carries the peer's — possibly
-                 ///< partial — epoch, w a mode code (delta/full x
-                 ///< complete/partial), resume the next offset when
-                 ///< a full transfer was chunk-limited
+  kSyncReply,    ///< server -> server: the missed bytes as a kWrite carries
+                 ///< them (meta a projection, payload its bytes in order);
+                 ///< v carries the peer's — possibly partial — epoch, w two
+                 ///< flags (bit 0 full transfer, bit 1 chunk-limited),
+                 ///< resume the next offset of a chunk-limited full transfer
   kPing,         ///< detector -> server: liveness probe; v carries a probe
                  ///< sequence number the pong echoes
   kPong,         ///< server -> detector: liveness answer
@@ -123,10 +123,10 @@ struct Message {
   bool contiguous = false;    ///< write fast path: payload maps contiguously
   /// kWrite / kRead: the target's subfile projection PROJ_S^{V∩S} as
   /// encode_projection's "<period> <falls>" — every data request carries
-  /// its own, so servers keep no per-view state. kError: the reason.
-  /// kSyncReply: the "off:len;..." range list.
+  /// its own, so servers keep no per-view state. kSyncReply: the byte set
+  /// it carries, in the same form. kError: the reason.
   std::string meta;
-  Payload payload;            ///< data bytes for kWrite / kReadReply
+  Payload payload;            ///< data bytes: kWrite, kReadReply, kSyncReply
 
   /// Request id, unique across the process; replies echo it. 0 means "no
   /// reliability protocol" (raw test traffic) — servers skip dedup for it.

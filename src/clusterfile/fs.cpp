@@ -1003,11 +1003,10 @@ std::vector<std::vector<int>> Clusterfile::ring_target() const {
 
 std::int64_t Clusterfile::file_size_estimate() const {
   // Dense-prefix inversion: sum over subfiles of the first live replica's
-  // stored bytes, plus the displacement no subfile stores. Under
-  // replication the storage stack tops with IntegrityStorage, whose size()
-  // is lock-protected, so the estimate is safe against concurrent
-  // foreground writes (and deliberately approximate — it only bounds the
-  // live prefix the plan's minima cover).
+  // stored bytes, plus the displacement no subfile stores. Each server
+  // records its subfiles' sizes under its own lock, so the estimate is safe
+  // against concurrent foreground writes (and deliberately approximate — it
+  // only bounds the live prefix the plan's minima cover).
   std::int64_t total = physical_->displacement();
   const std::vector<std::vector<int>> snap = placement_->snapshot();
   for (std::size_t i = 0; i < snap.size(); ++i) {
@@ -1016,7 +1015,7 @@ std::int64_t Clusterfile::file_size_estimate() const {
           static_cast<std::size_t>(node - config_.compute_nodes);
       if (idx >= servers_.size() || !servers_[idx] || is_crashed(idx)) continue;
       if (!servers_[idx]->has_subfile(static_cast<int>(i))) continue;
-      total += servers_[idx]->storage(static_cast<int>(i)).size();
+      total += servers_[idx]->subfile_size(static_cast<int>(i));
       break;
     }
   }

@@ -454,7 +454,9 @@ class Clusterfile {
   std::unique_ptr<FailureDetector> detector_;
   /// Durable metadata store (journal attached iff metadata_dir is set).
   /// meta_mu_ serialises the persisting callers (copy workers vs the main
-  /// thread); it is a leaf lock below member_mu_.
+  /// thread). It sits above member_mu_: persist_meta holds it while taking
+  /// member_mu_, PlacementDirectory::mu and IoServer::mu, and across the
+  /// journal's fdatasync.
   mutable Mutex meta_mu_{"Clusterfile::meta_mu"};
   MetadataManager meta_store_ PFM_GUARDED_BY(meta_mu_);
   MountReport mount_report_;

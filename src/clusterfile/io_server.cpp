@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <system_error>
 
-#include "util/arith.h"
+#include "falls/compress.h"
 #include "util/log.h"
 
 namespace pfm {
@@ -24,15 +23,9 @@ std::uint64_t next_sync_req_id() {
 
 using Ranges = std::vector<IoVec>;
 
-/// kSyncReply mode codes, carried in the reply's w field. The *Done modes
-/// are the pre-chunking protocol (0 = delta, 1 = full) so an unchunked pull
-/// is wire-identical to the old one; the *Part modes chunk a transfer.
-constexpr int kSyncDeltaDone = 0;  ///< delta, complete: adopt reply epoch
-constexpr int kSyncFullDone = 1;   ///< full, complete: adopt (capped) epoch
-constexpr int kSyncDeltaPart = 2;  ///< delta, chunk-limited: adopt the
-                                   ///< partial epoch, pull again to continue
-constexpr int kSyncFullPart = 3;   ///< full, chunk-limited: apply bytes but
-                                   ///< do NOT adopt; continue at resume
+/// The two flags of a kSyncReply's w field.
+constexpr std::int64_t kFullBit = 1;  ///< a full transfer, not a delta
+constexpr std::int64_t kMoreBit = 2;  ///< chunk-limited: pull again
 
 /// Sorts and coalesces overlapping or adjacent (offset, length) ranges.
 Ranges merge_ranges(Ranges ranges) {
@@ -61,30 +54,46 @@ void check_interval(const Message& msg) {
                                                  std::to_string(msg.w) + "]");
 }
 
-/// Wire form of a range list: "off:len;off:len;...".
-std::string format_ranges(const Ranges& ranges) {
-  std::string out;
-  for (const auto& [off, len] : ranges)
-    out += std::to_string(off) + ":" + std::to_string(len) + ";";
-  return out;
+/// The maximal runs `proj` selects in [v, w], ascending.
+Ranges runs_in(const IndexSet& proj, std::int64_t v, std::int64_t w) {
+  Ranges runs;
+  proj.for_each_run_in(v, w, [&](std::int64_t lo, std::int64_t hi) {
+    runs.push_back({lo, hi - lo + 1});
+  });
+  return runs;
 }
 
-Ranges parse_ranges(const std::string& text) {
-  Ranges out;
-  std::stringstream ss(text);
-  std::string tok;
-  while (std::getline(ss, tok, ';')) {
-    if (tok.empty()) continue;
-    const std::size_t colon = tok.find(':');
-    if (colon == std::string::npos)
-      throw std::invalid_argument("IoServer: malformed sync range '" + tok + "'");
-    const std::int64_t off = parse_i64(tok.substr(0, colon));
-    const std::int64_t len = parse_i64(tok.substr(colon + 1));
-    if (off < 0 || len <= 0)
-      throw std::invalid_argument("IoServer: bad sync range '" + tok + "'");
-    out.push_back({off, len});
-  }
-  return out;
+/// Writes `payload` to the bytes `proj` selects in [v, w] and returns the
+/// runs written. The payload must hold exactly those bytes, or it is refused
+/// before storage sees one: a mismatch would silently shear every later run.
+/// One vectorized scatter: the run walk yields ascending maximal runs (a
+/// contiguous projection is just the one-run case), and writev lets the
+/// integrity layer checksum each touched block once instead of once per
+/// run — the difference between O(runs) and O(blocks) CRC work.
+Ranges apply_projection(SubfileStorage& storage, const IndexSet& proj,
+                        std::int64_t v, std::int64_t w,
+                        const Payload& payload) {
+  const std::int64_t n = proj.count_in(v, w);
+  if (static_cast<std::int64_t>(payload.size()) != n)
+    throw ProtocolError(ErrCode::kMalformed,
+                        "IoServer: payload of " +
+                            std::to_string(payload.size()) +
+                            " bytes, projection selects " + std::to_string(n));
+  Ranges runs = runs_in(proj, v, w);
+  if (!runs.empty()) storage.writev(runs, payload);
+  storage.flush();
+  return runs;
+}
+
+/// The `n` bytes `proj` selects in [v, w], in one new buffer. One
+/// vectorized gather through the full storage stack: each touched
+/// integrity block is read and checked once, however many runs share it.
+Buffer read_projection(const SubfileStorage& storage, const IndexSet& proj,
+                       std::int64_t v, std::int64_t w, std::int64_t n) {
+  Buffer bytes(static_cast<std::size_t>(n));
+  const Ranges runs = runs_in(proj, v, w);
+  if (!runs.empty()) storage.readv(runs, bytes);
+  return bytes;
 }
 
 }  // namespace
@@ -101,6 +110,7 @@ IoServer::IoServer(Network& net, int node_id, SubfileStorages subfiles,
   for (auto& [id, storage] : subfiles) {
     if (!storage) throw std::invalid_argument("IoServer: null storage");
     Subfile sub;
+    sub.size = storage->size();
     sub.storage = std::move(storage);
     const bool inserted = subfiles_.emplace(id, std::move(sub)).second;
     if (!inserted) throw std::invalid_argument("IoServer: duplicate subfile id");
@@ -127,6 +137,7 @@ bool IoServer::adopt_subfile(int subfile_id,
                              std::unique_ptr<SubfileStorage> storage) {
   if (!storage) throw std::invalid_argument("IoServer: null storage");
   Subfile sub;
+  sub.size = storage->size();
   sub.storage = std::move(storage);
   MutexLock lock(mu_);
   return subfiles_.emplace(subfile_id, std::move(sub)).second;
@@ -162,6 +173,14 @@ std::int64_t IoServer::subfile_epoch(int subfile_id) const {
   if (it == subfiles_.end())
     throw std::out_of_range("IoServer::subfile_epoch: subfile not served here");
   return it->second.storage->epoch();
+}
+
+std::int64_t IoServer::subfile_size(int subfile_id) const {
+  MutexLock lock(mu_);
+  const auto it = subfiles_.find(subfile_id);
+  if (it == subfiles_.end())
+    throw std::out_of_range("IoServer::subfile_size: subfile not served here");
+  return it->second.size;
 }
 
 double IoServer::scatter_us() const {
@@ -239,7 +258,12 @@ void IoServer::handle(Message&& msg) {
       case MsgKind::kSyncRequest: handle_sync_request(std::move(msg)); return;
       case MsgKind::kSyncReply: handle_sync_reply(std::move(msg)); return;
       case MsgKind::kPing: handle_ping(msg); return;
-      case MsgKind::kError: handle_error_reply(msg); return;
+      case MsgKind::kError:
+        // The only requests a server sends are sync pulls.
+        PFM_WARN("IoServer ", node_id_, ": sync pull ", msg.req_id,
+                 " refused: ", to_string(msg.err), " (", msg.meta, ")");
+        finish_sync(msg.req_id, SyncOutcome{});
+        return;
       default:
         PFM_WARN("IoServer ", node_id_, ": unexpected message ",
                  to_string(msg.kind));
@@ -319,27 +343,13 @@ void IoServer::handle_write(Message&& msg) {
   // that PROJ_V was contiguous (no gather happened there); the payload is
   // the common bytes in file order either way, but contiguity in view space
   // does not imply contiguity in subfile space.
-  // The payload must hold exactly the member bytes of [vS, wS]: a mismatch
-  // would silently shear every later run of the scatter loop.
-  const std::int64_t n = proj.count_in(msg.v, msg.w);
-  if (static_cast<std::int64_t>(msg.payload.size()) != n)
-    throw ProtocolError(ErrCode::kMalformed,
-                        "IoServer: write payload of " +
-                            std::to_string(msg.payload.size()) +
-                            " bytes, projection selects " + std::to_string(n));
   {
     Timer t;
-    // One vectorized scatter: the run walk yields ascending maximal runs (a
-    // contiguous projection is just the one-run case), and writev lets the
-    // integrity layer checksum each touched block once instead of once per
-    // run — the difference between O(runs) and O(blocks) CRC work.
-    std::vector<IoVec> runs;
-    proj.for_each_run_in(msg.v, msg.w, [&](std::int64_t lo, std::int64_t hi) {
-      runs.push_back({lo, hi - lo + 1});
-    });
-    if (!runs.empty()) sub.storage->writev(runs, msg.payload);
-    sub.storage->flush();
+    Ranges runs =
+        apply_projection(*sub.storage, proj, msg.v, msg.w, msg.payload);
+    const std::int64_t size = sub.storage->size();
     MutexLock lock(mu_);
+    sub.size = size;
     if (track_epochs_ && !runs.empty()) {
       // The epoch bumps only after the whole write applied: a write that
       // failed partway (injected fault) leaves the epoch behind, so a peer
@@ -376,15 +386,7 @@ void IoServer::handle_read(Message&& msg) {
   reply.w = msg.w;
   {
     Timer t;
-    Buffer bytes(static_cast<std::size_t>(n));
-    // Vectorized gather, mirroring handle_write: one readv verifies each
-    // touched integrity block once rather than once per run.
-    std::vector<IoVec> runs;
-    proj.for_each_run_in(msg.v, msg.w, [&](std::int64_t lo, std::int64_t hi) {
-      runs.push_back({lo, hi - lo + 1});
-    });
-    if (!runs.empty()) sub.storage->readv(runs, bytes);
-    reply.payload = std::move(bytes);
+    reply.payload = read_projection(*sub.storage, proj, msg.v, msg.w, n);
     MutexLock lock(mu_);
     gather_.add_us(t.elapsed_us());
   }
@@ -392,26 +394,27 @@ void IoServer::handle_read(Message&& msg) {
 }
 
 void IoServer::handle_sync_request(Message&& msg) {
-  // Wire format: v = requester epoch, w = chunk byte limit (0: unlimited),
-  // resume = full-transfer resume offset. The reply's w is a mode code —
-  // kSyncDeltaDone / kSyncFullDone complete the pull, kSyncDeltaPart /
-  // kSyncFullPart mean "pull again" (the *Part modes exist so a migration
-  // can be chunked against foreground traffic and resumed after a crash).
+  // Wire format: v = requester epoch, w = chunk byte limit (>= 1), resume =
+  // full-transfer resume offset. The reply's v is the epoch the requester
+  // may adopt and its w carries kFullBit and kMoreBit ("pull again": a
+  // migration is chunked against foreground traffic and resumes after a
+  // crash). Its meta is the byte set as a projection, its payload those
+  // bytes in order, exactly as a kWrite carries them.
   Subfile& sub = subfile_for(msg);
   const std::int64_t their_epoch = msg.v;
   const std::int64_t chunk = msg.w;
   const std::int64_t resume = msg.resume;
-  if (chunk < 0 || resume < 0)
-    throw ProtocolError(ErrCode::kMalformed,
-                        "IoServer: negative sync chunk or resume offset");
-  std::int64_t my_epoch = 0;
+  if (chunk < 1 || resume < 0)
+    throw ProtocolError(
+        ErrCode::kMalformed,
+        "IoServer: sync chunk below 1 or negative resume offset");
   std::int64_t reply_epoch = 0;
+  std::int64_t flags = 0;
   std::int64_t next_offset = 0;
   Ranges ranges;
-  int mode = kSyncDeltaDone;
   {
     MutexLock lock(mu_);
-    my_epoch = sub.storage->epoch();
+    const std::int64_t my_epoch = sub.storage->epoch();
     reply_epoch = my_epoch;
     if (my_epoch > their_epoch) {
       // Incremental only when the log still reaches back to the epoch right
@@ -438,8 +441,8 @@ void IoServer::handle_sync_request(Message&& msg) {
         std::int64_t body = 0;
         for (const LogEntry& le : sub.write_log) {
           if (le.epoch <= their_epoch) continue;
-          if (chunk > 0 && body > 0 && body >= chunk) {
-            mode = kSyncDeltaPart;
+          if (body >= chunk) {
+            flags = kMoreBit;
             break;
           }
           for (const auto& [off, len] : le.ranges) body += len;
@@ -449,14 +452,12 @@ void IoServer::handle_sync_request(Message&& msg) {
       } else {
         const std::int64_t size = sub.storage->size();
         const std::int64_t lo = std::min(resume, size);
-        const std::int64_t hi =
-            chunk > 0 ? std::min(size, lo + chunk) : size;
+        const std::int64_t hi = lo + std::min(chunk, size - lo);
         if (hi > lo) ranges.push_back({lo, hi - lo});
+        flags = kFullBit;
         if (hi < size) {
-          mode = kSyncFullPart;
+          flags |= kMoreBit;
           next_offset = hi;
-        } else {
-          mode = kSyncFullDone;
         }
       }
     }
@@ -466,30 +467,33 @@ void IoServer::handle_sync_request(Message&& msg) {
   reply.dst_node = msg.src_node;
   reply.subfile = msg.subfile;
   reply.v = reply_epoch;
-  reply.w = mode;
+  reply.w = flags;
   reply.resume = next_offset;
   if (!ranges.empty()) {
-    if (mode == kSyncDeltaDone || mode == kSyncDeltaPart)
-      ranges = merge_ranges(std::move(ranges));
-    // One vectored read through the full storage stack: corruption on this
-    // peer surfaces as kCorruptData (via handle's catch) instead of
-    // spreading, and a block several ranges share is read and checked once.
-    std::int64_t total = 0;
-    for (const IoVec& r : ranges) total += r.len;
-    Buffer bytes(static_cast<std::size_t>(total));
-    sub.storage->readv(ranges, bytes);
-    reply.payload = std::move(bytes);
-    reply.meta = format_ranges(ranges);
+    // compress_runs takes the sorted maximal runs merge_ranges returns and
+    // keeps them in order, so its members never interleave: the requester
+    // decodes the set in O(members). Its period ends with the last byte.
+    std::vector<LineSegment> runs;
+    for (const auto& [off, len] : merge_ranges(std::move(ranges)))
+      runs.push_back({off, off + len - 1});
+    const IndexSet set(compress_runs(runs), runs.back().r + 1);
+    reply.meta = encode_projection(set.falls(), set.period());
+    // The payload is read through the set the meta names, so the two agree
+    // by construction, and through the full storage stack: corruption on
+    // this peer surfaces as kCorruptData (via handle's catch) instead of
+    // spreading.
+    reply.payload =
+        read_projection(*sub.storage, set, 0, set.period() - 1, set.size());
   }
   finish_reply(msg, std::move(reply), /*cacheable=*/false);
 }
 
 void IoServer::handle_sync_reply(Message&& msg) {
-  // Runs on the loop thread of the pulling replica. Failures are recorded
-  // for the waiting sync_subfile call, never bounced back to the peer — it
-  // already did its part. A reply whose call already timed out is dropped
-  // unapplied: only the waiting call knows the epoch cap a chunked full
-  // stream must adopt, and the caller pulls again anyway.
+  // Runs on the loop thread of the pulling replica. A bad reply fails the
+  // pull before storage sees a byte, and is never bounced back to the peer
+  // — it already did its part. A reply whose call already timed out is
+  // dropped unapplied: only the waiting call knows the epoch cap a chunked
+  // full stream must adopt, and the caller pulls again anyway.
   SyncOutcome out;
   try {
     Subfile* subp = nullptr;
@@ -510,42 +514,27 @@ void IoServer::handle_sync_reply(Message&& msg) {
       my_epoch = subp->storage->epoch();
     }
     Subfile& sub = *subp;
-    const int mode =
-        msg.w >= kSyncDeltaDone && msg.w <= kSyncFullPart
-            ? static_cast<int>(msg.w)
-            : throw std::runtime_error("sync reply with an unknown mode");
-    out.full = mode == kSyncFullDone || mode == kSyncFullPart;
-    out.more = mode == kSyncDeltaPart || mode == kSyncFullPart;
-    out.next_offset = mode == kSyncFullPart ? msg.resume : 0;
+    if (msg.w < 0 || msg.w > (kFullBit | kMoreBit))
+      throw std::runtime_error("sync reply with unknown flags");
+    out.full = (msg.w & kFullBit) != 0;
+    out.more = (msg.w & kMoreBit) != 0;
+    out.next_offset = out.full && out.more ? msg.resume : 0;
     out.peer_epoch = msg.v;
     // Apply only when the peer is strictly ahead of our *current* epoch:
     // a stale duplicate reply (an abandoned earlier attempt arriving late)
     // must not overwrite newer content.
     if (!msg.meta.empty() && msg.v > my_epoch) {
-      // The whole range list is validated before storage sees any of it:
-      // ascending and disjoint (the writev contract), lengths summing to
-      // exactly the payload. The bound reads `len > size - off` so a length
-      // near INT64_MAX cannot overflow past it.
-      const Ranges ranges = parse_ranges(msg.meta);
-      const auto size = static_cast<std::int64_t>(msg.payload.size());
-      std::int64_t off = 0;
-      std::int64_t prev_end = 0;
-      for (const auto& [lo, len] : ranges) {
-        if (lo < prev_end)
-          throw std::runtime_error("sync ranges not ascending and disjoint");
-        if (len > size - off)
-          throw std::runtime_error("sync payload shorter than its ranges");
-        off += len;
-        prev_end = add_checked(lo, len);
-      }
-      if (off != size)
-        throw std::runtime_error("sync payload longer than its ranges");
-      sub.storage->writev(ranges, msg.payload);
-      out.bytes = size;
-      out.ranges = static_cast<std::int64_t>(ranges.size());
-      sub.storage->flush();
+      // Decoded here, not through the projection cache: each reply carries
+      // a byte set of its own.
+      const IndexSet set = decode_projection(msg.meta);
+      const Ranges runs =
+          apply_projection(*sub.storage, set, 0, set.period() - 1, msg.payload);
+      out.bytes = static_cast<std::int64_t>(msg.payload.size());
+      out.ranges = static_cast<std::int64_t>(runs.size());
+      const std::int64_t size = sub.storage->size();
       MutexLock lock(mu_);
-      if (mode != kSyncFullPart) {
+      sub.size = size;
+      if (!(out.full && out.more)) {
         // The cap (set by chunked full streams) pins the adopted epoch to
         // the stream's *start*, so a follow-up delta pull re-fetches every
         // write that raced the stream; without it the epoch would claim
@@ -561,14 +550,18 @@ void IoServer::handle_sync_reply(Message&& msg) {
     }
     out.ok = true;
   } catch (const std::exception& e) {
+    PFM_WARN("IoServer ", node_id_, ": sync reply refused: ", e.what());
     out.ok = false;
-    out.error = e.what();
   }
+  finish_sync(msg.req_id, out);
+}
+
+void IoServer::finish_sync(std::uint64_t req_id, const SyncOutcome& out) {
   {
     MutexLock lock(mu_);
-    const auto wit = sync_waits_.find(msg.req_id);
+    const auto wit = sync_waits_.find(req_id);
     if (wit == sync_waits_.end()) {
-      PFM_WARN("IoServer ", node_id_, ": stale sync reply ", msg.req_id);
+      PFM_WARN("IoServer ", node_id_, ": no sync pull waits for ", req_id);
       return;
     }
     wit->second.out = out;
@@ -577,31 +570,10 @@ void IoServer::handle_sync_reply(Message&& msg) {
   sync_cv_.notify_all();
 }
 
-void IoServer::handle_error_reply(const Message& msg) {
-  // The only requests a server originates are sync pulls; route the error
-  // to the waiting sync_subfile call.
-  {
-    MutexLock lock(mu_);
-    const auto wit = sync_waits_.find(msg.req_id);
-    if (wit != sync_waits_.end()) {
-      wit->second.out.ok = false;
-      wit->second.out.error =
-          std::string(to_string(msg.err)) + ": " + msg.meta;
-      wit->second.done = true;
-    } else {
-      PFM_WARN("IoServer ", node_id_, ": unexpected error reply ",
-               to_string(msg.err), " (", msg.meta, ")");
-      return;
-    }
-  }
-  sync_cv_.notify_all();
-}
-
 IoServer::SyncOutcome IoServer::sync_subfile(
     int subfile_id, int peer_node, std::chrono::nanoseconds timeout,
     std::int64_t chunk_bytes, std::int64_t resume_offset,
     std::int64_t adopt_epoch_cap) {
-  SyncOutcome out;
   const std::uint64_t id = next_sync_req_id();
   Message req;
   req.kind = MsgKind::kSyncRequest;
@@ -613,10 +585,7 @@ IoServer::SyncOutcome IoServer::sync_subfile(
   {
     MutexLock lock(mu_);
     const auto it = subfiles_.find(subfile_id);
-    if (it == subfiles_.end()) {
-      out.error = "subfile not served here";
-      return out;
-    }
+    if (it == subfiles_.end()) return {};
     req.v = it->second.storage->epoch();
     // Register before sending: the reply may race us.
     sync_waits_[id].adopt_cap = adopt_epoch_cap;
@@ -625,22 +594,20 @@ IoServer::SyncOutcome IoServer::sync_subfile(
   if (!net_.send(node_id_, std::move(req))) {
     MutexLock lock(mu_);
     sync_waits_.erase(id);
-    out.error = "peer unreachable";
-    return out;
+    return {};
   }
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   MutexLock lock(mu_);
   // Explicit wait loop (not the predicate-lambda overload): the
   // thread-safety analysis cannot see mu_ inside a lambda, and the loop
   // keeps every sync_waits_ access visibly under the lock. A timed-out wait
-  // is abandoned; a reply arriving later finds no waiter and is dropped.
+  // is abandoned, its outcome still the failed default; a reply arriving
+  // later finds no waiter and is dropped.
   bool timed_out = false;
   while (!sync_waits_[id].done && !timed_out)
     timed_out = sync_cv_.wait_until(lock, deadline) == std::cv_status::timeout;
-  const SyncWait wait = sync_waits_[id];
+  const SyncOutcome out = sync_waits_[id].out;
   sync_waits_.erase(id);
-  if (wait.done) return wait.out;
-  out.error = "peer did not answer the sync request";
   return out;
 }
 

@@ -29,7 +29,10 @@
 // epoch to a live peer; the peer answers kSyncReply with the ranges written
 // since that epoch (or a full transfer when its log no longer reaches back
 // that far), and the requester applies them and adopts the peer's epoch
-// before rejoining. Storage-level faults map to structured errors:
+// before rejoining. A reply names its bytes as a projection, the form every
+// kWrite carries, and is applied by the same code as a write: one decoder
+// parses every byte set a server accepts. Storage-level faults map to
+// structured errors:
 // StorageCorruptionError -> kCorruptData (terminal; the client fails over),
 // EIO -> kIoError (retryable; error replies are never cached, so the resend
 // re-executes).
@@ -88,6 +91,11 @@ class IoServer {
   std::vector<int> subfile_ids() const;
   /// Current write epoch of a subfile served here.
   std::int64_t subfile_epoch(int subfile_id) const;
+  /// Size of a subfile served here as of the last write or sync this server
+  /// applied to it (or its storage's size when serving began). Safe while
+  /// the loop thread grows the storage, unlike storage(id).size(); a scrub
+  /// repair through storage_mut shows at the next applied write.
+  std::int64_t subfile_size(int subfile_id) const;
 
   /// Accumulated scatter/gather time at this server, in microseconds
   /// (Table 2's t_s is the scatter part).
@@ -124,19 +132,20 @@ class IoServer {
     std::int64_t next_offset = 0;  ///< resume offset for the next full-
                                    ///< transfer chunk (valid when more)
     std::int64_t peer_epoch = 0;   ///< peer epoch observed on this pull
-    std::string error;             ///< why not, when !ok
   };
 
   /// One re-sync pull of the write ranges this replica missed from
   /// `peer_node`: sends a kSyncRequest carrying the local epoch and waits up
   /// to `timeout` for the kSyncReply (applied on the server's loop thread).
-  /// No retry here — Clusterfile::copy_replica, the only caller, rotates
-  /// sources under one delivery budget (the peer side is read-only, so a
-  /// repeated pull is harmless). The caller must not race client writes
+  /// A peer that does not answer, answers kError or sends a reply this
+  /// server refuses makes the pull fail (!ok). No retry here —
+  /// Clusterfile::copy_replica, the only caller, rotates sources under one
+  /// delivery budget (the peer side is read-only, so a repeated pull is
+  /// harmless). The caller must not race client writes
   /// against the same ranges unless it follows up with catch-up pulls.
   ///
-  /// Chunking (every copy_replica pull): with `chunk_bytes` > 0 the
-  /// peer bounds each reply. A bounded *delta* includes whole write-log
+  /// Chunking: `chunk_bytes` (>= 1; the peer refuses less as kMalformed)
+  /// bounds each reply. A bounded *delta* includes whole write-log
   /// entries (at least one, so progress is guaranteed) and the pull adopts
   /// the epoch of the last included entry — resuming is just pulling again
   /// with the advanced epoch, idempotent across requester crashes. A
@@ -163,6 +172,8 @@ class IoServer {
   };
   struct Subfile {
     std::unique_ptr<SubfileStorage> storage;
+    /// storage->size() after the last applied write or sync (under mu_).
+    std::int64_t size = 0;
     /// Recent writes by epoch (contiguous, ascending), bounded: a peer
     /// whose epoch predates the log's reach gets a full transfer instead.
     std::deque<LogEntry> write_log;
@@ -174,7 +185,9 @@ class IoServer {
   void handle_read(Message&& msg);
   void handle_sync_request(Message&& msg);
   void handle_sync_reply(Message&& msg);
-  void handle_error_reply(const Message& msg);
+  /// Ends the sync_subfile call waiting for `req_id`, whether its reply or
+  /// an error answered it.
+  void finish_sync(std::uint64_t req_id, const SyncOutcome& out);
   void reply_ack(const Message& req);
   void reply_error(const Message& req, ErrCode code, const std::string& what);
   void finish_reply(const Message& req, Message reply, bool cacheable);
@@ -193,9 +206,9 @@ class IoServer {
   /// Entries are never erased while the loop runs (take_storages stops it
   /// first) and std::map nodes are stable, so a Subfile& obtained under
   /// the lock stays valid afterwards: the loop thread owns storage data
-  /// between requests, while the nested write_log containers and the
-  /// storage epoch are touched under mu_ (the annotation cannot reach
-  /// nested members, only the map itself).
+  /// between requests, while the nested write_log containers, recorded
+  /// sizes and the storage epoch are touched under mu_ (the annotation
+  /// cannot reach nested members, only the map itself).
   std::map<int, Subfile> subfiles_ PFM_GUARDED_BY(mu_);
   /// Pending sync_subfile calls by req_id, filled by the loop thread.
   struct SyncWait {

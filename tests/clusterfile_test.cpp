@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
+#include <thread>
 
 #include "clusterfile/fs.h"
 #include "falls/print.h"
@@ -389,6 +391,44 @@ TEST(Clusterfile, SingleIoNodeServesEverything) {
     fs.subfile_storage(i).read(0, got);
     EXPECT_TRUE(equal_bytes(got, expected)) << "subfile " << i;
   }
+}
+
+// Rebalance planning sizes the file from its subfiles while a client keeps
+// growing them. With one copy per subfile no integrity layer locks the
+// storage, so the size must come from what each server records under its
+// own lock, never from the storage its loop thread is resizing (a TSan
+// build reports the race otherwise).
+TEST(Clusterfile, SizeEstimateDoesNotRaceGrowingWrites) {
+  const std::int64_t n = 256;
+  ClusterConfig cfg;
+  cfg.ring_placement = true;
+  cfg.max_io_nodes = cfg.io_nodes + 1;
+  Clusterfile fs(cfg, pattern2d(Partition2D::kColumnBlocks, n, 16));
+  const auto whole = partition2d_all(Partition2D::kRowBlocks, n, n, 1);
+  auto& client = fs.client(0);
+  const std::int64_t vid = client.set_view(whole[0], n * n);
+
+  // Each write appends one matrix row, so every write grows every subfile.
+  std::atomic<bool> stop{false};
+  std::atomic<int> written{0};
+  std::atomic<int> failed{0};
+  std::thread writer([&] {
+    const Buffer row = make_pattern_buffer(static_cast<std::size_t>(n), 9);
+    for (std::int64_t off = 0; off < n * n && !stop.load(); off += n) {
+      if (!client.write(vid, off, off + n - 1, row).ok()) failed.fetch_add(1);
+      written.fetch_add(1);
+    }
+  });
+  while (written.load() < 4) std::this_thread::yield();
+  fs.add_io_node();
+  fs.await_rebalance();
+  stop.store(true);
+  writer.join();
+
+  EXPECT_EQ(failed.load(), 0);
+  const RebalanceCounters rc = fs.rebalance_counters();
+  EXPECT_GE(rc.migrations_completed, 1);
+  EXPECT_EQ(rc.migrations_failed, 0);
 }
 
 }  // namespace

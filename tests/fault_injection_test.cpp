@@ -256,8 +256,10 @@ TEST(Reliability, DeadNodeTimesOutNamingItThenRecovers) {
 
   // Restart over the surviving storage. Requests carry their projections,
   // so the new server serves the first attempt of each: no retry, no error
-  // reply.
+  // reply. Only the dead-node phase needs the short timeouts; back on the
+  // default policy a busy host cannot make a healthy request look lost.
   fs.restart_server(0);
+  client.set_retry_policy(RetryPolicy{});
   const std::int64_t retries = client.reliability().retries;
   Buffer back(64);
   const auto w = client.write(vid, 0, 63, data);
@@ -686,6 +688,45 @@ TEST(Replication, CrashResyncThenScrubIsClean) {
   // And the file still reads back correctly from the healed cluster.
   Buffer back(64);
   client.read(vid, 0, 63, back);
+  EXPECT_EQ(back, data);
+}
+
+// The peer a restarted replica pulls from first answers kCorruptData: every
+// read of its copy rots a bit, so its sync reply never leaves the peer. The
+// re-sync moves on to the next peer and still converges.
+TEST(Replication, ResyncPastARottenPeerConverges) {
+  ClusterConfig cfg = replicated_config(3);
+  // Subfile 0 lives on nodes 4, 5 and 6; replica 1 (node 5) rots.
+  StorageFaultRule rot;
+  rot.subfile = 0;
+  rot.replica = 1;
+  rot.op = StorageFaultRule::Op::kRead;
+  rot.bit_rot = 1.0;
+  cfg.storage_faults = StorageFaultPlan{};
+  cfg.storage_faults->rules.push_back(rot);
+  Clusterfile fs(cfg, pattern2d(Partition2D::kRowBlocks, 16, 4));
+  auto& client = fs.client(0);
+  client.set_retry_policy(fast_policy());
+  // The view is subfile 0's whole row block, so every write supplies its
+  // whole integrity block and no write reads the rotting copy.
+  const auto views = partition2d_all(Partition2D::kRowBlocks, 16, 16, 4);
+  const std::int64_t vid = client.set_view(views[0], 256);
+  client.write(vid, 0, 63, make_pattern_buffer(64, 86));
+
+  fs.crash_server(0);  // node 4 misses the next write
+  const Buffer data = make_pattern_buffer(64, 87);
+  EXPECT_EQ(client.write(vid, 0, 63, data).rel.failures, 0);
+  // Nodes 5 and 6 tie on epoch, so node 5 (placement order) is tried first.
+  ASSERT_EQ(fs.replica_storage(0, 1).epoch(), fs.replica_storage(0, 2).epoch());
+
+  const ResyncStats rs = fs.restart_server(0);
+  EXPECT_EQ(rs.failures, 0);
+  EXPECT_GT(rs.bytes, 0);
+  EXPECT_GE(fs.server_reliability().errors_sent, 1);  // node 5's kCorruptData
+  EXPECT_EQ(replica_image(fs, 0, 0), data);
+  EXPECT_EQ(replica_image(fs, 0, 2), data);
+  Buffer back(64);
+  EXPECT_TRUE(client.read(vid, 0, 63, back).ok());
   EXPECT_EQ(back, data);
 }
 
@@ -1757,6 +1798,46 @@ TEST(Rebalance, FaultFreeCellsStayCounterClean) {
   const RebalanceCounters rc = fs.rebalance_counters();
   EXPECT_EQ(rc.migrations_failed, 0);
   EXPECT_EQ(rc.migrations_started, rc.migrations_completed);
+  EXPECT_TRUE(fs.scrub().clean());
+}
+
+// A source whose write log owes more bytes than the subfile holds sends the
+// whole subfile instead: a full transfer, here in eight 16-byte chunks. Each
+// 128-byte subfile is written only at its two ends and then rewritten at its
+// head, so a full copy moves 128 bytes where a delta would move 32.
+TEST(Rebalance, MigrationStreamsAFullCopyInChunks) {
+  constexpr std::int64_t kSubfile = 128;  // a 32 x 32 matrix, 8 row blocks
+  Clusterfile fs(rebalance_config(), pattern2d(Partition2D::kRowBlocks, 32, 8));
+  const auto whole = partition2d_all(Partition2D::kRowBlocks, 32, 32, 1);
+  auto& client = fs.client(0);
+  client.set_retry_policy(soak_policy());
+  const std::int64_t vid = client.set_view(whole[0], 1024);
+  Buffer image(1024);  // the file as written, zeros in the holes
+  const auto write_at = [&](std::int64_t off, unsigned seed) {
+    const Buffer piece = make_pattern_buffer(16, seed);
+    EXPECT_TRUE(client.write(vid, off, off + 15, piece).ok());
+    std::copy(piece.begin(), piece.end(), image.begin() + off);
+  };
+  for (std::int64_t s = 0; s < 8; ++s) {
+    write_at(s * kSubfile, 1);
+    write_at(s * kSubfile + kSubfile - 16, 2);
+  }
+  // 32 bytes logged, then 16 more per rewrite: eight rewrites owe 160.
+  for (unsigned k = 0; k < 8; ++k)
+    for (std::int64_t s = 0; s < 8; ++s) write_at(s * kSubfile, 3 + k);
+
+  fs.add_io_node();
+  fs.await_rebalance();
+  const RebalanceCounters rc = fs.rebalance_counters();
+  ASSERT_GE(rc.migrations_completed, 1);
+  EXPECT_EQ(rc.migrations_failed, 0);
+  EXPECT_EQ(rc.bytes_migrated, rc.migrations_completed * kSubfile);
+
+  Buffer back(1024);
+  EXPECT_TRUE(client.read(vid, 0, 1023, back).ok());
+  EXPECT_EQ(back, image);
+  for (std::size_t i = 0; i < fs.subfile_count(); ++i)
+    EXPECT_EQ(replica_image(fs, i, 0), replica_image(fs, i, 1)) << "subfile " << i;
   EXPECT_TRUE(fs.scrub().clean());
 }
 

@@ -1,6 +1,7 @@
 // Fuzz target: the subfile projection decoder an I/O server runs on every
-// request meta (redist/gather_scatter.h), and the interval walk that serves
-// the request.
+// request meta and every sync reply (redist/gather_scatter.h), and the
+// interval walk that serves the request. The corpus holds both shapes a
+// sync reply sends: one full-transfer chunk and a merged multi-range delta.
 //
 // Contract under test: decode_projection on arbitrary text either returns
 // an index set or throws std::invalid_argument. On an accepted set,
@@ -15,6 +16,10 @@
 //     10^8 runs (3.7 s, 2 GB) before a server could refuse anything.
 //   - "262144 {(0,262143,260144,1)}": a single block whose stride is shorter
 //     than the block; the walk's first-block index skipped it.
+//   - sync_*: byte sets a hostile peer may send in a sync reply — a member
+//     whose extent overflows int64, members out of order, and the
+//     "off:len;" range list sync replies used before they carried
+//     projections.
 #include <cstddef>
 #include <cstdint>
 #include <limits>

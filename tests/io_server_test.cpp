@@ -247,27 +247,27 @@ TEST(IoServerRaw, PayloadShorterThanProjectionIsAnError) {
 }
 
 // The test plays the peer of a sync_subfile pull and answers with a
-// kSyncReply at epoch 1 whose range list does not describe its payload. The
+// kSyncReply at epoch 1 whose byte set does not describe its payload. The
 // server must refuse it before storage sees a byte: the pull fails and the
 // subfile keeps size 0 and epoch 0.
 TEST(IoServerRaw, MalformedSyncReplyIsRefusedBeforeStorage) {
   struct Reply {
-    const char* ranges;
+    const char* meta;
     std::size_t payload;
   };
   for (const Reply& bad : {
-           // The second length passes a naive `off + len > size` bound by
-           // overflowing it.
-           Reply{"0:4;8:9223372036854775807;", 4},
-           Reply{"8:2;0:2;", 4},  // descending
-           Reply{"0:4;", 8},      // payload longer than its ranges
+           // The second member's extent, 8 + s + 4, overflows int64.
+           Reply{"9223372036854775807 {(0,3,4,1),(8,11,9223372036854775800,2)}", 4},
+           Reply{"12 {(8,9,2,1),(0,1,2,1)}", 4},  // members out of order
+           Reply{"8 {(0,3,4,1)}", 8},  // payload longer than its projection
+           Reply{"0:4;", 4},           // the retired "off:len;" range list
        }) {
-    SCOPED_TRACE(bad.ranges);
+    SCOPED_TRACE(bad.meta);
     ServerFixture fx;
     IoServer::SyncOutcome out;
     std::thread puller([&] {
       out = fx.server.sync_subfile(0, /*peer_node=*/0, std::chrono::seconds(5),
-                                   0, 0, -1);
+                                   16, 0, -1);
     });
     auto req = fx.net.inbox(0).receive();
     ASSERT_TRUE(req.has_value());
@@ -279,7 +279,7 @@ TEST(IoServerRaw, MalformedSyncReplyIsRefusedBeforeStorage) {
     reply.req_id = req->req_id;
     reply.v = 1;  // the peer claims epoch 1
     reply.w = 0;  // a complete delta
-    reply.meta = bad.ranges;
+    reply.meta = bad.meta;
     reply.payload = make_pattern_buffer(bad.payload, 7);
     EXPECT_TRUE(fx.net.send(0, std::move(reply)));
     puller.join();
@@ -287,6 +287,118 @@ TEST(IoServerRaw, MalformedSyncReplyIsRefusedBeforeStorage) {
     EXPECT_EQ(fx.server.storage(0).size(), 0);
     EXPECT_EQ(fx.server.subfile_epoch(0), 0);
   }
+}
+
+// A reply or error that arrives after its pull timed out finds no waiter:
+// it is dropped unapplied, since only the waiting call knows the epoch cap a
+// chunked stream must adopt.
+TEST(IoServerRaw, LateSyncAnswerIsDroppedUnapplied) {
+  ServerFixture fx;
+  const IoServer::SyncOutcome out = fx.server.sync_subfile(
+      0, /*peer_node=*/0, std::chrono::milliseconds(20), 16, 0, -1);
+  EXPECT_FALSE(out.ok);
+  auto req = fx.net.inbox(0).receive();
+  ASSERT_TRUE(req.has_value());
+  Message reply;
+  reply.kind = MsgKind::kSyncReply;
+  reply.dst_node = 1;
+  reply.subfile = 0;
+  reply.req_id = req->req_id;
+  reply.v = 1;
+  reply.w = 0;
+  reply.meta = encode_projection({make_falls(0, 3, 4, 1)}, 4);
+  reply.payload = make_pattern_buffer(4, 7);
+  Message error;
+  error.kind = MsgKind::kError;
+  error.dst_node = 1;
+  error.req_id = req->req_id;
+  error.err = ErrCode::kIoError;
+  EXPECT_TRUE(fx.net.send(0, std::move(reply)));
+  EXPECT_TRUE(fx.net.send(0, std::move(error)));
+  // A ping behind them on the same inbox: its pong means both were handled.
+  Message ping;
+  ping.kind = MsgKind::kPing;
+  EXPECT_EQ(fx.request(ping).kind, MsgKind::kPong);
+  EXPECT_EQ(fx.server.storage(0).size(), 0);
+  EXPECT_EQ(fx.server.subfile_epoch(0), 0);
+  EXPECT_EQ(fx.server.reliability().errors_sent, 0);
+}
+
+// A pull must bound its chunk: the peer refuses a limit below one byte.
+TEST(IoServerRaw, SyncRequestWithoutAChunkLimitIsRefused) {
+  ServerFixture fx;
+  Message req;
+  req.kind = MsgKind::kSyncRequest;
+  req.subfile = 0;
+  req.w = 0;
+  const Message reply = fx.request(req);
+  EXPECT_EQ(reply.kind, MsgKind::kError);
+  EXPECT_EQ(reply.err, ErrCode::kMalformed);
+}
+
+IoServer::SubfileStorages serve_subfile_0(std::unique_ptr<SubfileStorage> s) {
+  IoServer::SubfileStorages out;
+  out.emplace_back(0, std::move(s));
+  return out;
+}
+
+Buffer stored_bytes(const SubfileStorage& s) {
+  Buffer out(static_cast<std::size_t>(s.size()));
+  s.read(0, out);
+  return out;
+}
+
+// Two epoch-tracking servers: node 1 pulls subfile 0 from node 2, and node 0
+// plays a client. The peer's copy predates its write log, so a fresh pull is
+// a full transfer, streamed here in 16-byte chunks. A write lands on the
+// peer between chunks, over bytes already streamed: the last chunk must
+// adopt the epoch the stream started at, not the peer's newer one, so that
+// the delta pull after it brings the racing write.
+TEST(IoServerSync, ChunkedFullPullAdoptsTheEpochItStartedAt) {
+  constexpr std::int64_t kEpoch = 5;
+  auto copy = std::make_unique<MemoryStorage>();
+  copy->write(0, make_pattern_buffer(64, 3));
+  copy->set_epoch(kEpoch);
+  Network net{3};
+  IoServer puller(net, 1, serve_subfile_0(std::make_unique<MemoryStorage>()),
+                  /*track_epochs=*/true);
+  IoServer peer(net, 2, serve_subfile_0(std::move(copy)), /*track_epochs=*/true);
+  const auto timeout = std::chrono::seconds(5);
+
+  std::int64_t off = 0;
+  std::int64_t cap = -1;
+  int chunks = 0;
+  for (;;) {
+    const IoServer::SyncOutcome pull =
+        puller.sync_subfile(0, /*peer_node=*/2, timeout, 16, off, cap);
+    ASSERT_TRUE(pull.ok);
+    EXPECT_TRUE(pull.full);
+    EXPECT_EQ(pull.bytes, 16);
+    ++chunks;
+    if (!pull.more) break;
+    if (cap < 0) {
+      cap = pull.peer_epoch;
+      Message write = data_request(MsgKind::kWrite, 0, {make_falls(0, 7, 8, 1)},
+                                   64, 0, 7, make_pattern_buffer(8, 4));
+      write.dst_node = 2;
+      ASSERT_TRUE(net.send(0, std::move(write)));
+      ASSERT_EQ(net.inbox(0).receive()->kind, MsgKind::kAck);
+    }
+    off = pull.next_offset;
+  }
+  EXPECT_EQ(chunks, 4);
+  EXPECT_EQ(cap, kEpoch);
+  EXPECT_EQ(peer.subfile_epoch(0), kEpoch + 1);
+  EXPECT_EQ(puller.subfile_epoch(0), kEpoch);
+
+  const IoServer::SyncOutcome delta =
+      puller.sync_subfile(0, /*peer_node=*/2, timeout, 16, 0, -1);
+  ASSERT_TRUE(delta.ok);
+  EXPECT_FALSE(delta.full);
+  EXPECT_FALSE(delta.more);
+  EXPECT_EQ(delta.bytes, 8);
+  EXPECT_EQ(puller.subfile_epoch(0), kEpoch + 1);
+  EXPECT_EQ(stored_bytes(puller.storage(0)), stored_bytes(peer.storage(0)));
 }
 
 TEST(OverlapNodes, ColocatedMessagesCostNoWireTime) {
