@@ -2,11 +2,11 @@
 //
 // A run list compresses back into FALLS so that the regularity of array
 // partitions is preserved: a list of one BLOCK distribution's runs becomes a
-// handful of FALLS instead of thousands of line segments. PROJ (paper
-// section 7) uses it only as its exact fallback, for intersections its
-// structural walk cannot map; that walk, not run compression, keeps
-// view-setting cost (t_i in Table 1) size-independent. wrap_repetitions is
-// also the last rule of the walk's canonical form.
+// handful of FALLS instead of thousands of line segments. PREPROCESS (paper
+// section 7) recompresses only an element whose members interleave, into
+// the file order PROJ's structural walk needs; that walk, not run
+// compression, keeps view-setting cost (t_i in Table 1) size-independent.
+// wrap_repetitions is also the last rule of the walk's canonical form.
 #pragma once
 
 #include <cstdint>

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -79,15 +80,31 @@ int set_height(const FallsSet& set);
 /// Throws std::invalid_argument with a description when invalid.
 void validate_falls(const Falls& f);
 
-/// Validity of a set: every member valid, members sorted by l, member spans
-/// non-overlapping in the first period (the paper keeps partition elements
-/// disjoint; overlap checks use spans, i.e. [l, extent) ranges).
+/// Validity of a set: every member valid, members sorted by strictly
+/// increasing l, and no byte in two members (the paper keeps partition
+/// elements disjoint). Members whose spans overlap are tested pairwise on
+/// their FALLS nodes, never their runs, under a fixed work budget: a set
+/// past it is refused. Throws std::invalid_argument when invalid.
 void validate_falls_set(const FallsSet& set);
+
+/// Throws std::invalid_argument when a byte lies in two of the valid `sets`
+/// or the test exceeds the budget of validate_falls_set.
+void validate_disjoint(std::span<const FallsSet> sets);
 
 /// True when at every level each member starts at or past the previous
 /// member's extent, so walking the tree visits its bytes in increasing
 /// order. Intersection and projection results may interleave members.
 bool in_file_order(const FallsSet& set);
+
+/// The blocks k0..k1 of f that overlap [lo, hi] (paper section 8's
+/// interval limits); k0 > k1 when none does. A single block may have any
+/// stride, even one shorter than itself.
+inline std::pair<std::int64_t, std::int64_t> blocks_over(const Falls& f, std::int64_t lo,
+                                                         std::int64_t hi) {
+  const std::int64_t past = lo - f.l - f.block_len() + 1;  // first block ending >= lo
+  return {past <= 0 ? 0 : past / f.s + (past % f.s != 0),
+          hi < f.l ? -1 : std::min(f.n - 1, (hi - f.l) / f.s)};
+}
 
 namespace detail {
 
@@ -98,13 +115,8 @@ namespace detail {
 template <typename Fn>
 void walk_falls(const Falls& f, std::int64_t base, std::int64_t lo,
                 std::int64_t hi, Fn& fn) {
-  if (hi < f.l) return;
   const std::int64_t len = f.block_len();
-  // First block ending at or after lo, last block starting at or before hi
-  // (a single block may have any stride, even one shorter than itself).
-  const std::int64_t past = lo - f.l - len + 1;
-  const std::int64_t k0 = past <= 0 ? 0 : past / f.s + (past % f.s != 0);
-  const std::int64_t k1 = std::min(f.n - 1, (hi - f.l) / f.s);
+  const auto [k0, k1] = blocks_over(f, lo, hi);
   for (std::int64_t k = k0; k <= k1; ++k) {
     const std::int64_t b = f.l + k * f.s;
     if (f.leaf()) {

@@ -59,9 +59,11 @@ std::optional<std::int64_t> first_byte(const FallsSet& set) {
 
 std::optional<std::int64_t> last_byte(const FallsSet& set) {
   std::optional<std::int64_t> best;
-  for_each_run(set, [&](std::int64_t, std::int64_t b) {
+  for (const Falls& f : set) {
+    const std::int64_t b = f.l + (f.n - 1) * f.s +
+                           (f.leaf() ? f.block_len() - 1 : *last_byte(f.inner));
     if (!best || b > *best) best = b;
-  });
+  }
   return best;
 }
 

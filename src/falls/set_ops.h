@@ -24,7 +24,8 @@ std::int64_t set_rank(const FallsSet& set, std::int64_t x);
 /// True when the set denotes one single contiguous run (or is empty).
 bool is_single_run(const FallsSet& set);
 
-/// The first/last byte index of the set, std::nullopt when empty.
+/// The first/last byte index of the set, std::nullopt when empty. last_byte
+/// reads the FALLS nodes; first_byte walks the runs.
 std::optional<std::int64_t> first_byte(const FallsSet& set);
 std::optional<std::int64_t> last_byte(const FallsSet& set);
 

@@ -1,7 +1,5 @@
 #include "file_model/pattern.h"
 
-#include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "falls/set_ops.h"
@@ -16,34 +14,18 @@ PartitioningPattern::PartitioningPattern(std::vector<FallsSet> elements,
     throw std::invalid_argument("PartitioningPattern: negative displacement");
   if (elements.empty())
     throw std::invalid_argument("PartitioningPattern: no elements");
+  // Tiling check: every element is valid and lies inside [0, size_), and
+  // no byte is in two elements, so together they cover [0, size_) once.
   size_ = 0;
   for (const FallsSet& e : elements) {
     validate_falls_set(e);
     size_ += set_size(e);
   }
   if (size_ == 0) throw std::invalid_argument("PartitioningPattern: size 0");
-
-  // Tiling check: the element runs must cover [0, size_) exactly once.
-  // Merge all runs of all elements and verify they abut from 0 to size_.
-  std::vector<LineSegment> runs;
-  for (const FallsSet& e : elements) {
-    const auto r = set_runs(e);
-    runs.insert(runs.end(), r.begin(), r.end());
-  }
-  std::sort(runs.begin(), runs.end(),
-            [](const LineSegment& a, const LineSegment& b) { return a.l < b.l; });
-  std::int64_t cursor = 0;
-  for (const LineSegment& run : runs) {
-    if (run.l != cursor) {
-      std::ostringstream os;
-      os << "PartitioningPattern: " << (run.l < cursor ? "overlap" : "gap")
-         << " at byte " << std::min(run.l, cursor);
-      throw std::invalid_argument(os.str());
-    }
-    cursor = run.r + 1;
-  }
-  if (cursor != size_)
-    throw std::invalid_argument("PartitioningPattern: pattern not contiguous");
+  for (const FallsSet& e : elements)
+    if (last_byte(e).value_or(0) >= size_)
+      throw std::invalid_argument("PartitioningPattern: element past the pattern size");
+  validate_disjoint(elements);
   elements_.reserve(elements.size());
   for (FallsSet& e : elements)
     elements_.push_back(PatternElement{std::move(e), size_, displacement_});

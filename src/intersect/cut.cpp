@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/arith.h"
 
 namespace pfm {
 
@@ -17,12 +16,8 @@ template <typename Emit>
 void cut_blocks(const Falls& f, const FallsSet& inner, std::int64_t a,
                 std::int64_t b, Emit&& emit) {
   if (a > b) throw std::invalid_argument("cut_falls: a > b");
-  // Blocks overlapping [a, b]: l + k*s <= b  and  l + k*s + blen - 1 >= a.
   const std::int64_t blen = f.block_len();
-  std::int64_t k_lo = div_ceil(a - f.l - (blen - 1), f.s);
-  std::int64_t k_hi = div_floor(b - f.l, f.s);
-  k_lo = std::max<std::int64_t>(k_lo, 0);
-  k_hi = std::min<std::int64_t>(k_hi, f.n - 1);
+  const auto [k_lo, k_hi] = blocks_over(f, a, b);
   if (k_lo > k_hi) return;
 
   // Block k clipped to [a, b], when it is only partly inside.

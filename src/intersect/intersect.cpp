@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "falls/compress.h"
 #include "intersect/cut.h"
 #include "intersect/intersect_falls.h"
 #include "util/arith.h"
@@ -104,12 +105,16 @@ const FallsSet& preprocess(const PatternElement& e, std::int64_t origin,
                            std::int64_t common_period, FallsSet& keep) {
   const std::int64_t shift = mod_floor(origin - e.displacement, e.pattern_size);
   const std::int64_t reps = common_period / e.pattern_size;
+  // PROJ ranks an element's members in member order. No layout builds an
+  // element whose members interleave; one that arrives anyway is
+  // recompressed over its pattern period, the only run enumeration here.
+  const FallsSet& set = in_file_order(e.falls) ? e.falls : (keep = recompress(e.falls));
   if (shift == 0 && reps == 1) {
-    if (set_extent(e.falls) > e.pattern_size)
+    if (set_extent(set) > e.pattern_size)
       throw std::invalid_argument("preprocess: element exceeds its pattern");
-    return e.falls;
+    return set;
   }
-  keep = rebase_period(e.falls, shift, e.pattern_size);
+  keep = rebase_period(set, shift, e.pattern_size);
   if (reps > 1) keep = FallsSet{wrap_outer(std::move(keep), e.pattern_size, reps)};
   return keep;
 }

@@ -26,17 +26,6 @@ void emit_pair(FallsSet& out, const Falls& f1, const Falls& f2, std::int64_t i1,
   out.push_back(make_falls(lo, hi, T, count));
 }
 
-/// Index window of f2 segments overlapping [a1, b1].
-std::pair<std::int64_t, std::int64_t> overlap_window(const Falls& f2,
-                                                     std::int64_t a1,
-                                                     std::int64_t b1) {
-  std::int64_t lo = div_ceil(a1 - f2.l - (f2.block_len() - 1), f2.s);
-  std::int64_t hi = div_floor(b1 - f2.l, f2.s);
-  lo = std::max<std::int64_t>(lo, 0);
-  hi = std::min<std::int64_t>(hi, f2.n - 1);
-  return {lo, hi};
-}
-
 }  // namespace
 
 FallsSet intersect_falls(const Falls& f1, const Falls& f2) {
@@ -59,14 +48,14 @@ void append_intersection(FallsSet& out, const Falls& f1, const Falls& f2) {
   const std::int64_t i1_max = std::min(f1.n, per1);
   for (std::int64_t i1 = 0; i1 < i1_max; ++i1) {
     const std::int64_t a1 = f1.l + i1 * f1.s;
-    const auto [i2_lo, i2_hi] = overlap_window(f2, a1, a1 + f1.block_len() - 1);
+    const auto [i2_lo, i2_hi] = blocks_over(f2, a1, a1 + f1.block_len() - 1);
     for (std::int64_t i2 = i2_lo; i2 <= i2_hi; ++i2)
       emit_pair(out, f1, f2, i1, i2, T, per1, per2);
   }
   const std::int64_t i2_max = std::min(f2.n, per2);
   for (std::int64_t i2 = 0; i2 < i2_max; ++i2) {
     const std::int64_t a2 = f2.l + i2 * f2.s;
-    auto [i1_lo, i1_hi] = overlap_window(f1, a2, a2 + f2.block_len() - 1);
+    auto [i1_lo, i1_hi] = blocks_over(f1, a2, a2 + f2.block_len() - 1);
     // Classes with i1 < per1 were already covered by the first loop.
     i1_lo = std::max(i1_lo, per1);
     for (std::int64_t i1 = i1_lo; i1 <= i1_hi; ++i1)

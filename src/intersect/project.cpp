@@ -1,7 +1,7 @@
 #include "intersect/project.h"
 
 #include <algorithm>
-#include <vector>
+#include <span>
 
 #include "falls/compress.h"
 #include "falls/set_ops.h"
@@ -16,13 +16,15 @@ namespace {
 /// `elem`'s index space; every image index is lowered by `base`. Each
 /// member f maps through the element member g whose span holds f's first
 /// block: f's blocks must fit inside g's blocks at one fixed offset u (a
-/// stride that is a multiple of g's, or any stride inside one dense block
-/// of g), so the image is one FALLS of g's members per block, and f's inner
-/// set maps by the same walk against g's inner set. Returns false when a
+/// stride that is a multiple of g's, or any stride inside one block of g),
+/// so the image is one FALLS of g's members per block, and f's inner set
+/// maps by the same walk against g's inner set. A family inside one block
+/// of g that holds a set maps through that set. Returns false when a
 /// member does not fit that shape, or a level of `elem` interleaves its
-/// members (ranks are then not a running sum); the caller then falls back
-/// to the run path. Cost: O(members of xs x depth x members per level).
-bool walk(const FallsSet& xs, std::int64_t off, const FallsSet& elem,
+/// members (ranks are then not a running sum); INTERSECT of an element in
+/// file order produces neither. Cost: O(members of xs x depth x members per
+/// level).
+bool walk(std::span<const Falls> xs, std::int64_t off, const FallsSet& elem,
           std::int64_t base, FallsSet& out) {
   for (std::size_t i = 1; i < elem.size(); ++i)
     if (elem[i].l < falls_extent(elem[i - 1])) return false;
@@ -46,8 +48,13 @@ bool walk(const FallsSet& xs, std::int64_t off, const FallsSet& elem,
     const bool dense = per == g.block_len();  // rank inside a block = offset
     std::int64_t step = flen;                 // image stride
     if (f.n > 1) {
-      if (dense && u + falls_extent(f) - f.l <= g.block_len()) {
-        step = f.s;  // all of f inside one dense block: a plain shift
+      if (u + falls_extent(f) - f.l <= g.block_len()) {  // all of f in block k0
+        if (!dense) {
+          const std::int64_t at = g.l + k0 * g.s;  // block k0 of g
+          if (!walk({&f, 1}, off - at, g.inner, base - before - k0 * per, out)) return false;
+          continue;
+        }
+        step = f.s;  // a plain shift
       } else {
         if (f.s % g.s != 0) return false;
         const std::int64_t m = f.s / g.s;
@@ -196,9 +203,8 @@ void join_progressions(FallsSet& set) {
 /// Rewrites a walked projection, bottom-up, into the compact form run
 /// compression gives the same bytes (DESIGN.md, "Set-view algebra"): a
 /// single nested block is replaced by its members, every other member is
-/// simplified, families are joined, leaf families that still interleave are
-/// recompressed from their runs, and a member list that repeats a prefix at
-/// a constant period is wrapped.
+/// simplified, families are joined, and a member list that repeats a prefix
+/// at a constant period is wrapped.
 void canonicalize(FallsSet& set) {
   if (set.size() == 1 && (set[0].n > 1 || set[0].leaf())) {
     canonicalize(set[0].inner);
@@ -235,32 +241,12 @@ void canonicalize(FallsSet& set) {
     std::sort(set.begin(), set.end(), by_l);
   join_abutting(set);
   join_progressions(set);
-  // Leaf families whose spans still interleave (progressions INTERSECT-FALLS
-  // split by stride, joined by none of the rules above) denote one run
-  // list: compress it as the run path does. None of the r, c, b and
-  // (block-)cyclic 2-D layouts reach this; irregular sets do.
-  bool leaves = true;
-  bool interleave = false;
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    leaves = leaves && set[i].leaf();
-    if (i > 0 && set[i].l < falls_extent(set[i - 1])) interleave = true;
-  }
-  if (leaves && interleave) set = compress_runs(set_runs(set));
   set = wrap_repetitions(std::move(set));
 }
 
-/// True when every level of the tree has strictly increasing left indices.
-bool strictly_sorted(const FallsSet& set) {
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    if (i > 0 && set[i].l <= set[i - 1].l) return false;
-    if (!strictly_sorted(set[i].inner)) return false;
-  }
-  return true;
-}
-
-/// Post-conditions common to both projection paths (paper section 7): the
-/// projection is a valid index set of exactly the intersection's size — the
-/// property that makes the gather and scatter sides of a transfer agree.
+/// Post-conditions of PROJ (paper section 7): the projection is a valid
+/// index set of exactly the intersection's size — the property that makes
+/// the gather and scatter sides of a transfer agree.
 /// Only when the element sits at the intersection origin is the projection
 /// confined to the element's share of one common period; an element at a
 /// smaller displacement sees origin-shifted indices that may legitimately
@@ -286,43 +272,18 @@ Projection project(const Intersection& x, const PatternElement& e) {
   out.period = set_size(e.falls) * (x.period / e.pattern_size);
   if (x.falls.empty()) return out;
 
-  // Structural path: the element, aligned like PREPROCESS aligns it, gives
-  // rank in [origin, origin + period); c0 adds its members in
-  // [displacement, origin). Distinct images can still share a left index
-  // (a block may start on a non-member byte); fall back then.
-  if (x.origin >= e.displacement) {
-    const std::int64_t shift = x.origin - e.displacement;
-    const std::int64_t c0 = shift / e.pattern_size * set_size(e.falls) +
-                            set_rank(e.falls, shift % e.pattern_size);
-    FallsSet keep;
-    FallsSet walked;
-    if (walk(x.falls, 0, preprocess(e, x.origin, x.period, keep), -c0, walked)) {
-      canonicalize(walked);
-      if (strictly_sorted(walked)) {
-        out.falls = std::move(walked);
-        dcheck_projection(out, x, e);
-        return out;
-      }
-    }
-  }
-
-  // Exact fallback: a maximal contiguous run of the intersection lies wholly
-  // inside the element's byte set, and MAP is order-preserving on that set,
-  // so each run maps to one contiguous run of element offsets.
-  const ElementRef ref{&e.falls, e.displacement, e.pattern_size};
-  std::vector<LineSegment> mapped;
-  for (const LineSegment& run : set_runs(x.falls)) {
-    const std::int64_t lo = map_to_element(ref, x.origin + run.l);
-    // MAP is monotonic over file offsets, so `mapped` stays sorted. Two file
-    // runs separated only by non-member bytes of e become adjacent in
-    // element space; merge them so the runs passed to compression are maximal.
-    if (!mapped.empty() && lo <= mapped.back().r + 1) {
-      mapped.back().r = lo + (run.r - run.l);
-    } else {
-      mapped.push_back({lo, lo + (run.r - run.l)});
-    }
-  }
-  out.falls = compress_runs_nested(mapped);
+  // The element, aligned and in file order as PREPROCESS hands it to
+  // INTERSECT, gives rank in [origin, origin + period); c0 adds its members
+  // in [displacement, origin).
+  PFM_CHECK(x.origin >= e.displacement, "PROJ: intersection origin ", x.origin,
+            " precedes the element's displacement ", e.displacement);
+  const std::int64_t shift = x.origin - e.displacement;
+  const std::int64_t c0 = shift / e.pattern_size * set_size(e.falls) +
+                          set_rank(e.falls, shift % e.pattern_size);
+  FallsSet keep;
+  PFM_CHECK(walk(x.falls, 0, preprocess(e, x.origin, x.period, keep), -c0, out.falls),
+            "PROJ: an intersection member does not fit the element's blocks");
+  canonicalize(out.falls);
   dcheck_projection(out, x, e);
   return out;
 }

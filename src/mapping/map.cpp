@@ -1,5 +1,7 @@
 #include "mapping/map.h"
 
+#include <algorithm>
+#include <ranges>
 #include <stdexcept>
 
 #include "falls/set_ops.h"
@@ -111,6 +113,13 @@ std::int64_t map_aux(const FallsSet& set, std::int64_t x, Round round) {
 
 std::int64_t map_aux_inverse(const FallsSet& set, std::int64_t k) {
   if (k < 0) throw std::out_of_range("map_aux_inverse: negative rank");
+  // Where members interleave, ranks do not follow member order: the k-th
+  // byte is the least x with more than k member bytes at or below it.
+  for (std::size_t i = 1; i < set.size(); ++i)
+    if (set[i].l < falls_extent(set[i - 1]) && k < set_size(set))
+      return *std::ranges::partition_point(
+          std::views::iota(std::int64_t{0}, set_extent(set)),
+          [&](std::int64_t x) { return set_rank(set, x + 1) <= k; });
   for (const Falls& f : set) {
     const std::int64_t sz = falls_size(f);
     if (k < sz) return falls_aux_inverse(f, k);

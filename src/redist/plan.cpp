@@ -1,8 +1,10 @@
 #include "redist/plan.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "intersect/project.h"
@@ -17,25 +19,6 @@ std::int64_t RedistPlan::bytes_per_period() const {
   return total;
 }
 
-namespace {
-
-/// Checks that the per-period runs of the index sets are pairwise disjoint
-/// within one element's linear space. `runs` holds (transfer index, run)
-/// pairs for one element.
-void check_disjoint_runs(std::vector<std::pair<std::size_t, LineSegment>> runs,
-                         const char* side, std::size_t elem) {
-  std::sort(runs.begin(), runs.end(),
-            [](const auto& a, const auto& b) { return a.second.l < b.second.l; });
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    PFM_CHECK(runs[i].second.l > runs[i - 1].second.r,
-              "plan transfers ", runs[i - 1].first, " and ", runs[i].first,
-              " overlap in the ", side, " space of element ", elem, " near offset ",
-              runs[i].second.l);
-  }
-}
-
-}  // namespace
-
 void validate_plan(const RedistPlan& plan, const PartitioningPattern& from,
                    const PartitioningPattern& to) {
   PFM_CHECK(plan.period == lcm64(from.size(), to.size()),
@@ -43,11 +26,9 @@ void validate_plan(const RedistPlan& plan, const PartitioningPattern& from,
   PFM_CHECK(plan.origin == std::max(from.displacement(), to.displacement()),
             "origin ", plan.origin, " is not the max displacement");
 
-  // Per-element run lists for the disjointness checks.
-  std::vector<std::vector<std::pair<std::size_t, LineSegment>>> src_runs(
-      from.element_count());
-  std::vector<std::vector<std::pair<std::size_t, LineSegment>>> dst_runs(
-      to.element_count());
+  // Per element, the index sets of its transfers.
+  std::vector<std::vector<FallsSet>> src_sets(from.element_count());
+  std::vector<std::vector<FallsSet>> dst_sets(to.element_count());
   std::set<std::pair<std::size_t, std::size_t>> seen_pairs;
 
   std::int64_t total = 0;
@@ -86,17 +67,23 @@ void validate_plan(const RedistPlan& plan, const PartitioningPattern& from,
     PFM_CHECK(t.dst_idx.period() == dst_share, "transfer ", ti,
               ": scatter period ", t.dst_idx.period(), " != element share ",
               dst_share);
-    for (const LineSegment& run : set_runs(t.src_idx.falls()))
-      src_runs[t.src_elem].emplace_back(ti, run);
-    for (const LineSegment& run : set_runs(t.dst_idx.falls()))
-      dst_runs[t.dst_elem].emplace_back(ti, run);
+    src_sets[t.src_elem].push_back(t.src_idx.falls());
+    dst_sets[t.dst_elem].push_back(t.dst_idx.falls());
     total += t.bytes_per_period;
   }
 
-  for (std::size_t i = 0; i < src_runs.size(); ++i)
-    check_disjoint_runs(std::move(src_runs[i]), "gather", i);
-  for (std::size_t j = 0; j < dst_runs.size(); ++j)
-    check_disjoint_runs(std::move(dst_runs[j]), "scatter", j);
+  // No two transfers of one element may touch the same element byte.
+  for (const auto* sets : {&src_sets, &dst_sets}) {
+    for (const std::vector<FallsSet>& element : *sets) {
+      std::string overlap;
+      try {
+        validate_disjoint(element);
+      } catch (const std::invalid_argument& ex) {
+        overlap = ex.what();
+      }
+      PFM_CHECK(overlap.empty(), "plan transfers of one element: ", overlap);
+    }
+  }
 
   // Aligned patterns tile the same byte space, so the transfers must cover
   // one full common period with no byte lost or duplicated.
@@ -130,7 +117,9 @@ RedistPlan build_plan(const PartitioningPattern& from,
       t.src_elem = i;
       t.dst_elem = j;
       t.bytes_per_period = set_size(x.falls);
-      t.runs_per_period = static_cast<std::int64_t>(set_runs(x.falls).size());
+      walk_runs(x.falls, in_file_order(x.falls), 0,
+                std::numeric_limits<std::int64_t>::max(),
+                [&](std::int64_t, std::int64_t) { ++t.runs_per_period; });
       const Projection ps = project(x, src);
       const Projection pd = project(x, dst);
       t.src_idx = IndexSet(ps.falls, ps.period);

@@ -78,6 +78,44 @@ TEST(FallsValidate, RejectsOverlappingSetMembers) {
   EXPECT_THROW(validate_falls_set(s), std::invalid_argument);
 }
 
+TEST(FallsValidate, InterleavedMembersAreDecidedOnNodes) {
+  // 2*10^8 runs, decided by one pair test: a run-level check would take
+  // seconds and gigabytes.
+  EXPECT_NO_THROW(validate_falls_set(
+      {make_falls(0, 0, 2, 100000000), make_falls(1, 1, 2, 100000000)}));
+  // Strides 2 and 4 meet at byte 4.
+  EXPECT_THROW(validate_falls_set(
+                   {make_falls(0, 0, 2, 100000000), make_falls(4, 4, 4, 100000000)}),
+               std::invalid_argument);
+  // Nested members disjoint only inside their blocks: even against odd
+  // bytes, then even against even.
+  const Falls even = make_nested(0, 7, 16, 4, {make_falls(0, 0, 2, 4)});
+  EXPECT_NO_THROW(validate_falls_set({even, make_nested(1, 7, 16, 4, {make_falls(0, 0, 2, 3)})}));
+  EXPECT_THROW(validate_falls_set({even, make_nested(1, 7, 16, 4, {make_falls(1, 1, 2, 3)})}),
+               std::invalid_argument);
+}
+
+TEST(FallsValidate, SetPastTheBudgetIsRefused) {
+  // 6000 byte-disjoint families of one stride whose spans all overlap:
+  // deciding every pair exceeds the fixed budget.
+  FallsSet set;
+  for (std::int64_t k = 0; k < 6000; ++k) set.push_back(make_falls(k, k, 6000, 1000));
+  EXPECT_THROW(validate_falls_set(set), std::invalid_argument);
+  set.resize(500);
+  EXPECT_NO_THROW(validate_falls_set(set));
+}
+
+TEST(FallsValidate, DisjointSetsAreDecidedOnNodes) {
+  EXPECT_NO_THROW(validate_disjoint(std::vector<FallsSet>{
+      {make_falls(0, 0, 2, 100000000)}, {make_falls(1, 1, 2, 100000000)}}));
+  // Byte 6 lies in both sets; members of one set are not compared.
+  EXPECT_THROW(validate_disjoint(std::vector<FallsSet>{
+                   {make_falls(0, 0, 2, 4)}, {make_falls(1, 1, 2, 3), make_falls(6, 6, 1, 1)}}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(validate_disjoint(std::vector<FallsSet>{
+      {make_falls(0, 0, 6, 2), make_falls(3, 3, 4, 3)}, {make_falls(1, 2, 3, 2)}}));
+}
+
 TEST(FallsValidate, AcceptsPaperFigure3Pattern) {
   // Subfile patterns (0,1,6,1), (2,3,6,1), (4,5,6,1).
   EXPECT_NO_THROW(validate_falls_set({make_falls(0, 1, 6, 1)}));

@@ -14,6 +14,14 @@
 //      manifest loader use, so applying cannot corrupt the manager either:
 //      every file surviving the applied prefix must still produce a valid
 //      pattern.
+//
+// Kept in tests/fuzz/regressions/journal/:
+//   - huge_len_prefix, torn_tail: framing a replay must stop at, not throw
+//     on: a length prefix past any sane record and a cut-off last frame.
+//   - i64_overflow_payload: a size field past int64 in a raw payload.
+//   - interleaved_subfiles_1e8: one valid `put` record whose two subfiles
+//     are {(0,0,2,100000000)} and {(1,1,2,100000000)}; applying it merged
+//     their 2*10^8 runs before the tiling check tested FALLS nodes pairwise.
 #include <cstddef>
 #include <cstdint>
 #include <span>

@@ -13,6 +13,9 @@
 //   - a record whose FALLS extent overflows the declared displacement:
 //     ContractViolation leaked from FileRecord::pattern() (fixed: converted
 //     to std::invalid_argument at the load() boundary).
+//   - interleaved_subfiles_1e8: a valid 91-byte manifest whose two subfiles
+//     are {(0,0,2,100000000)} and {(1,1,2,100000000)}; the pattern's tiling
+//     check merged their 2*10^8 runs before it tested FALLS nodes pairwise.
 #include <cstddef>
 #include <cstdint>
 #include <sstream>

@@ -20,6 +20,10 @@
 //     whose extent overflows int64, members out of order, and the
 //     "off:len;" range list sync replies used before they carried
 //     projections.
+//   - interleaved_members_1e8: "200000000 {(0,0,2,100000000),
+//     (1,1,2,100000000)}", 47 bytes of valid meta whose members interleave;
+//     validation sorted its 2*10^8 runs (seconds, gigabytes) before it
+//     tested the members' FALLS nodes pairwise.
 #include <cstddef>
 #include <cstdint>
 #include <limits>

@@ -10,6 +10,7 @@
 #include "intersect/intersect_falls.h"
 #include "intersect/project.h"
 #include "tests/test_util.h"
+#include "util/check.h"
 
 namespace pfm {
 namespace {
@@ -213,15 +214,15 @@ TEST(Project, PropertyMatchesMapOracle) {
 }
 
 // A member whose block spans several element blocks has no image of the
-// element's block shape, so PROJ takes the exact run path for it.
-TEST(Project, MemberSpanningElementBlocksTakesRunPath) {
+// element's block shape. INTERSECT never produces one (its blocks lie inside
+// one block of each element), so PROJ refuses this hand-built intersection
+// as a broken invariant.
+TEST(Project, MemberSpanningElementBlocksIsRefused) {
   const PatternElement e{{make_falls(0, 1, 4, 2)}, 8, 0};  // bytes 0,1,4,5
   Intersection x;
   x.falls = {make_nested(0, 5, 6, 1, {make_falls(0, 1, 4, 2)})};
   x.period = 8;
-  const Projection p = project(x, e);
-  EXPECT_EQ(p.falls, (FallsSet{make_falls(0, 3, 4, 1)})) << to_string(p.falls);
-  EXPECT_EQ(p.period, 4);
+  EXPECT_THROW(project(x, e), ContractViolation);
 }
 
 TEST(IntersectAux, WindowLengthMismatchThrows) {

@@ -218,6 +218,27 @@ TEST(IoServerRaw, HostileProjectionIsServedPromptly) {
   EXPECT_TRUE(equal_bytes(ok.payload, payload));
 }
 
+TEST(IoServerRaw, InterleavedHostileProjectionIsServedPromptly) {
+  // 47 bytes of meta whose two members interleave, 10^8 blocks each. The
+  // decoder decides their disjointness on the FALLS nodes; sorting the
+  // period's runs would take seconds and gigabytes before any reply.
+  ServerFixture fx;
+  const std::string meta = "200000000 {(0,0,2,100000000),(1,1,2,100000000)}";
+  ASSERT_EQ(meta.size(), 47u);
+  const auto request = [&](MsgKind kind, Buffer payload) {
+    Message msg = data_request(kind, 0, {}, 1, 64, 79, std::move(payload));
+    msg.meta = meta;
+    return fx.request(std::move(msg));
+  };
+  const auto t0 = std::chrono::steady_clock::now();
+  const Buffer payload = make_pattern_buffer(16, 5);
+  EXPECT_EQ(request(MsgKind::kWrite, payload).kind, MsgKind::kAck);
+  const Message ok = request(MsgKind::kRead, {});
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+  ASSERT_EQ(ok.kind, MsgKind::kReadReply);
+  EXPECT_TRUE(equal_bytes(ok.payload, payload));
+}
+
 TEST(IoServerRaw, ReadReturnsGatheredProjection) {
   ServerFixture fx;
   const FallsSet proj = {make_falls(0, 1, 4, 2)};
